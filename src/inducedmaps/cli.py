@@ -161,6 +161,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    if args.budget < 1:
+        raise _UsageError(f"budget must be >= 1, got {args.budget}")
     rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
     d = decompose_blocks(rho, dim_a, dim_e)
     u = load_unitary(args.unitary, dim=dim_a * dim_e)

@@ -8,7 +8,7 @@ random pure inputs; reports classify as CP, NON_POSITIVE (certified
 witness), AFFINE (nonzero shift), or POSITIVE_NOT_CP_CANDIDATE.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class SearchConfig:
             object.__setattr__(self, "params", tuple(float(x) for x in self.params))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.positivity_budget < 1:
+            raise ValueError(
+                f"positivity_budget must be >= 1, got {self.positivity_budget}"
+            )
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,7 @@ def _as_decomposition(source) -> SLDecomposition:
 def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
     """Induce the map of one unitary and classify its positivity.
 
-    Precedence: CP when the Choi spectrum is clean and the shift vanishes;
-    NON_POSITIVE when probing certifies a witness; AFFINE when the shift
-    is nonzero but no witness was found in budget; otherwise the map is a
-    POSITIVE_NOT_CP_CANDIDATE (negative Choi eigenvalue, no violation
-    found).
+    The label follows :func:`classification_label`.
     """
     d = _as_decomposition(source)
     m = induce(d, u)
@@ -194,16 +194,7 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
         u_seed, probe_seed = child.spawn(2)
         u = haar_unitary(n, u_seed) if cfg.family == HAAR else fixed_u
         report = classify(d, u, cfg, probe_seed=probe_seed)
-        reports.append(
-            CandidateReport(
-                unitary=report.unitary,
-                choi_min_eig=report.choi_min_eig,
-                shift_norm=report.shift_norm,
-                positivity=report.positivity,
-                classification=report.classification,
-                trial=trial,
-            )
-        )
+        reports.append(replace(report, trial=trial))
     return tuple(reports)
 
 

@@ -1,0 +1,153 @@
+"""Batched kernels of the induced-map layer: ``induce`` and the positivity probe."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from inducedmaps import (
+    NO_VIOLATION_FOUND,
+    VIOLATED,
+    PairClass,
+    SearchConfig,
+    assemble,
+    dagger,
+    decompose_blocks,
+    haar_unitary,
+    induce,
+    partial_trace,
+    probe_positivity,
+    validate_density_matrix,
+)
+from inducedmaps.cli import EXIT_USAGE, main
+from inducedmaps.jsonio import save_matrix
+from inducedmaps.presets import (
+    bell_density,
+    cnot,
+    four_block_ensemble,
+    random_coherent_block_ensemble,
+    random_vqd_ensemble,
+)
+
+BELL_CNOT_MIN_EIG = (1.0 - np.sqrt(5.0)) / 4.0
+
+
+def reference_induce(d, u):
+    """Per-pair construction: embed each block, conjugate, trace out E."""
+    da, de = d.dim_a, d.dim_e
+    n = da * de
+    images = np.zeros((da, da, da, da), dtype=complex)
+    shift = np.zeros((da, da), dtype=complex)
+    for k in range(da):
+        for l in range(da):
+            cls = d.pair_class[k, l]
+            if cls == PairClass.ZERO_BLOCK:
+                continue
+            embedded = np.zeros((n, n), dtype=complex)
+            embedded[k * de : (k + 1) * de, l * de : (l + 1) * de] = d.blocks[k, l]
+            response = partial_trace(u @ embedded @ dagger(u), da, de, side="E")
+            if cls == PairClass.UNIT_TRACE:
+                images[k, l] = response if d.is_sl else d.coeffs[k, l] * response
+            else:
+                shift += d.coeffs[k, l] * response
+    return images, shift
+
+
+def decomposed(e):
+    return decompose_blocks(assemble(e), e.dim_a, e.dim_e)
+
+
+def coherent_map(seed=0):
+    rng = np.random.default_rng(seed)
+    return induce(decomposed(random_coherent_block_ensemble(rng)), haar_unitary(8, rng))
+
+
+def bell_cnot_map():
+    return induce(decompose_blocks(bell_density(), 2, 2), cnot())
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda rng: decompose_blocks(bell_density(), 2, 2),
+        lambda rng: decomposed(random_coherent_block_ensemble(rng)),
+        lambda rng: decomposed(random_vqd_ensemble(8, 4, rng)),
+        lambda rng: decomposed(four_block_ensemble()),
+    ],
+    ids=["bell", "coherent-4x2", "vqd-8x4", "four-block"],
+)
+def test_induce_matches_per_pair_reference(source):
+    rng = np.random.default_rng(11)
+    d = source(rng)
+    for _ in range(3):
+        u = haar_unitary(d.dim_a * d.dim_e, rng)
+        images, shift = reference_induce(d, u)
+        m = induce(d, u)
+        assert np.abs(m.images - images).max() < 1e-12
+        assert np.abs(m.shift - shift).max() < 1e-12
+
+
+def test_probe_reaches_exact_bell_cnot_minimum():
+    m = bell_cnot_map()
+    probe = probe_positivity(m, budget=500, seed=0)
+    assert probe.status == VIOLATED
+    assert abs(probe.min_eig - BELL_CNOT_MIN_EIG) < 1e-8
+
+
+def test_probe_without_refine_returns_sampled_minimum():
+    m = bell_cnot_map()
+    sampled = probe_positivity(m, budget=50, seed=4, refine_iters=0)
+    refined = probe_positivity(m, budget=50, seed=4)
+    assert sampled.status == VIOLATED
+    # sampling alone stops short of the exact minimum; refining closes the gap
+    assert sampled.min_eig - BELL_CNOT_MIN_EIG > 1e-8
+    assert abs(refined.min_eig - BELL_CNOT_MIN_EIG) < 1e-8
+    out = m.apply(sampled.witness)
+    assert abs(np.linalg.eigvalsh((out + dagger(out)) / 2)[0] - sampled.min_eig) < 1e-12
+
+
+def test_probe_runs_on_a_single_sample():
+    m = bell_cnot_map()
+    for seed in range(5):
+        probe = probe_positivity(m, budget=1, seed=seed, refine_iters=0)
+        assert probe.min_eig >= BELL_CNOT_MIN_EIG - 1e-12
+        refined = probe_positivity(m, budget=1, seed=seed)
+        assert refined.min_eig <= probe.min_eig + 1e-12
+        if refined.status == VIOLATED:
+            validate_density_matrix(refined.witness, name="witness")
+
+
+def test_probe_refine_never_certifies_cp_maps():
+    m = coherent_map(3)
+    for refine_iters in (0, 200):
+        probe = probe_positivity(m, budget=1, seed=2, refine_iters=refine_iters)
+        assert probe.status == NO_VIOLATION_FOUND
+        assert probe.min_eig > -1e-12
+
+
+def test_probe_memory_does_not_grow_with_budget():
+    m = coherent_map(1)
+    tracemalloc.start()
+    try:
+        probe_positivity(m, budget=200_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 200k fully batched 4x4 outputs alone would take about 50 MiB
+    assert peak < 4 * 2**20
+
+
+def test_search_config_rejects_empty_probe_budget():
+    with pytest.raises(ValueError, match="positivity_budget"):
+        SearchConfig(positivity_budget=0)
+
+
+def test_induce_cli_rejects_empty_budget_as_usage_error(tmp_path, capsys):
+    paths = [tmp_path / "bell.json", tmp_path / "u.json", tmp_path / "in.json"]
+    for path, matrix in zip(paths, [bell_density(), cnot(), np.diag([1.0, 0.0])]):
+        save_matrix(path, np.asarray(matrix, dtype=complex))
+    argv = ["induce", *map(str, paths), "--dim-a", "2", "--budget", "0"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be >= 1" in captured.err
