@@ -35,7 +35,7 @@ from .jsonio import (
     matrix_to_json,
     save_matrix,
 )
-from .linalg import hermitian_eigen, is_psd
+from .linalg import check_tolerance, hermitian_eigen, is_psd
 from .maps import choi_matrix, induce, is_cp, probe_positivity
 from .presets import bell_density, cnot, four_block_ensemble
 from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
@@ -63,6 +63,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for tolerance flags: a finite number >= 0."""
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _plain(value):
@@ -380,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="evaluate the block-support condition")
     pc.add_argument("ensemble", help="ensemble JSON file")
-    pc.add_argument("--tol", type=float, default=1e-9)
-    pc.add_argument("--support-cutoff", type=float, default=1e-9)
-    pc.add_argument("--ortho-tol", type=float, default=1e-9)
-    pc.add_argument("--vqd-tol", type=float, default=1e-9)
+    pc.add_argument("--tol", type=_tolerance, default=1e-9)
+    pc.add_argument("--support-cutoff", type=_tolerance, default=1e-9)
+    pc.add_argument("--ortho-tol", type=_tolerance, default=1e-9)
+    pc.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
     pc.add_argument("--seed", type=int, default=0)
     pc.set_defaults(func=_cmd_check)
 
@@ -396,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--choi", default=None, help="write the Choi matrix here")
     pi.add_argument("--budget", type=int, default=500)
     pi.add_argument("--seed", type=int, default=0)
-    pi.add_argument("--cp-tol", type=float, default=1e-9)
-    pi.add_argument("--witness-tol", type=float, default=1e-9)
+    pi.add_argument("--cp-tol", type=_tolerance, default=1e-9)
+    pi.add_argument("--witness-tol", type=_tolerance, default=1e-9)
     pi.set_defaults(func=_cmd_induce)
 
     pd = sub.add_parser("discord", help="vanishing-discord verdict for a state")
     pd.add_argument("state", help="ensemble or matrix JSON file")
     pd.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
-    pd.add_argument("--tol", type=float, default=1e-9)
+    pd.add_argument("--tol", type=_tolerance, default=1e-9)
     pd.add_argument("--seed", type=int, default=0)
     pd.set_defaults(func=_cmd_discord)
 
@@ -415,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--trials", type=int, default=100)
     ph.add_argument("--budget", type=int, default=500)
     ph.add_argument("--seed", type=int, default=0)
-    ph.add_argument("--cp-tol", type=float, default=1e-9)
-    ph.add_argument("--witness-tol", type=float, default=1e-9)
-    ph.add_argument("--condition-tol", type=float, default=1e-9)
-    ph.add_argument("--vqd-tol", type=float, default=1e-9)
+    ph.add_argument("--cp-tol", type=_tolerance, default=1e-9)
+    ph.add_argument("--witness-tol", type=_tolerance, default=1e-9)
+    ph.add_argument("--condition-tol", type=_tolerance, default=1e-9)
+    ph.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
     ph.add_argument("--candidate-threshold", type=float, default=1e-6)
     ph.set_defaults(func=_cmd_hunt)
 

@@ -34,14 +34,32 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """A field that must be a JSON integer (``bool`` is not one)."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"field {key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    """A JSON number (``int`` or ``float``, not ``bool`` or ``str``) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} is out of range for a double: {exc}") from exc
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """Parse and validate a matrix payload into a complex array."""
     if not isinstance(obj, dict):
         raise ValidationError(f"matrix payload must be an object, got {type(obj).__name__}")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix payload missing or malformed field: {exc}") from exc
+        rows, cols, data = _json_int(obj, "rows"), _json_int(obj, "cols"), obj["data"]
+    except KeyError as exc:
+        raise ValidationError(f"matrix payload missing field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -53,8 +71,8 @@ def matrix_from_json(obj) -> np.ndarray:
     for idx, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValidationError(f"entry {idx} is not an [re, im] pair: {pair!r}")
-        re, im = float(pair[0]), float(pair[1])
-        flat[idx] = complex(re, im)
+        what = f"entry {idx}"
+        flat[idx] = complex(_json_number(pair[0], what), _json_number(pair[1], what))
     m = flat.reshape(rows, cols)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix entries must all be finite")
@@ -82,18 +100,19 @@ def ensemble_from_json(obj) -> SeparableEnsemble:
     if not isinstance(obj, dict):
         raise ValidationError(f"ensemble payload must be an object, got {type(obj).__name__}")
     try:
-        dim_a, dim_e, raw_terms = int(obj["dimA"]), int(obj["dimE"]), obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"ensemble payload missing or malformed field: {exc}") from exc
+        dim_a, dim_e = _json_int(obj, "dimA"), _json_int(obj, "dimE")
+        raw_terms = obj["terms"]
+    except KeyError as exc:
+        raise ValidationError(f"ensemble payload missing field: {exc}") from exc
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValidationError("ensemble payload needs a non-empty terms list")
     terms = []
     for idx, t in enumerate(raw_terms):
         try:
-            p = float(t["p"])
+            p = _json_number(t["p"], f"term {idx} weight")
             rho_a = matrix_from_json(t["rhoA"])
             rho_e = matrix_from_json(t["rhoE"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"term {idx} missing or malformed field: {exc}") from exc
         terms.append(EnsembleTerm(p, rho_a, rho_e))
     return SeparableEnsemble(dim_a, dim_e, tuple(terms))

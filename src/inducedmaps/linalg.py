@@ -28,6 +28,18 @@ class Spectrum(NamedTuple):
     """Orthonormal eigenvectors as columns, aligned with ``eigenvalues``."""
 
 
+def check_tolerance(value, name: str = "tol") -> float:
+    """Return ``value`` if it is a finite number >= 0, else raise ValueError.
+
+    A negative or NaN tolerance turns every ``x < -tol`` test upside down
+    and an infinite one makes it vacuous, so verdicts built on them are
+    meaningless.
+    """
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+    return value
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T

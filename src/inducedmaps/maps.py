@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsdError, ShapeError, ValidationError
-from .linalg import as_square, dagger, hermitian_eigen
+from .linalg import as_square, check_tolerance, dagger, hermitian_eigen
 from .states import PairClass, SLDecomposition, validate_density_matrix
 
 CP = "CP"
@@ -87,7 +87,9 @@ class PositivityProbe:
 
     VIOLATED comes with a certified witness: a valid input density matrix
     whose output has smallest eigenvalue ``min_eig`` below tolerance.
-    NO_VIOLATION_FOUND is an exhausted budget, not a proof of positivity.
+    NO_VIOLATION_FOUND is a proof that no input reaches ``-tol`` when the
+    Choi floor clears it (``min_eig`` is then the best sampled value), and
+    otherwise an exhausted search, not a proof of positivity.
     """
 
     status: str
@@ -187,19 +189,27 @@ def probe_positivity(
     """Search for an input whose output loses positivity.
 
     Samples ``budget`` Haar-random pure inputs in batches of
-    ``PROBE_CHUNK`` (one stacked eigenvalue call per batch), then refines
-    the worst one by alternating minimisation of ``<y|Φ(xx†)|y>``: ``y``
-    is the lowest output eigenvector at ``x``, and ``x`` the conjugated
+    ``PROBE_CHUNK`` (one stacked eigenvalue call per batch).  No output
+    eigenvalue lies below the Choi floor ``λmin(Herm C) + λmin(Herm
+    shift)``, ``C = choi_matrix(m)``; the shift is traceless, so the floor
+    is at most ``λmin(C)``.  When the floor is at least ``-tol`` the probe
+    returns NO_VIOLATION_FOUND with the sampled minimum as ``min_eig``,
+    which proves that no input reaches ``-tol``.  Otherwise it refines the
+    worst sample by alternating minimisation of ``<y|Φ(xx†)|y>``: ``y`` is
+    the lowest output eigenvector at ``x``, and ``x`` the conjugated
     lowest eigenvector of ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
     Both half-steps are exact, so the value never rises.  Refining stops
     after ``refine_iters`` steps, on a step that gains nothing, or once
     the remaining steps at the last gain could not reach ``-tol``.
     VIOLATED is reported only with a certified witness (a valid density
-    matrix whose recomputed output eigenvalue is below ``-tol``);
-    NO_VIOLATION_FOUND is an exhausted search, not a proof of positivity.
+    matrix whose recomputed output eigenvalue is below ``-tol``); after a
+    refine, NO_VIOLATION_FOUND is an exhausted search, not a proof of
+    positivity.  ``budget`` must be at least 1 and ``tol`` a finite
+    number >= 0; anything else raises ValueError.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    check_tolerance(tol)
     rng = np.random.default_rng(seed)
     da = m.dim_a
 
@@ -213,7 +223,16 @@ def probe_positivity(
         if lams[i] < best:
             best, best_x = float(lams[i]), xs[i]
 
-    y = np.linalg.eigh(_outputs(m, best_x[None])[0])[1][:, 0]
+    # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
+    # x and y, so none lies below the floor.
+    choi = choi_matrix(m)
+    floor = np.linalg.eigvalsh((choi + dagger(choi)) / 2.0)[0]
+    floor += np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2.0)[0]
+    if floor >= -tol:
+        return PositivityProbe(NO_VIOLATION_FOUND, best, None)
+
+    if refine_iters > 0:
+        y = np.linalg.eigh(_outputs(m, best_x[None])[0])[1][:, 0]
     for left in range(refine_iters - 1, -1, -1):
         q = (m.images @ y) @ y.conj() + (y.conj() @ m.shift @ y) * np.eye(da)
         x = np.linalg.eigh(q)[1][:, 0].conj()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, has_vqd
-from .linalg import dagger, hermitian_eigen
+from .linalg import check_tolerance, dagger, hermitian_eigen
 from .maps import CP, NOT_CP_AFFINE, VIOLATED, induce, is_cp, probe_positivity
 from .states import (
     SeparableEnsemble,
@@ -80,6 +80,8 @@ class SearchConfig:
             raise ValueError(
                 f"positivity_budget must be >= 1, got {self.positivity_budget}"
             )
+        for name in ("cp_tol", "witness_tol", "condition_tol", "vqd_tol"):
+            check_tolerance(getattr(self, name), name)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import inducedmaps.cli as cli
 from inducedmaps import (
@@ -267,6 +268,39 @@ def test_hunt_usage_error_on_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, ["hunt", path, "--trials", "0"])
     assert code == EXIT_USAGE
     assert "trials" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("check", "--tol"),
+        ("check", "--support-cutoff"),
+        ("check", "--ortho-tol"),
+        ("check", "--vqd-tol"),
+        ("induce", "--cp-tol"),
+        ("induce", "--witness-tol"),
+        ("discord", "--tol"),
+        ("hunt", "--cp-tol"),
+        ("hunt", "--witness-tol"),
+        ("hunt", "--condition-tol"),
+        ("hunt", "--vqd-tol"),
+    ],
+)
+def test_tolerance_flags_reject_negative_and_non_finite_values(
+    tmp_path, capsys, command, flag, value
+):
+    ensemble = write_ensemble(tmp_path, "e.json", four_block_ensemble())
+    files = [ensemble]
+    if command == "induce":
+        unitary, inp = tmp_path / "u.json", tmp_path / "in.json"
+        save_matrix(unitary, np.eye(8, dtype=complex))
+        save_matrix(inp, np.eye(4, dtype=complex) / 4.0)
+        files += [str(unitary), str(inp)]
+    code, payload, err = run(capsys, [command, *files, flag, value])
+    assert code == EXIT_USAGE
+    assert payload is None
+    assert flag in err and "finite number >= 0" in err
 
 
 def test_repro_flat_blocks_passes(tmp_path, capsys):

@@ -69,6 +69,14 @@ def test_matrix_payload_validation_errors():
         {**good, "data": good["data"][:-1]},
         {**good, "data": good["data"][:-1] + [[1.0]]},
         {**good, "data": good["data"][:-1] + ["x"]},
+        {"rows": 2.9, "cols": True, "data": [[1, 0], [0, 0]]},
+        {**good, "rows": "2"},
+        {**good, "cols": 2.0},
+        {**good, "rows": True, "cols": 4},
+        {**good, "data": good["data"][:-1] + [[True, False]]},
+        {**good, "data": good["data"][:-1] + [["1e-3", 0]]},
+        {**good, "data": good["data"][:-1] + [[None, 0]]},
+        {**good, "data": good["data"][:-1] + [[10**400, 0]]},
     ):
         with pytest.raises(ValidationError):
             matrix_from_json(broken)
@@ -107,6 +115,11 @@ def test_ensemble_payload_validation_errors():
         {},
         {**good, "terms": []},
         {**good, "terms": [{"p": 1.0}]},
+        {**good, "dimA": 4.0},
+        {**good, "dimE": "2"},
+        {**good, "dimA": True},
+        {**good, "terms": [{**t, "p": str(t["p"])} for t in good["terms"]]},
+        {**good, "terms": [{**good["terms"][0], "p": True}]},
     ):
         with pytest.raises(ValidationError):
             ensemble_from_json(broken)

@@ -1,6 +1,7 @@
 """Batched kernels of the induced-map layer: ``induce`` and the positivity probe."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from inducedmaps import (
     PairClass,
     SearchConfig,
     assemble,
+    choi_matrix,
     dagger,
     decompose_blocks,
+    InducedMap,
     haar_unitary,
     induce,
     partial_trace,
@@ -26,6 +29,7 @@ from inducedmaps.presets import (
     cnot,
     four_block_ensemble,
     random_coherent_block_ensemble,
+    random_density,
     random_vqd_ensemble,
 )
 
@@ -62,8 +66,23 @@ def coherent_map(seed=0):
     return induce(decomposed(random_coherent_block_ensemble(rng)), haar_unitary(8, rng))
 
 
+def product_map(seed=0):
+    rng = np.random.default_rng(seed)
+    rho = np.kron(random_density(2, rng), random_density(3, rng))
+    return induce(decompose_blocks(rho, 2, 3), haar_unitary(6, rng))
+
+
 def bell_cnot_map():
     return induce(decompose_blocks(bell_density(), 2, 2), cnot())
+
+
+def choi_floor(m):
+    """λmin(Herm C) + λmin(Herm shift): no output eigenvalue lies below it."""
+    c = choi_matrix(m)
+    return (
+        np.linalg.eigvalsh((c + dagger(c)) / 2)[0]
+        + np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2)[0]
+    )
 
 
 @pytest.mark.parametrize(
@@ -123,6 +142,54 @@ def test_probe_refine_never_certifies_cp_maps():
         probe = probe_positivity(m, budget=1, seed=2, refine_iters=refine_iters)
         assert probe.status == NO_VIOLATION_FOUND
         assert probe.min_eig > -1e-12
+
+
+@pytest.mark.parametrize(
+    "make_map",
+    [partial(coherent_map, seed) for seed in range(5)] + [product_map],
+    ids=[f"coherent-{seed}" for seed in range(5)] + ["product"],
+)
+def test_probe_skips_refine_once_choi_floor_clears_tol(make_map):
+    m = make_map()
+    assert choi_floor(m) >= -1e-9
+    probe = probe_positivity(m)
+    sampled = probe_positivity(m, refine_iters=0)
+    assert probe.status == sampled.status == NO_VIOLATION_FOUND
+    # the sampled best, not a refined value driven towards the true minimum
+    assert probe.min_eig == sampled.min_eig
+    assert probe.witness is None and sampled.witness is None
+
+
+def test_probe_refines_shift_free_maps_whose_choi_floor_is_negative():
+    # rho -> Tr(rho) I - 2 rho: zero shift, Choi floor 1 - 2 * 2 = -3, and
+    # every pure input has output eigenvalues {-1, 1}
+    eye = np.eye(2)
+    images = np.einsum("kl,ab->klab", eye, eye) - 2 * np.einsum("ka,lb->klab", eye, eye)
+    m = InducedMap(2, images, np.zeros((2, 2)))
+    assert abs(choi_floor(m) + 3.0) < 1e-12
+    probe = probe_positivity(m, budget=1, seed=0)
+    assert probe.status == VIOLATED
+    assert abs(probe.min_eig + 1.0) < 1e-12
+
+
+def test_probe_never_reports_below_choi_floor():
+    rng = np.random.default_rng(21)
+    bell = decompose_blocks(bell_density(), 2, 2)
+    maps = [induce(bell, haar_unitary(4, rng)) for _ in range(20)]
+    maps += [coherent_map(seed) for seed in range(5, 10)]
+    statuses = set()
+    for m in maps:
+        for refine_iters in (0, 200):
+            probe = probe_positivity(m, budget=100, seed=1, refine_iters=refine_iters)
+            assert probe.min_eig >= choi_floor(m) - 1e-12
+            statuses.add(probe.status)
+    assert statuses == {VIOLATED, NO_VIOLATION_FOUND}
+
+
+@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+def test_probe_rejects_invalid_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        probe_positivity(bell_cnot_map(), tol=tol)
 
 
 def test_probe_memory_does_not_grow_with_budget():

@@ -63,6 +63,14 @@ def test_search_config_validates_inputs():
     assert cfg.params == (1.0, 2.0, 3.0, 4.0)
 
 
+@pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["cp_tol", "witness_tol", "condition_tol", "vqd_tol"])
+def test_search_config_rejects_negative_and_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: value})
+    assert getattr(SearchConfig(**{field: 0.0}), field) == 0.0
+
+
 def test_haar_unitary_is_deterministic_and_unitary():
     u1 = haar_unitary(4, seed=9)
     u2 = haar_unitary(4, seed=9)
