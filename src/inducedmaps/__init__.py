@@ -8,6 +8,8 @@ plus shift), classify it via the Choi spectrum and positivity probing, and
 search unitary families for positive-but-not-CP candidates.
 """
 
+import types
+
 from .discord import (
     INDETERMINATE,
     NONZERO,
@@ -104,85 +106,10 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CANCELLATION",
-    "CLASS_AFFINE",
-    "CLASS_CANDIDATE",
-    "CLASS_CP",
-    "CLASS_NON_POSITIVE",
-    "CP",
-    "CancellationError",
-    "CandidateReport",
-    "ConditionReport",
-    "CpVerdict",
-    "DiscordVerdict",
-    "EnsembleTerm",
-    "GENERATOR",
-    "HAAR",
-    "HermiticityError",
-    "INDETERMINATE",
-    "InducedMap",
-    "InducedMapsError",
-    "NONZERO",
-    "NON_SL",
-    "NOT_CP",
-    "NOT_CP_AFFINE",
-    "NO_VIOLATION_FOUND",
-    "NonSLError",
-    "NotPsdError",
-    "PairClass",
-    "PositivityProbe",
-    "PreconditionTheoremError",
-    "PreconditionVqdError",
-    "ROUTE_BLOCK",
-    "ROUTE_NONE",
-    "ROUTE_RESCALED",
-    "RescaledSet",
-    "SL",
-    "SLDecomposition",
-    "SearchConfig",
-    "SeparableEnsemble",
-    "ShapeError",
-    "SizeError",
-    "Spectrum",
-    "VIOLATED",
-    "VQD",
-    "ValidationError",
-    "__version__",
-    "assemble",
-    "bell_density",
-    "check_condition",
-    "choi_matrix",
-    "classification_label",
-    "classify",
-    "classify_sl",
-    "cnot",
-    "component_images",
-    "dagger",
-    "decompose_blocks",
-    "filter_candidates",
-    "four_block_ensemble",
-    "generator_unitary",
-    "haar_unitary",
-    "hadamard",
-    "has_vqd",
-    "hermitian_eigen",
-    "hunt",
-    "induce",
-    "is_cp",
-    "is_psd",
-    "kraus_from_choi",
-    "partial_trace",
-    "pinching_defect",
-    "probe_positivity",
-    "random_coherent_block_ensemble",
-    "random_density",
-    "random_pure_density",
-    "random_vqd_ensemble",
-    "reassemble",
-    "rescaled_matrices",
-    "scan",
-    "tensor",
-    "validate_density_matrix",
-    "validate_unitary",
-]
+# Every name imported above except the submodules, plus __version__.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if (name == "__version__" or not name.startswith("_"))
+    and not isinstance(value, types.ModuleType)
+)

@@ -15,6 +15,7 @@ or validation errors, 65 dimension mismatches.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -41,7 +42,6 @@ from .presets import bell_density, cnot, four_block_ensemble
 from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
 from .states import (
     CANCELLATION,
-    assemble,
     check_condition,
     classify_sl,
     decompose_blocks,
@@ -54,6 +54,12 @@ EXIT_CONDITION_FAILS = 2
 EXIT_INDETERMINATE = 3
 EXIT_USAGE = 64
 EXIT_DIMENSION = 65
+
+# Error code reported for each search precondition rejection.
+_PRECONDITION_CODES = {
+    PreconditionTheoremError: "PRECONDITION_THEOREM",
+    PreconditionVqdError: "PRECONDITION_VQD",
+}
 
 
 class _UsageError(Exception):
@@ -119,7 +125,7 @@ def _state_with_dims(path, dim_a_flag):
     """Load a state file; matrices need --dim-a to fix the tensor split."""
     kind, state = load_state(path)
     if kind == "ensemble":
-        return assemble(state), state.dim_a, state.dim_e
+        return state.state, state.dim_a, state.dim_e
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]
     if dim_a_flag is None:
@@ -138,7 +144,7 @@ def _cmd_check(args) -> int:
     report = check_condition(
         e, tol=args.tol, support_cutoff=args.support_cutoff, ortho_tol=args.ortho_tol
     )
-    verdict = has_vqd(assemble(e), e.dim_a, e.dim_e, tol=args.vqd_tol, seed=args.seed)
+    verdict = has_vqd(e.state, e.dim_a, e.dim_e, tol=args.vqd_tol, seed=args.seed)
     _print_report(
         {
             "sl_class": report.sl_class,
@@ -234,32 +240,8 @@ def _cmd_discord(args) -> int:
 
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
-        family=args.family,
-        params=tuple(args.params) if args.params is not None else None,
-        trials=args.trials,
-        positivity_budget=args.budget,
-        seed=args.seed,
-        cp_tol=args.cp_tol,
-        witness_tol=args.witness_tol,
-        condition_tol=args.condition_tol,
-        vqd_tol=args.vqd_tol,
-        candidate_threshold=args.candidate_threshold,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)}
     )
-
-
-def _config_payload(cfg: SearchConfig) -> dict:
-    return {
-        "family": cfg.family,
-        "params": list(cfg.params) if cfg.params is not None else None,
-        "trials": cfg.trials,
-        "positivity_budget": cfg.positivity_budget,
-        "seed": cfg.seed,
-        "cp_tol": cfg.cp_tol,
-        "witness_tol": cfg.witness_tol,
-        "condition_tol": cfg.condition_tol,
-        "vqd_tol": cfg.vqd_tol,
-        "candidate_threshold": cfg.candidate_threshold,
-    }
 
 
 def _cmd_hunt(args) -> int:
@@ -270,19 +252,11 @@ def _cmd_hunt(args) -> int:
         raise _UsageError(str(exc)) from exc
     try:
         candidates = hunt(e, cfg)
-    except PreconditionTheoremError as exc:
+    except tuple(_PRECONDITION_CODES) as exc:
         _print_report(
             {
-                "error": {"code": "PRECONDITION_THEOREM", "message": str(exc)},
-                "config": _config_payload(cfg),
-            }
-        )
-        return EXIT_CONDITION_FAILS
-    except PreconditionVqdError as exc:
-        _print_report(
-            {
-                "error": {"code": "PRECONDITION_VQD", "message": str(exc)},
-                "config": _config_payload(cfg),
+                "error": {"code": _PRECONDITION_CODES[type(exc)], "message": str(exc)},
+                "config": dataclasses.asdict(cfg),
             }
         )
         return EXIT_CONDITION_FAILS
@@ -300,7 +274,7 @@ def _cmd_hunt(args) -> int:
                 }
                 for r in candidates
             ],
-            "config": _config_payload(cfg),
+            "config": dataclasses.asdict(cfg),
         }
     )
     return EXIT_OK
@@ -421,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--params", type=float, nargs="+", default=None,
                     help="generator parameters (length dim**2) for the GENERATOR family")
     ph.add_argument("--trials", type=int, default=100)
-    ph.add_argument("--budget", type=int, default=500)
+    ph.add_argument(
+        "--budget", dest="positivity_budget", metavar="BUDGET", type=int, default=500
+    )
     ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("--cp-tol", type=_tolerance, default=1e-9)
     ph.add_argument("--witness-tol", type=_tolerance, default=1e-9)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import dagger, hermitian_eigen, partial_trace, tensor
+from .linalg import check_tolerance, dagger, hermitian_eigen, partial_trace, tensor
 from .states import validate_density_matrix
 
 VQD = "VQD"
@@ -53,6 +53,11 @@ def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
         raise ValidationError(f"basis is not unitary: deviation {unit_dev:.3e}")
     if rho.shape[0] != dim_a * dim_e:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
+    return _pinching_defect(rho, basis, dim_a, dim_e)
+
+
+def _pinching_defect(rho: np.ndarray, basis, dim_a: int, dim_e: int) -> float:
+    # Kernel of pinching_defect for a validated state and unitary basis.
     eye_e = np.eye(dim_e)
     pinched = np.zeros_like(rho)
     for k in range(dim_a):
@@ -129,8 +134,10 @@ def has_vqd(
     therefore a certificate that no basis exists and the verdict is
     NONZERO even though no single failing basis can be exhibited.
     Degenerate cases with commuting probes whose candidates all fail are
-    INDETERMINATE — never a guessed NONZERO.
+    INDETERMINATE — never a guessed NONZERO.  ``tol`` must be a finite
+    number >= 0, else ValueError.
     """
+    check_tolerance(tol)
     rho = validate_density_matrix(rho_ae, name="rho_ae")
     if rho.shape[0] != dim_a * dim_e:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
@@ -139,7 +146,7 @@ def has_vqd(
     nondegenerate = bool(np.all(np.diff(w) > degeneracy_gap))
 
     if nondegenerate:
-        defect = pinching_defect(rho, v_a, dim_a, dim_e)
+        defect = _pinching_defect(rho, v_a, dim_a, dim_e)
         if defect <= tol:
             return DiscordVerdict(VQD, v_a, defect)
         return DiscordVerdict(NONZERO, v_a, defect)
@@ -157,7 +164,7 @@ def has_vqd(
     best_defect = np.inf
     best_basis = None
     for basis in candidates:
-        defect = pinching_defect(rho, basis, dim_a, dim_e)
+        defect = _pinching_defect(rho, basis, dim_a, dim_e)
         if defect < best_defect:
             best_defect, best_basis = defect, basis
     if best_defect <= tol:

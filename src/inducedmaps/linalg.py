@@ -45,6 +45,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def frozen(a, dtype=complex) -> np.ndarray:
+    """Read-only copy of ``a`` as an array of ``dtype``."""
+    out = np.array(a, dtype=dtype, copy=True)
+    out.flags.writeable = False
+    return out
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D complex array with finite entries."""
     m = np.asarray(a, dtype=complex)

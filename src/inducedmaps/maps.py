@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsdError, ShapeError, ValidationError
-from .linalg import as_square, check_tolerance, dagger, hermitian_eigen
+from .linalg import as_square, check_tolerance, dagger, frozen, hermitian_eigen
 from .states import PairClass, SLDecomposition, validate_density_matrix
 
 CP = "CP"
@@ -50,12 +50,8 @@ class InducedMap:
     shift: np.ndarray
 
     def __post_init__(self):
-        images = np.array(self.images, dtype=complex, copy=True)
-        shift = np.array(self.shift, dtype=complex, copy=True)
-        images.flags.writeable = False
-        shift.flags.writeable = False
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "images", frozen(self.images))
+        object.__setattr__(self, "shift", frozen(self.shift))
 
     def apply(self, rho_prime) -> np.ndarray:
         """Evaluate the map on an input matrix."""
@@ -156,8 +152,10 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
 
     CP requires the Choi matrix to have smallest eigenvalue >= ``-tol``
     and the shift to vanish within ``tol`` (max-entry norm).  A nonzero
-    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.
+    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  ``tol``
+    must be a finite number >= 0, else ValueError.
     """
+    check_tolerance(tol)
     w, _ = hermitian_eigen(choi_matrix(m), tol=max(tol, 1e-9))
     choi_min = float(w[0])
     shift_norm = float(np.abs(m.shift).max())
@@ -263,7 +261,9 @@ def kraus_from_choi(
     eigenvalues, reshaped so that ``sum_j K_j rho K_j†`` reproduces the
     map's linear action.  A Choi eigenvalue below ``-tol`` raises
     :class:`NotPsdError`; eigenvalues up to ``keep_tol`` are discarded.
+    ``tol`` must be a finite number >= 0, else ValueError.
     """
+    check_tolerance(tol)
     choi = as_square(choi, "choi")
     da = int(round(np.sqrt(choi.shape[0])))
     if da * da != choi.shape[0]:

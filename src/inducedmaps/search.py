@@ -25,15 +25,9 @@ import numpy as np
 
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, has_vqd
-from .linalg import check_tolerance, dagger, hermitian_eigen
+from .linalg import check_tolerance, dagger, frozen, hermitian_eigen
 from .maps import CP, NOT_CP_AFFINE, VIOLATED, induce, is_cp, probe_positivity
-from .states import (
-    SeparableEnsemble,
-    SLDecomposition,
-    assemble,
-    check_condition,
-    decompose_blocks,
-)
+from .states import SeparableEnsemble, SLDecomposition, check_condition
 
 HAAR = "HAAR"
 GENERATOR = "GENERATOR"
@@ -96,9 +90,7 @@ class CandidateReport:
     trial: int | None = None
 
     def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex, copy=True)
-        u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitary", frozen(self.unitary))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
@@ -162,7 +154,7 @@ def _as_decomposition(source) -> SLDecomposition:
     if isinstance(source, SLDecomposition):
         return source
     if isinstance(source, SeparableEnsemble):
-        return decompose_blocks(assemble(source), source.dim_a, source.dim_e)
+        return source.decomposition
     raise TypeError(f"source must be a decomposition or ensemble, got {type(source)}")
 
 
@@ -247,9 +239,7 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
         raise PreconditionTheoremError(
             f"block-support condition does not hold: witnesses {list(report.witnesses)}"
         )
-    verdict = has_vqd(
-        assemble(e), e.dim_a, e.dim_e, tol=cfg.vqd_tol, seed=cfg.seed
-    )
+    verdict = has_vqd(e.state, e.dim_a, e.dim_e, tol=cfg.vqd_tol, seed=cfg.seed)
     if verdict.status == VQD:
         raise PreconditionVqdError(
             "ensemble has vanishing discord (pinching defect "

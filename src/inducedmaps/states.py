@@ -10,6 +10,7 @@ entrywise rescaling and are tracked as a class of their own.
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,9 @@ from .errors import (
 )
 from .linalg import (
     as_square,
+    check_tolerance,
     dagger,
+    frozen,
     hadamard,
     hermitian_deviation,
     hermitian_eigen,
@@ -62,12 +65,6 @@ class PairClass(IntEnum):
     TRACELESS_NONZERO = 2
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 def validate_density_matrix(rho, tol: float = DEFAULT_DENSITY_TOL, name: str = "rho"):
     """Check hermiticity, unit trace, and positivity; return the matrix.
 
@@ -101,10 +98,10 @@ class EnsembleTerm:
         if not np.isfinite(self.p) or self.p < 0:
             raise ValidationError(f"term weight must be >= 0, got {self.p}")
         object.__setattr__(
-            self, "rho_a", _frozen(validate_density_matrix(self.rho_a, name="rho_a"))
+            self, "rho_a", frozen(validate_density_matrix(self.rho_a, name="rho_a"))
         )
         object.__setattr__(
-            self, "rho_e", _frozen(validate_density_matrix(self.rho_e, name="rho_e"))
+            self, "rho_e", frozen(validate_density_matrix(self.rho_e, name="rho_e"))
         )
 
 
@@ -114,7 +111,9 @@ class SeparableEnsemble:
 
     Terms are validated on construction: weights are nonnegative and sum
     to 1 within 1e-9, and every factor is a valid density matrix of the
-    declared dimension.
+    declared dimension.  The assembled ``state`` and its coherence-block
+    ``decomposition`` are derived on first use and cached; both are
+    read-only and the terms are immutable, so the cache cannot go stale.
     """
 
     dim_a: int
@@ -138,6 +137,21 @@ class SeparableEnsemble:
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"term weights sum to {total:.12g}, expected 1")
 
+    @cached_property
+    def state(self) -> np.ndarray:
+        """Read-only total density matrix ``sum_i p_i (rho_a_i ⊗ rho_e_i)``."""
+        n = self.dim_a * self.dim_e
+        rho = np.zeros((n, n), dtype=complex)
+        for t in self.terms:
+            rho += t.p * tensor(t.rho_a, t.rho_e)
+        rho.flags.writeable = False
+        return rho
+
+    @cached_property
+    def decomposition(self) -> "SLDecomposition":
+        """``decompose_blocks(state, dim_a, dim_e)``, computed once."""
+        return decompose_blocks(self.state, self.dim_a, self.dim_e)
+
 
 @dataclass(frozen=True)
 class SLDecomposition:
@@ -160,11 +174,9 @@ class SLDecomposition:
     pair_class: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs))
-        object.__setattr__(self, "blocks", _frozen(self.blocks))
-        pc = np.array(self.pair_class, dtype=np.int8, copy=True)
-        pc.flags.writeable = False
-        object.__setattr__(self, "pair_class", pc)
+        object.__setattr__(self, "coeffs", frozen(self.coeffs))
+        object.__setattr__(self, "blocks", frozen(self.blocks))
+        object.__setattr__(self, "pair_class", frozen(self.pair_class, np.int8))
 
     @property
     def is_sl(self) -> bool:
@@ -186,10 +198,8 @@ class RescaledSet:
     defined_mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(_frozen(m) for m in self.matrices))
-        mask = np.array(self.defined_mask, dtype=bool, copy=True)
-        mask.flags.writeable = False
-        object.__setattr__(self, "defined_mask", mask)
+        object.__setattr__(self, "matrices", tuple(frozen(m) for m in self.matrices))
+        object.__setattr__(self, "defined_mask", frozen(self.defined_mask, bool))
 
 
 @dataclass(frozen=True)
@@ -213,31 +223,22 @@ class ConditionReport:
 
 
 def assemble(e: SeparableEnsemble) -> np.ndarray:
-    """Total density matrix ``sum_i p_i (rho_a_i ⊗ rho_e_i)``."""
-    n = e.dim_a * e.dim_e
-    rho = np.zeros((n, n), dtype=complex)
-    for t in e.terms:
-        rho += t.p * tensor(t.rho_a, t.rho_e)
-    return rho
+    """Total density matrix of ``e``: its cached, read-only ``e.state``."""
+    return e.state
 
 
-def decompose_blocks(
-    rho_ae,
-    dim_a: int,
-    dim_e: int,
-    trace_tol: float = BLOCK_TRACE_TOL,
-    zero_tol: float = BLOCK_ZERO_TOL,
-    density_tol: float = DEFAULT_DENSITY_TOL,
-) -> SLDecomposition:
+def decompose_blocks(rho_ae, dim_a: int, dim_e: int) -> SLDecomposition:
     """Split a bipartite density matrix into classified coherence blocks.
 
-    Block ``(k, l)`` is the dim_e x dim_e submatrix at row block ``k`` and
-    column block ``l``.  Its trace decides the class: above ``trace_tol``
-    in magnitude the block divides through and is UNIT_TRACE; otherwise a
-    block with any entry above ``zero_tol`` is TRACELESS_NONZERO (stored
-    raw with coefficient 1), and the rest are ZERO_BLOCK.
+    ``rho_ae`` is validated to ``DEFAULT_DENSITY_TOL``.  Block ``(k, l)``
+    is the dim_e x dim_e submatrix at row block ``k`` and column block
+    ``l``.  Its trace decides the class: above ``BLOCK_TRACE_TOL`` in
+    magnitude the block divides through and is UNIT_TRACE; otherwise a
+    block with any entry above ``BLOCK_ZERO_TOL`` is TRACELESS_NONZERO
+    (stored raw with coefficient 1), and the rest are ZERO_BLOCK.  For an
+    ensemble, read the cached ``SeparableEnsemble.decomposition`` instead.
     """
-    rho = validate_density_matrix(rho_ae, tol=density_tol, name="rho_ae")
+    rho = validate_density_matrix(rho_ae, name="rho_ae")
     n = dim_a * dim_e
     if dim_a < 1 or dim_e < 1 or rho.shape[0] != n:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
@@ -248,11 +249,11 @@ def decompose_blocks(
         for l in range(dim_a):
             block = rho[k * dim_e : (k + 1) * dim_e, l * dim_e : (l + 1) * dim_e]
             tr = complex(np.trace(block))
-            if abs(tr) > trace_tol:
+            if abs(tr) > BLOCK_TRACE_TOL:
                 coeffs[k, l] = tr
                 blocks[k, l] = block / tr
                 pair_class[k, l] = PairClass.UNIT_TRACE
-            elif np.abs(block).max() > zero_tol:
+            elif np.abs(block).max() > BLOCK_ZERO_TOL:
                 coeffs[k, l] = 1.0
                 blocks[k, l] = block
                 pair_class[k, l] = PairClass.TRACELESS_NONZERO
@@ -278,21 +279,19 @@ def classify_sl(d: SLDecomposition) -> str:
     return SL if d.is_sl else NON_SL
 
 
-def rescaled_matrices(
-    e: SeparableEnsemble,
-    trace_tol: float = BLOCK_TRACE_TOL,
-    zero_tol: float = BLOCK_ZERO_TOL,
-) -> RescaledSet:
+def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
     """Entrywise component-to-total ratios for an SL-class ensemble.
 
     With ``gamma = sum_i p_i rho_a_i``, component ``i`` rescales to
-    ``rho_a_i[k, l] / gamma[k, l]`` wherever ``gamma`` is nonzero.  Entries
-    where both numerator and denominator vanish are set to 0 and flagged in
-    ``defined_mask``; a vanishing denominator with a nonzero numerator means
-    the components cancel and raises :class:`CancellationError`.  The
-    assembled state must be SL class, else :class:`NonSLError` is raised.
+    ``rho_a_i[k, l] / gamma[k, l]`` wherever ``|gamma[k, l]|`` exceeds
+    ``BLOCK_TRACE_TOL``.  Entries where both numerator and denominator
+    vanish are set to 0 and flagged in ``defined_mask``; a vanishing
+    denominator with a numerator above ``BLOCK_ZERO_TOL`` means the
+    components cancel and raises :class:`CancellationError`.  The
+    ensemble's cached ``decomposition`` must be SL class, else
+    :class:`NonSLError` is raised.
     """
-    d = decompose_blocks(assemble(e), e.dim_a, e.dim_e, trace_tol, zero_tol)
+    d = e.decomposition
     if not d.is_sl:
         pairs = np.argwhere(d.pair_class == PairClass.TRACELESS_NONZERO)
         raise NonSLError(
@@ -301,10 +300,10 @@ def rescaled_matrices(
     gamma = np.zeros((e.dim_a, e.dim_a), dtype=complex)
     for t in e.terms:
         gamma += t.p * t.rho_a
-    defined = np.abs(gamma) > trace_tol
+    defined = np.abs(gamma) > BLOCK_TRACE_TOL
     matrices = []
     for i, t in enumerate(e.terms):
-        stray = ~defined & (np.abs(t.rho_a) > zero_tol)
+        stray = ~defined & (np.abs(t.rho_a) > BLOCK_ZERO_TOL)
         if np.any(stray):
             entries = np.argwhere(stray).tolist()
             raise CancellationError(
@@ -339,11 +338,14 @@ def check_condition(
     to a complete family of orthogonal block projectors, so this matches
     the projector formulation exactly.  The condition holds when either
     route does.  Cancellation blocks the rescaled route only; the
-    projector route is still evaluated.
+    projector route is still evaluated.  Every tolerance must be a finite
+    number >= 0, else ValueError.
     """
+    check_tolerance(tol)
+    check_tolerance(support_cutoff, "support_cutoff")
+    check_tolerance(ortho_tol, "ortho_tol")
     witnesses: list[dict] = []
-    d = decompose_blocks(assemble(e), e.dim_a, e.dim_e)
-    sl_class = classify_sl(d)
+    sl_class = classify_sl(e.decomposition)
 
     rescaled_psd: bool | None = None
     rescaled_blocked: str | None = None

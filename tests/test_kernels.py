@@ -12,12 +12,16 @@ from inducedmaps import (
     PairClass,
     SearchConfig,
     assemble,
+    check_condition,
     choi_matrix,
     dagger,
     decompose_blocks,
     InducedMap,
     haar_unitary,
+    has_vqd,
     induce,
+    is_cp,
+    kraus_from_choi,
     partial_trace,
     probe_positivity,
     validate_density_matrix,
@@ -186,10 +190,39 @@ def test_probe_never_reports_below_choi_floor():
     assert statuses == {VIOLATED, NO_VIOLATION_FOUND}
 
 
-@pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
-def test_probe_rejects_invalid_tolerance(tol):
-    with pytest.raises(ValueError, match="tol"):
-        probe_positivity(bell_cnot_map(), tol=tol)
+def coherent_ensemble():
+    return random_coherent_block_ensemble(np.random.default_rng(0))
+
+
+# Each library entry point that takes a tolerance, called with that tolerance.
+TOLERANCE_CALLS = {
+    "probe_positivity": lambda tol: probe_positivity(bell_cnot_map(), tol=tol),
+    "is_cp": lambda tol: is_cp(coherent_map(0), tol=tol),
+    "kraus_from_choi": lambda tol: kraus_from_choi(choi_matrix(coherent_map(0)), tol=tol),
+    "has_vqd": lambda tol: has_vqd(coherent_ensemble().state, 4, 2, tol=tol),
+    "check_condition": lambda tol: check_condition(coherent_ensemble(), tol=tol),
+    "check_condition.support_cutoff": lambda tol: check_condition(
+        coherent_ensemble(), support_cutoff=tol
+    ),
+    "check_condition.ortho_tol": lambda tol: check_condition(
+        coherent_ensemble(), ortho_tol=tol
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, tol",
+    [
+        pytest.param(call, tol, id=str(tol) if call == "probe_positivity" else f"{call}-{tol}")
+        for call in TOLERANCE_CALLS
+        for tol in (-1e-9, float("nan"), float("inf"))
+    ],
+)
+def test_probe_rejects_invalid_tolerance(call, tol):
+    # Unchecked, a negative tolerance turned a VQD state NONZERO and a NaN
+    # one made is_cp report CP and kraus_from_choi return no operators.
+    with pytest.raises(ValueError, match="must be a finite number"):
+        TOLERANCE_CALLS[call](tol)
 
 
 def test_probe_memory_does_not_grow_with_budget():

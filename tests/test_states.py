@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from inducedmaps import states
 from inducedmaps import (
     CANCELLATION,
     NON_SL,
@@ -14,6 +15,7 @@ from inducedmaps import (
     EnsembleTerm,
     NonSLError,
     PairClass,
+    SearchConfig,
     SeparableEnsemble,
     ShapeError,
     ValidationError,
@@ -22,10 +24,12 @@ from inducedmaps import (
     classify_sl,
     component_images,
     decompose_blocks,
+    has_vqd,
     is_psd,
     partial_trace,
     reassemble,
     rescaled_matrices,
+    scan,
     tensor,
     validate_density_matrix,
 )
@@ -209,6 +213,24 @@ def test_decomposition_arrays_are_immutable():
         d.coeffs[0, 0] = 1.0
     with pytest.raises(ValueError):
         d.blocks[0, 0, 0, 0] = 1.0
+
+
+def test_source_pipeline_decomposes_each_ensemble_once(monkeypatch):
+    calls = []
+    decompose = states.decompose_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(states, "decompose_blocks", counting)
+    e = random_coherent_block_ensemble(np.random.default_rng(0))
+    check_condition(e)
+    has_vqd(e.state, e.dim_a, e.dim_e)
+    scan(e, SearchConfig(trials=2))
+    assert len(calls) == 1
+    assert assemble(e) is assemble(e)
+    assert not assemble(e).flags.writeable
 
 
 def test_block_coefficients_match_weighted_components():
