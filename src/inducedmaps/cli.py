@@ -117,6 +117,7 @@ def _probe_payload(probe) -> dict:
     return {
         "status": probe.status,
         "min_eig": probe.min_eig,
+        "floor": probe.floor,
         "witness": None if probe.witness is None else matrix_to_json(probe.witness),
     }
 

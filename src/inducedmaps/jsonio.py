@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import check_tolerance
 from .maps import validate_unitary
 from .states import EnsembleTerm, SeparableEnsemble
 
@@ -160,5 +161,10 @@ def load_state(path):
 
 
 def load_unitary(path, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Load a matrix file and verify unitarity (and dimension when given)."""
+    """Load a matrix file and verify unitarity (and dimension when given).
+
+    ``tol`` must be a finite number >= 0, else ValueError before the file
+    is read.
+    """
+    check_tolerance(tol)
     return validate_unitary(load_matrix(path), dim=dim, tol=tol)

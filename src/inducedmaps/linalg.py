@@ -52,6 +52,15 @@ def frozen(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def share_on_deepcopy(record, memo):
+    """``__deepcopy__`` of a frozen record whose arrays are all read-only.
+
+    The record cannot change, so a deep copy is the record itself; a real
+    copy would only rebuild its arrays as writeable ones.
+    """
+    return record
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D complex array with finite entries."""
     m = np.asarray(a, dtype=complex)

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsdError, ShapeError, ValidationError
-from .linalg import as_square, check_tolerance, dagger, frozen, hermitian_eigen
+from .linalg import (
+    as_square,
+    check_tolerance,
+    dagger,
+    frozen,
+    hermitian_eigen,
+    share_on_deepcopy,
+)
 from .states import PairClass, SLDecomposition, validate_density_matrix
 
 CP = "CP"
@@ -53,6 +60,8 @@ class InducedMap:
         object.__setattr__(self, "images", frozen(self.images))
         object.__setattr__(self, "shift", frozen(self.shift))
 
+    __deepcopy__ = share_on_deepcopy
+
     def apply(self, rho_prime) -> np.ndarray:
         """Evaluate the map on an input matrix."""
         rho_prime = np.asarray(rho_prime, dtype=complex)
@@ -79,22 +88,40 @@ class CpVerdict:
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Outcome of sampling-plus-refinement positivity probing.
+    """Outcome of a positivity probe.
+
+    Every probe brackets the true minimum output eigenvalue over valid
+    inputs: ``floor <= true minimum <= min_eig``.  ``floor`` is the Choi
+    floor, a certified lower bound (``-inf`` on hand-built records);
+    ``min_eig`` is an eigenvalue attained at a valid input.
 
     VIOLATED comes with a certified witness: a valid input density matrix
     whose output has smallest eigenvalue ``min_eig`` below tolerance.
-    NO_VIOLATION_FOUND is a proof that no input reaches ``-tol`` when the
-    Choi floor clears it (``min_eig`` is then the best sampled value), and
-    otherwise an exhausted search, not a proof of positivity.
+    NO_VIOLATION_FOUND with ``floor >= -tol`` is a proof that no input
+    reaches ``-tol``, and ``min_eig`` is then the output's smallest
+    eigenvalue on the maximally mixed input.  With ``floor < -tol`` it is
+    an exhausted search, not a proof of positivity, and ``min_eig`` is the
+    best sampled or refined value.
     """
 
     status: str
     min_eig: float
     witness: np.ndarray | None
+    floor: float = -np.inf
+
+    def __post_init__(self):
+        if self.witness is not None:
+            object.__setattr__(self, "witness", frozen(self.witness))
+
+    __deepcopy__ = share_on_deepcopy
 
 
 def validate_unitary(u, dim: int | None = None, tol: float = DEFAULT_UNITARITY_TOL):
-    """Check ``U†U = I`` to ``tol`` (max-entry norm); return the matrix."""
+    """Check ``U†U = I`` to ``tol`` (max-entry norm); return the matrix.
+
+    ``tol`` must be a finite number >= 0, else ValueError.
+    """
+    check_tolerance(tol)
     u = as_square(u, "unitary")
     if dim is not None and u.shape[0] != dim:
         raise ShapeError(f"unitary has dimension {u.shape[0]}, expected {dim}")
@@ -104,9 +131,7 @@ def validate_unitary(u, dim: int | None = None, tol: float = DEFAULT_UNITARITY_T
     return u
 
 
-def induce(
-    d: SLDecomposition, u, unitarity_tol: float = DEFAULT_UNITARITY_TOL
-) -> InducedMap:
+def induce(d: SLDecomposition, u) -> InducedMap:
     """Build the induced map of a joint unitary over a block decomposition.
 
     Every stored block is conjugated through the unitary and traced over
@@ -114,11 +139,11 @@ def induce(
     the block coefficients when the decomposition is not SL class, so the
     affine convention reproduces the reference non-SL outputs);
     TRACELESS_NONZERO pairs accumulate into the shift; ZERO_BLOCK pairs
-    contribute nothing.
+    contribute nothing.  ``u`` must be unitary to ``DEFAULT_UNITARITY_TOL``.
     """
     da, de = d.dim_a, d.dim_e
     n = da * de
-    u = validate_unitary(u, dim=n, tol=unitarity_tol)
+    u = validate_unitary(u, dim=n)
     # Block (k, l) of the source sits in columns k and l of U, so its
     # response is Tr_E(U_k B_kl U_l†) with U_k = U[:, k-block].  Contract
     # the environment trace straight into U_l† per row k: no temporary
@@ -177,6 +202,17 @@ def _outputs(m: InducedMap, xs: np.ndarray) -> np.ndarray:
     return (out + out.conj().transpose(0, 2, 1)) / 2.0
 
 
+def min_eig_2x2(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2x2 matrix in the stack ``h``.
+
+    Closed form ``(a+d)/2 - hypot((a-d)/2, |b|)`` for ``[[a, b], [b̄, d]]``;
+    it agrees with ``eigvalsh`` to rounding (relative to the matrix norm)
+    without a LAPACK call per matrix.
+    """
+    a, d = h[:, 0, 0].real, h[:, 1, 1].real
+    return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(h[:, 0, 1]))
+
+
 def probe_positivity(
     m: InducedMap,
     budget: int = 500,
@@ -186,48 +222,58 @@ def probe_positivity(
 ) -> PositivityProbe:
     """Search for an input whose output loses positivity.
 
-    Samples ``budget`` Haar-random pure inputs in batches of
-    ``PROBE_CHUNK`` (one stacked eigenvalue call per batch).  No output
-    eigenvalue lies below the Choi floor ``λmin(Herm C) + λmin(Herm
-    shift)``, ``C = choi_matrix(m)``; the shift is traceless, so the floor
-    is at most ``λmin(C)``.  When the floor is at least ``-tol`` the probe
-    returns NO_VIOLATION_FOUND with the sampled minimum as ``min_eig``,
-    which proves that no input reaches ``-tol``.  Otherwise it refines the
-    worst sample by alternating minimisation of ``<y|Φ(xx†)|y>``: ``y`` is
-    the lowest output eigenvector at ``x``, and ``x`` the conjugated
-    lowest eigenvector of ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
+    First computes the Choi floor ``λmin(Herm C) + λmin(Herm shift)``,
+    ``C = choi_matrix(m)``: no output eigenvalue lies below it, and the
+    shift is traceless, so it is at most ``λmin(C)``.  When the floor is
+    at least ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which
+    proves that no input reaches ``-tol``; it draws no samples, and
+    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.
+    Otherwise it samples ``budget`` Haar-random pure inputs in batches of
+    ``PROBE_CHUNK`` (one stacked eigenvalue call per batch, or the closed
+    form :func:`min_eig_2x2` when ``dim_a == 2``), then refines the worst
+    sample by alternating minimisation of ``<y|Φ(xx†)|y>``: ``y`` is the
+    lowest output eigenvector at ``x``, and ``x`` the conjugated lowest
+    eigenvector of ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
     Both half-steps are exact, so the value never rises.  Refining stops
     after ``refine_iters`` steps, on a step that gains nothing, or once
     the remaining steps at the last gain could not reach ``-tol``.
     VIOLATED is reported only with a certified witness (a valid density
-    matrix whose recomputed output eigenvalue is below ``-tol``); after a
-    refine, NO_VIOLATION_FOUND is an exhausted search, not a proof of
-    positivity.  ``budget`` must be at least 1 and ``tol`` a finite
-    number >= 0; anything else raises ValueError.
+    matrix whose recomputed output eigenvalue is below ``-tol``);
+    NO_VIOLATION_FOUND after sampling is an exhausted search, not a proof
+    of positivity, with the best value found as ``min_eig``.  Every probe
+    carries the floor, so ``floor <= true minimum <= min_eig``.
+    ``budget`` must be at least 1 and ``tol`` a finite number >= 0;
+    anything else raises ValueError.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     check_tolerance(tol)
-    rng = np.random.default_rng(seed)
     da = m.dim_a
-
-    best, best_x = np.inf, None
-    for start in range(0, budget, PROBE_CHUNK):
-        size = min(PROBE_CHUNK, budget - start)
-        xs = rng.normal(size=(size, da)) + 1j * rng.normal(size=(size, da))
-        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-        lams = np.linalg.eigvalsh(_outputs(m, xs))[:, 0]
-        i = int(np.argmin(lams))
-        if lams[i] < best:
-            best, best_x = float(lams[i]), xs[i]
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the floor.
     choi = choi_matrix(m)
     floor = np.linalg.eigvalsh((choi + dagger(choi)) / 2.0)[0]
-    floor += np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2.0)[0]
+    floor = float(floor + np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2.0)[0])
     if floor >= -tol:
-        return PositivityProbe(NO_VIOLATION_FOUND, best, None)
+        out = m.apply(np.eye(da) / da)
+        lam = float(np.linalg.eigvalsh((out + dagger(out)) / 2.0)[0])
+        return PositivityProbe(NO_VIOLATION_FOUND, lam, None, floor)
+
+    rng = np.random.default_rng(seed)
+    best, best_x = np.inf, None
+    for start in range(0, budget, PROBE_CHUNK):
+        size = min(PROBE_CHUNK, budget - start)
+        xs = rng.normal(size=(size, da)) + 1j * rng.normal(size=(size, da))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        outs = _outputs(m, xs)
+        lams = min_eig_2x2(outs) if da == 2 else np.linalg.eigvalsh(outs)[:, 0]
+        i = int(np.argmin(lams))
+        # The closed form only picks the chunk's winner; its value comes
+        # from eigvalsh, so min_eig never carries the closed form's rounding.
+        lam = float(np.linalg.eigvalsh(outs[i])[0])
+        if lam < best:
+            best, best_x = lam, xs[i]
 
     if refine_iters > 0:
         y = np.linalg.eigh(_outputs(m, best_x[None])[0])[1][:, 0]
@@ -248,19 +294,17 @@ def probe_positivity(
         out = m.apply(witness)
         lam = float(np.linalg.eigvalsh((out + dagger(out)) / 2.0)[0])
         if lam < -tol:
-            return PositivityProbe(VIOLATED, lam, witness)
-    return PositivityProbe(NO_VIOLATION_FOUND, best, None)
+            return PositivityProbe(VIOLATED, lam, witness, floor)
+    return PositivityProbe(NO_VIOLATION_FOUND, best, None, floor)
 
 
-def kraus_from_choi(
-    choi, tol: float = 1e-9, keep_tol: float = KRAUS_KEEP_TOL
-) -> list[np.ndarray]:
+def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     """Operator-sum terms of a completely positive linear part.
 
     Eigenvectors of the Choi matrix, scaled by the square roots of their
     eigenvalues, reshaped so that ``sum_j K_j rho K_j†`` reproduces the
     map's linear action.  A Choi eigenvalue below ``-tol`` raises
-    :class:`NotPsdError`; eigenvalues up to ``keep_tol`` are discarded.
+    :class:`NotPsdError`; eigenvalues up to ``KRAUS_KEEP_TOL`` are discarded.
     ``tol`` must be a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
@@ -273,6 +317,6 @@ def kraus_from_choi(
         raise NotPsdError(f"Choi matrix has negative eigenvalue {float(w[0]):.3e}")
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam > keep_tol:
+        if lam > KRAUS_KEEP_TOL:
             ops.append(np.sqrt(lam) * vec.reshape(da, da).T)
     return ops

@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, has_vqd
-from .linalg import check_tolerance, dagger, frozen, hermitian_eigen
+from .linalg import (
+    check_tolerance,
+    dagger,
+    frozen,
+    hermitian_eigen,
+    share_on_deepcopy,
+)
 from .maps import CP, NOT_CP_AFFINE, VIOLATED, induce, is_cp, probe_positivity
 from .states import SeparableEnsemble, SLDecomposition, check_condition
 
@@ -91,6 +97,8 @@ class CandidateReport:
 
     def __post_init__(self):
         object.__setattr__(self, "unitary", frozen(self.unitary))
+
+    __deepcopy__ = share_on_deepcopy
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -29,6 +29,7 @@ from .linalg import (
     hermitian_deviation,
     hermitian_eigen,
     is_psd,
+    share_on_deepcopy,
     tensor,
 )
 
@@ -104,6 +105,8 @@ class EnsembleTerm:
             self, "rho_e", frozen(validate_density_matrix(self.rho_e, name="rho_e"))
         )
 
+    __deepcopy__ = share_on_deepcopy
+
 
 @dataclass(frozen=True)
 class SeparableEnsemble:
@@ -136,6 +139,8 @@ class SeparableEnsemble:
         total = sum(t.p for t in self.terms)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"term weights sum to {total:.12g}, expected 1")
+
+    __deepcopy__ = share_on_deepcopy
 
     @cached_property
     def state(self) -> np.ndarray:
@@ -178,6 +183,8 @@ class SLDecomposition:
         object.__setattr__(self, "blocks", frozen(self.blocks))
         object.__setattr__(self, "pair_class", frozen(self.pair_class, np.int8))
 
+    __deepcopy__ = share_on_deepcopy
+
     @property
     def is_sl(self) -> bool:
         """True when no block is traceless yet nonzero."""
@@ -200,6 +207,8 @@ class RescaledSet:
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(frozen(m) for m in self.matrices))
         object.__setattr__(self, "defined_mask", frozen(self.defined_mask, bool))
+
+    __deepcopy__ = share_on_deepcopy
 
 
 @dataclass(frozen=True)

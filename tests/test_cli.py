@@ -16,6 +16,7 @@ from inducedmaps import (
     EnsembleTerm,
     PositivityProbe,
     SeparableEnsemble,
+    haar_unitary,
 )
 from inducedmaps.cli import (
     EXIT_CONDITION_FAILS,
@@ -26,7 +27,7 @@ from inducedmaps.cli import (
     main,
 )
 from inducedmaps.jsonio import load_matrix, matrix_from_json, save_ensemble, save_matrix
-from inducedmaps.presets import bell_density, cnot, four_block_ensemble
+from inducedmaps.presets import bell_density, cnot, four_block_ensemble, random_density
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
@@ -156,6 +157,22 @@ def test_induce_accepts_ensemble_states(tmp_path, capsys):
     assert payload["sl_class"] == "SL"
     assert payload["cp_status"] == "CP"
     assert abs(payload["output_trace"] - 1.0) < 1e-10
+
+
+def test_induce_reports_choi_floor_of_cp_product_source(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    paths = [tmp_path / name for name in ("rho.json", "u.json", "in.json")]
+    rho = np.kron(random_density(2, rng), random_density(3, rng))
+    for path, matrix in zip(paths, [rho, haar_unitary(6, rng), random_density(2, rng)]):
+        save_matrix(path, matrix)
+    code, payload, _ = run(capsys, ["induce", *map(str, paths), "--dim-a", "2"])
+    assert code == EXIT_OK
+    assert payload["cp_status"] == "CP"
+    probe = payload["positivity"]
+    assert probe["status"] == NO_VIOLATION_FOUND
+    assert probe["floor"] >= -payload["config"]["witness_tol"]
+    assert probe["min_eig"] >= probe["floor"]
+    assert probe["witness"] is None
 
 
 def test_induce_requires_dim_a_for_matrix_states(tmp_path, capsys):

@@ -25,9 +25,11 @@ from inducedmaps import (
     partial_trace,
     probe_positivity,
     validate_density_matrix,
+    validate_unitary,
 )
 from inducedmaps.cli import EXIT_USAGE, main
-from inducedmaps.jsonio import save_matrix
+from inducedmaps.jsonio import load_unitary, save_matrix
+from inducedmaps.maps import min_eig_2x2
 from inducedmaps.presets import (
     bell_density,
     cnot,
@@ -159,9 +161,57 @@ def test_probe_skips_refine_once_choi_floor_clears_tol(make_map):
     probe = probe_positivity(m)
     sampled = probe_positivity(m, refine_iters=0)
     assert probe.status == sampled.status == NO_VIOLATION_FOUND
-    # the sampled best, not a refined value driven towards the true minimum
+    # not a refined value driven towards the true minimum
     assert probe.min_eig == sampled.min_eig
     assert probe.witness is None and sampled.witness is None
+
+
+@pytest.mark.parametrize(
+    "make_map",
+    [partial(coherent_map, seed) for seed in range(3)] + [product_map],
+    ids=[f"coherent-{seed}" for seed in range(3)] + ["product"],
+)
+def test_floor_certified_probe_reports_the_maximally_mixed_output(make_map):
+    m = make_map()
+    out = m.apply(np.eye(m.dim_a) / m.dim_a)
+    mixed = np.linalg.eigvalsh((out + dagger(out)) / 2)[0]
+    for seed, budget in [(0, 500), (1, 1), (7, 50), (123, 3000)]:
+        probe = probe_positivity(m, budget=budget, seed=seed)
+        assert probe.status == NO_VIOLATION_FOUND
+        # no sample is drawn, so neither the seed nor the budget matters
+        assert probe.min_eig == mixed
+        assert -1e-9 <= probe.floor <= probe.min_eig
+
+
+def random_hermitian_2x2(rng, size):
+    h = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    return (h + h.conj().transpose(0, 2, 1)) / 2
+
+
+def off_diagonal_2x2(rng, size):
+    h = np.zeros((size, 2, 2), dtype=complex)
+    h[:, 0, 1] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    h[:, 1, 0] = h[:, 0, 1].conj()
+    return h
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        lambda rng: random_hermitian_2x2(rng, 1000),
+        lambda rng: 1e6 * random_hermitian_2x2(rng, 100),
+        lambda rng: rng.normal(size=(100, 2, 1)) * np.eye(2),
+        lambda rng: rng.normal(size=(100, 1, 1)) * np.eye(2),
+        lambda rng: off_diagonal_2x2(rng, 100),
+        lambda rng: np.zeros((10, 2, 2)),
+    ],
+    ids=["random", "large", "diagonal", "scalar", "off-diagonal", "zero"],
+)
+def test_qubit_closed_form_matches_eigvalsh(stack):
+    h = np.asarray(stack(np.random.default_rng(17)), dtype=complex)
+    got = min_eig_2x2(h)
+    want = np.linalg.eigvalsh(h)[:, 0]
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(h).max(axis=(1, 2)))
 
 
 def test_probe_refines_shift_free_maps_whose_choi_floor_is_negative():
@@ -186,6 +236,8 @@ def test_probe_never_reports_below_choi_floor():
         for refine_iters in (0, 200):
             probe = probe_positivity(m, budget=100, seed=1, refine_iters=refine_iters)
             assert probe.min_eig >= choi_floor(m) - 1e-12
+            assert probe.floor == pytest.approx(choi_floor(m), abs=1e-15)
+            assert probe.floor <= probe.min_eig + 1e-12
             statuses.add(probe.status)
     assert statuses == {VIOLATED, NO_VIOLATION_FOUND}
 
@@ -199,6 +251,9 @@ TOLERANCE_CALLS = {
     "probe_positivity": lambda tol: probe_positivity(bell_cnot_map(), tol=tol),
     "is_cp": lambda tol: is_cp(coherent_map(0), tol=tol),
     "kraus_from_choi": lambda tol: kraus_from_choi(choi_matrix(coherent_map(0)), tol=tol),
+    "validate_unitary": lambda tol: validate_unitary(cnot(), tol=tol),
+    # rejected before the (absent) file is read
+    "load_unitary": lambda tol: load_unitary("absent-unitary.json", tol=tol),
     "has_vqd": lambda tol: has_vqd(coherent_ensemble().state, 4, 2, tol=tol),
     "check_condition": lambda tol: check_condition(coherent_ensemble(), tol=tol),
     "check_condition.support_cutoff": lambda tol: check_condition(
@@ -220,7 +275,8 @@ TOLERANCE_CALLS = {
 )
 def test_probe_rejects_invalid_tolerance(call, tol):
     # Unchecked, a negative tolerance turned a VQD state NONZERO and a NaN
-    # one made is_cp report CP and kraus_from_choi return no operators.
+    # one made is_cp report CP and kraus_from_choi return no operators, and
+    # validate_unitary accept 3·I.
     with pytest.raises(ValueError, match="must be a finite number"):
         TOLERANCE_CALLS[call](tol)
 

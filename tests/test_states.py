@@ -1,5 +1,7 @@
 """Block decompositions, rescaled matrices, and the block-support condition."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,13 @@ from inducedmaps import (
     ValidationError,
     assemble,
     check_condition,
+    classify,
     classify_sl,
     component_images,
     decompose_blocks,
     has_vqd,
+    haar_unitary,
+    induce,
     is_psd,
     partial_trace,
     reassemble,
@@ -35,6 +40,7 @@ from inducedmaps import (
 )
 from inducedmaps.presets import (
     bell_density,
+    cnot,
     four_block_ensemble,
     random_coherent_block_ensemble,
     random_density,
@@ -231,6 +237,29 @@ def test_source_pipeline_decomposes_each_ensemble_once(monkeypatch):
     assert len(calls) == 1
     assert assemble(e) is assemble(e)
     assert not assemble(e).flags.writeable
+
+
+def test_deepcopy_keeps_frozen_records_and_their_read_only_arrays():
+    e = random_coherent_block_ensemble(np.random.default_rng(0))
+    assert not e.state.flags.writeable
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy(e).state is e.state
+    m = induce(e.decomposition, haar_unitary(8, np.random.default_rng(1)))
+    bell = decompose_blocks(bell_density(), 2, 2)
+    report = classify(bell, cnot(), SearchConfig(positivity_budget=20))
+    records = {
+        "term": (e.terms[0], ["rho_a", "rho_e"]),
+        "decomposition": (e.decomposition, ["coeffs", "blocks", "pair_class"]),
+        "rescaled": (rescaled_matrices(e), ["defined_mask"]),
+        "map": (m, ["images", "shift"]),
+        "report": (report, ["unitary"]),
+        "probe": (report.positivity, ["witness"]),
+    }
+    for name, (record, fields) in records.items():
+        clone = copy.deepcopy(record)
+        assert clone is record, name
+        for field in fields:
+            assert not getattr(clone, field).flags.writeable, (name, field)
 
 
 def test_block_coefficients_match_weighted_components():
