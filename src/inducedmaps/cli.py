@@ -32,7 +32,6 @@ from .jsonio import (
     load_ensemble,
     load_matrix,
     load_state,
-    load_unitary,
     matrix_to_json,
     save_matrix,
 )
@@ -80,7 +79,7 @@ def _tolerance(text: str) -> float:
 
 
 def _plain(value):
-    """Make report values JSON-serializable (arrays become matrix payloads)."""
+    """Strict-JSON report values: arrays as matrix payloads, NaN and ±inf as null."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -91,9 +90,9 @@ def _plain(value):
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, (complex, np.complexfloating)):
         z = complex(value)
-        return [z.real, z.imag]
-    if isinstance(value, np.floating):
-        return float(value)
+        return [_plain(z.real), _plain(z.imag)]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.bool_):
@@ -102,7 +101,7 @@ def _plain(value):
 
 
 def _print_report(payload: dict) -> None:
-    print(json.dumps(_plain(payload), indent=2, sort_keys=True))
+    print(json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _discord_payload(verdict) -> dict:
@@ -180,13 +179,12 @@ def _cmd_induce(args) -> int:
         raise _UsageError(f"budget must be >= 1, got {args.budget}")
     rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
     d = decompose_blocks(rho, dim_a, dim_e)
-    u = load_unitary(args.unitary, dim=dim_a * dim_e)
+    m = induce(d, load_matrix(args.unitary))
     rho_prime = validate_density_matrix(load_matrix(args.input), name="input")
     if rho_prime.shape[0] != dim_a:
         raise ShapeError(
             f"input dimension {rho_prime.shape[0]} does not match system dimension {dim_a}"
         )
-    m = induce(d, u)
     out = m.apply(rho_prime)
     verdict = is_cp(m, args.cp_tol)
     probe = probe_positivity(

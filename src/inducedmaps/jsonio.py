@@ -12,8 +12,6 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import check_tolerance
-from .maps import validate_unitary
 from .states import EnsembleTerm, SeparableEnsemble
 
 
@@ -158,13 +156,3 @@ def load_state(path):
     if isinstance(obj, dict) and "terms" in obj:
         return "ensemble", ensemble_from_json(obj)
     return "matrix", matrix_from_json(obj)
-
-
-def load_unitary(path, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Load a matrix file and verify unitarity (and dimension when given).
-
-    ``tol`` must be a finite number >= 0, else ValueError before the file
-    is read.
-    """
-    check_tolerance(tol)
-    return validate_unitary(load_matrix(path), dim=dim, tol=tol)

@@ -84,19 +84,19 @@ def hermitian_deviation(m: np.ndarray) -> float:
     return float(np.abs(m - dagger(m)).max())
 
 
-def tensor(a, b, max_rows: int = MAX_TENSOR_ROWS) -> np.ndarray:
+def tensor(a, b) -> np.ndarray:
     """Kronecker product ``a ⊗ b``.
 
     Entry ``((i*rb + k), (j*cb + l))`` of the result is ``a[i, j] * b[k, l]``
     where ``(rb, cb)`` is the shape of ``b``.  Raises :class:`SizeError` when
-    the output would have more than ``max_rows`` rows.
+    the output would have more than ``MAX_TENSOR_ROWS`` rows.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     rows = a.shape[0] * b.shape[0]
-    if rows > max_rows:
+    if rows > MAX_TENSOR_ROWS:
         raise SizeError(
-            f"tensor product would have {rows} rows, above the ceiling {max_rows}"
+            f"tensor product would have {rows} rows, above the ceiling {MAX_TENSOR_ROWS}"
         )
     return np.kron(a, b)
 
@@ -122,20 +122,25 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'E', got {side!r}")
 
 
-def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input must satisfy ``max|m - m†| <= tol``; the decomposition is then
-    taken of the Hermitian part ``(m + m†)/2``, which keeps the result
-    deterministic and exactly reconstructible.  Raises
-    :class:`HermiticityError` with the observed deviation otherwise.
-    """
+def check_hermitian(m, tol: float) -> np.ndarray:
+    """:func:`as_square` of ``m``; HermiticityError if ``max|m - m†| > tol``."""
     m = as_square(m, "m")
     dev = hermitian_deviation(m)
     if dev > tol:
         raise HermiticityError(
             f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}"
         )
+    return m
+
+
+def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix.
+
+    ``m`` must pass :func:`check_hermitian` at ``tol``; the decomposition is
+    taken of the Hermitian part ``(m + m†)/2``, which keeps the result
+    deterministic and exactly reconstructible.
+    """
+    m = check_hermitian(m, tol)
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     return Spectrum(w, v)
 

@@ -8,12 +8,14 @@ and a trace-preserving linear part.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotPsdError, ShapeError, ValidationError
 from .linalg import (
     as_square,
+    check_hermitian,
     check_tolerance,
     dagger,
     frozen,
@@ -50,6 +52,7 @@ class InducedMap:
     blocks.  For SL sources the images are unit-trace on the diagonal and
     traceless off it, so the map preserves trace; for non-SL sources the
     images absorb the source block coefficients and the shift is nonzero.
+    The cached ``choi_min_eig`` serves both :func:`is_cp` and the probe.
     """
 
     dim_a: int
@@ -71,6 +74,12 @@ class InducedMap:
             )
         return np.einsum("kl,klab->ab", rho_prime, self.images) + self.shift
 
+    @cached_property
+    def choi_min_eig(self) -> float:
+        """``λmin((C + C†)/2)`` with ``C = choi_matrix(self)``, computed once."""
+        choi = choi_matrix(self)
+        return float(np.linalg.eigvalsh((choi + dagger(choi)) / 2.0)[0])
+
 
 @dataclass(frozen=True)
 class CpVerdict:
@@ -78,7 +87,7 @@ class CpVerdict:
 
     ``status`` is CP, NOT_CP (negative Choi eigenvalue), or NOT_CP_AFFINE
     (nonzero shift, reported distinctly because the map is not even
-    linear).
+    linear).  ``choi_min_eig`` is the map's cached ``InducedMap.choi_min_eig``.
     """
 
     status: str
@@ -116,17 +125,13 @@ class PositivityProbe:
     __deepcopy__ = share_on_deepcopy
 
 
-def validate_unitary(u, dim: int | None = None, tol: float = DEFAULT_UNITARITY_TOL):
-    """Check ``U†U = I`` to ``tol`` (max-entry norm); return the matrix.
-
-    ``tol`` must be a finite number >= 0, else ValueError.
-    """
-    check_tolerance(tol)
+def validate_unitary(u, dim: int | None = None):
+    """Return ``u`` if ``U†U = I`` to ``DEFAULT_UNITARITY_TOL`` (max-entry norm)."""
     u = as_square(u, "unitary")
     if dim is not None and u.shape[0] != dim:
         raise ShapeError(f"unitary has dimension {u.shape[0]}, expected {dim}")
     dev = float(np.abs(dagger(u) @ u - np.eye(u.shape[0])).max())
-    if dev > tol:
+    if dev > DEFAULT_UNITARITY_TOL:
         raise ValidationError(f"matrix is not unitary: deviation {dev:.3e}")
     return u
 
@@ -177,12 +182,14 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
 
     CP requires the Choi matrix to have smallest eigenvalue >= ``-tol``
     and the shift to vanish within ``tol`` (max-entry norm).  A nonzero
-    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  ``tol``
-    must be a finite number >= 0, else ValueError.
+    shift yields NOT_CP_AFFINE regardless of the Choi spectrum, which is
+    read from the cached ``m.choi_min_eig`` once the Choi matrix passes
+    :func:`check_hermitian` at ``max(tol, 1e-9)``.  ``tol`` must be a
+    finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
-    w, _ = hermitian_eigen(choi_matrix(m), tol=max(tol, 1e-9))
-    choi_min = float(w[0])
+    check_hermitian(choi_matrix(m), tol=max(tol, 1e-9))
+    choi_min = m.choi_min_eig
     shift_norm = float(np.abs(m.shift).max())
     if shift_norm > tol:
         status = NOT_CP_AFFINE
@@ -223,11 +230,12 @@ def probe_positivity(
     """Search for an input whose output loses positivity.
 
     First computes the Choi floor ``λmin(Herm C) + λmin(Herm shift)``,
-    ``C = choi_matrix(m)``: no output eigenvalue lies below it, and the
-    shift is traceless, so it is at most ``λmin(C)``.  When the floor is
-    at least ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which
-    proves that no input reaches ``-tol``; it draws no samples, and
-    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.
+    ``C = choi_matrix(m)``, with ``λmin(Herm C)`` the cached
+    ``m.choi_min_eig``: no output eigenvalue lies below it, and the shift is
+    traceless, so it is at most ``λmin(C)``.  When the floor is at least
+    ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which proves
+    that no input reaches ``-tol``; it draws no samples, and ``min_eig`` is
+    the smallest output eigenvalue on ``I/dim_a``.
     Otherwise it samples ``budget`` Haar-random pure inputs in batches of
     ``PROBE_CHUNK`` (one stacked eigenvalue call per batch, or the closed
     form :func:`min_eig_2x2` when ``dim_a == 2``), then refines the worst
@@ -252,9 +260,8 @@ def probe_positivity(
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the floor.
-    choi = choi_matrix(m)
-    floor = np.linalg.eigvalsh((choi + dagger(choi)) / 2.0)[0]
-    floor = float(floor + np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2.0)[0])
+    shift_min = np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2.0)[0]
+    floor = float(m.choi_min_eig + shift_min)
     if floor >= -tol:
         out = m.apply(np.eye(da) / da)
         lam = float(np.linalg.eigvalsh((out + dagger(out)) / 2.0)[0])

@@ -66,22 +66,21 @@ class PairClass(IntEnum):
     TRACELESS_NONZERO = 2
 
 
-def validate_density_matrix(rho, tol: float = DEFAULT_DENSITY_TOL, name: str = "rho"):
+def validate_density_matrix(rho, name: str = "rho"):
     """Check hermiticity, unit trace, and positivity; return the matrix.
 
-    All three checks use ``tol``: hermiticity in max-entry norm, trace
-    against 1, and the smallest eigenvalue against ``-tol``.
+    All three checks use ``DEFAULT_DENSITY_TOL`` (hermiticity in max-entry norm).
     """
     rho = as_square(rho, name)
     dev = hermitian_deviation(rho)
-    if dev > tol:
+    if dev > DEFAULT_DENSITY_TOL:
         raise ValidationError(
-            f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.3e}"
+            f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {DEFAULT_DENSITY_TOL:.3e}"
         )
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > DEFAULT_DENSITY_TOL:
         raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
-    ok, lam = is_psd(rho, tol)
+    ok, lam = is_psd(rho, DEFAULT_DENSITY_TOL)
     if not ok:
         raise ValidationError(f"{name} has negative eigenvalue {lam:.3e}")
     return rho

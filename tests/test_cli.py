@@ -36,10 +36,15 @@ RHO_E_1 = np.diag([0.7, 0.3]).astype(complex)
 RHO_E_2 = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
 
 
+def reject_constant(token):
+    raise ValueError(f"stdout is not strict JSON: {token}")
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
-    payload = json.loads(captured.out) if captured.out.strip() else None
+    out = captured.out
+    payload = json.loads(out, parse_constant=reject_constant) if out.strip() else None
     return code, payload, captured.err
 
 
@@ -201,6 +206,19 @@ def test_induce_exit_dimension_on_mismatched_unitary(tmp_path, capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "inp", [np.diag([1.0, 0.0]), np.eye(3) / 3.0], ids=["valid-input", "wrong-dim-input"]
+)
+def test_induce_checks_the_unitary_before_the_input(tmp_path, capsys, inp):
+    paths = [tmp_path / name for name in ("bell.json", "u.json", "in.json")]
+    for path, matrix in zip(paths, [bell_density(), 2.0 * cnot(), inp]):
+        save_matrix(path, matrix)
+    code, payload, err = run(capsys, ["induce", *map(str, paths), "--dim-a", "2"])
+    assert code == EXIT_USAGE
+    assert payload is None
+    assert "not unitary" in err
+
+
 def test_induce_exit_dimension_on_indivisible_split(tmp_path, capsys):
     state = tmp_path / "bell.json"
     unitary = tmp_path / "u.json"
@@ -276,6 +294,8 @@ def test_hunt_reports_candidates_when_search_runs(tmp_path, capsys, monkeypatch)
     assert candidate["classification"] == CLASS_CANDIDATE
     assert candidate["choi_min_eig"] == -2e-6
     assert candidate["positivity"]["witness"] is None
+    # the hand-built probe's floor is -inf, which strict JSON spells null
+    assert candidate["positivity"]["floor"] is None
     assert matrix_from_json(candidate["unitary"]).shape == (8, 8)
     assert payload["config"]["family"] == "HAAR"
 

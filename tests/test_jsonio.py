@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inducedmaps import SeparableEnsemble, ShapeError, ValidationError
+from inducedmaps import SeparableEnsemble, ValidationError
 from inducedmaps.jsonio import (
     complex_to_json,
     ensemble_from_json,
@@ -14,14 +14,13 @@ from inducedmaps.jsonio import (
     load_json,
     load_matrix,
     load_state,
-    load_unitary,
     matrix_from_json,
     matrix_to_json,
     save_ensemble,
     save_json,
     save_matrix,
 )
-from inducedmaps.presets import cnot, four_block_ensemble
+from inducedmaps.presets import four_block_ensemble
 
 AWKWARD = np.array(
     [
@@ -139,19 +138,6 @@ def test_load_state_distinguishes_payload_kinds(tmp_path):
     assert kind == "ensemble" and isinstance(state, SeparableEnsemble)
     kind, state = load_state(mpath)
     assert kind == "matrix" and isinstance(state, np.ndarray)
-
-
-def test_load_unitary_checks_unitarity_and_dimension(tmp_path):
-    upath = tmp_path / "u.json"
-    save_matrix(upath, cnot())
-    loaded = load_unitary(upath, dim=4)
-    assert np.array_equal(loaded, cnot())
-    with pytest.raises(ShapeError):
-        load_unitary(upath, dim=2)
-    bad = tmp_path / "bad.json"
-    save_matrix(bad, np.ones((2, 2)))
-    with pytest.raises(ValidationError):
-        load_unitary(bad)
 
 
 def test_load_json_rejects_malformed_text(tmp_path):

@@ -14,6 +14,7 @@ from inducedmaps import (
     assemble,
     check_condition,
     choi_matrix,
+    classify,
     dagger,
     decompose_blocks,
     InducedMap,
@@ -24,11 +25,11 @@ from inducedmaps import (
     kraus_from_choi,
     partial_trace,
     probe_positivity,
+    scan,
     validate_density_matrix,
-    validate_unitary,
 )
 from inducedmaps.cli import EXIT_USAGE, main
-from inducedmaps.jsonio import load_unitary, save_matrix
+from inducedmaps.jsonio import save_matrix
 from inducedmaps.maps import min_eig_2x2
 from inducedmaps.presets import (
     bell_density,
@@ -242,6 +243,42 @@ def test_probe_never_reports_below_choi_floor():
     assert statuses == {VIOLATED, NO_VIOLATION_FOUND}
 
 
+SOURCES = {
+    "bell-2x2": lambda: decompose_blocks(bell_density(), 2, 2),
+    "coherent-4x2": lambda: decomposed(
+        random_coherent_block_ensemble(np.random.default_rng(7))
+    ),
+}
+
+
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+def test_classify_diagonalises_the_choi_matrix_once(source, monkeypatch):
+    d = source()
+    rng = np.random.default_rng(8)
+    unitaries = [haar_unitary(d.dim_a * d.dim_e, rng) for _ in range(4)]
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    choi_shape = (d.dim_a**2, d.dim_a**2)
+    for calls, u in enumerate(unitaries, start=1):
+        classify(d, u, SearchConfig(positivity_budget=50))
+        assert shapes.count(choi_shape) == calls
+
+
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+def test_probe_floor_adds_the_reported_choi_eigenvalue(source):
+    d = source()
+    for r in scan(d, SearchConfig(trials=12, positivity_budget=50, seed=4)):
+        shift = induce(d, r.unitary).shift
+        shift_min = np.linalg.eigvalsh((shift + dagger(shift)) / 2)[0]
+        assert r.positivity.floor == r.choi_min_eig + shift_min
+
+
 def coherent_ensemble():
     return random_coherent_block_ensemble(np.random.default_rng(0))
 
@@ -251,9 +288,6 @@ TOLERANCE_CALLS = {
     "probe_positivity": lambda tol: probe_positivity(bell_cnot_map(), tol=tol),
     "is_cp": lambda tol: is_cp(coherent_map(0), tol=tol),
     "kraus_from_choi": lambda tol: kraus_from_choi(choi_matrix(coherent_map(0)), tol=tol),
-    "validate_unitary": lambda tol: validate_unitary(cnot(), tol=tol),
-    # rejected before the (absent) file is read
-    "load_unitary": lambda tol: load_unitary("absent-unitary.json", tol=tol),
     "has_vqd": lambda tol: has_vqd(coherent_ensemble().state, 4, 2, tol=tol),
     "check_condition": lambda tol: check_condition(coherent_ensemble(), tol=tol),
     "check_condition.support_cutoff": lambda tol: check_condition(
@@ -275,8 +309,7 @@ TOLERANCE_CALLS = {
 )
 def test_probe_rejects_invalid_tolerance(call, tol):
     # Unchecked, a negative tolerance turned a VQD state NONZERO and a NaN
-    # one made is_cp report CP and kraus_from_choi return no operators, and
-    # validate_unitary accept 3·I.
+    # one made is_cp report CP and kraus_from_choi return no operators.
     with pytest.raises(ValueError, match="must be a finite number"):
         TOLERANCE_CALLS[call](tol)
 

@@ -10,6 +10,7 @@ from inducedmaps import (
     NOT_CP_AFFINE,
     VIOLATED,
     EnsembleTerm,
+    HermiticityError,
     InducedMap,
     NotPsdError,
     SeparableEnsemble,
@@ -252,6 +253,26 @@ def test_is_cp_distinguishes_three_regimes():
     assert is_cp(induce(decompose_blocks(bell_density(), 2, 2), cnot())).status == (
         NOT_CP_AFFINE
     )
+
+
+def test_is_cp_rejects_non_hermitian_and_non_finite_images():
+    images = np.zeros((2, 2, 2, 2), dtype=complex)
+    images[0, 0] = images[1, 1] = np.eye(2) / 2.0
+    shift = np.zeros((2, 2), dtype=complex)
+    # the Choi matrix holds images[0, 1] above the diagonal and zeros below
+    skewed = images.copy()
+    skewed[0, 1, 0, 1] = 1e-3
+    for tol in (1e-9, 1e-4):
+        with pytest.raises(HermiticityError):
+            is_cp(InducedMap(2, skewed, shift), tol=tol)
+    # deviations up to 1e-9 are accepted even when tol is tighter
+    slight = images.copy()
+    slight[0, 1, 0, 1] = 5e-10
+    assert is_cp(InducedMap(2, slight, shift), tol=0.0).status == CP
+    broken = images.copy()
+    broken[1, 0, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        is_cp(InducedMap(2, broken, shift))
 
 
 def test_probe_certifies_violation_for_flipped_bell_blocks():
