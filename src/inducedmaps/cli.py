@@ -45,6 +45,7 @@ from .states import (
     classify_sl,
     decompose_blocks,
     rescaled_matrices,
+    split_blocks,
     validate_density_matrix,
 )
 
@@ -122,10 +123,16 @@ def _probe_payload(probe) -> dict:
 
 
 def _state_with_dims(path, dim_a_flag):
-    """Load a state file; matrices need --dim-a to fix the tensor split."""
+    """Load a state file as ``(rho, dim_a, dim_e, blocks)``.
+
+    A matrix is validated here and needs --dim-a to fix the tensor split;
+    an ensemble's state is validated when its cached decomposition is
+    first read.  ``blocks()`` returns the block decomposition without
+    validating the state again.
+    """
     kind, state = load_state(path)
     if kind == "ensemble":
-        return state.state, state.dim_a, state.dim_e
+        return state.state, state.dim_a, state.dim_e, lambda: state.decomposition
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]
     if dim_a_flag is None:
@@ -136,7 +143,8 @@ def _state_with_dims(path, dim_a_flag):
         raise ShapeError(
             f"state dimension {n} does not split as {dim_a_flag} x E"
         )
-    return rho, dim_a_flag, n // dim_a_flag
+    dim_e = n // dim_a_flag
+    return rho, dim_a_flag, dim_e, lambda: split_blocks(rho, dim_a_flag, dim_e)
 
 
 def _cmd_check(args) -> int:
@@ -177,8 +185,8 @@ def _cmd_check(args) -> int:
 def _cmd_induce(args) -> int:
     if args.budget < 1:
         raise _UsageError(f"budget must be >= 1, got {args.budget}")
-    rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
-    d = decompose_blocks(rho, dim_a, dim_e)
+    _, dim_a, dim_e, blocks = _state_with_dims(args.state, args.dim_a)
+    d = blocks()
     m = induce(d, load_matrix(args.unitary))
     rho_prime = validate_density_matrix(load_matrix(args.input), name="input")
     if rho_prime.shape[0] != dim_a:
@@ -220,7 +228,7 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_discord(args) -> int:
-    rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
+    rho, dim_a, dim_e, _ = _state_with_dims(args.state, args.dim_a)
     verdict = has_vqd(rho, dim_a, dim_e, tol=args.tol, seed=args.seed)
     payload = _discord_payload(verdict)
     payload["config"] = {

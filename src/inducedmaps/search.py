@@ -19,7 +19,7 @@ stage runs only when :func:`has_vqd` does not certify VQD (NONZERO or
 INDETERMINATE) for a source that passes the condition within tolerance.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,16 @@ from .linalg import (
     hermitian_eigen,
     share_on_deepcopy,
 )
-from .maps import CP, NOT_CP_AFFINE, VIOLATED, induce, is_cp, probe_positivity
+from .maps import (
+    CP,
+    NOT_CP_AFFINE,
+    VIOLATED,
+    check_unitaries,
+    cp_verdicts,
+    induce,
+    induce_stack,
+    probe_stack,
+)
 from .states import SeparableEnsemble, SLDecomposition, check_condition
 
 HAAR = "HAAR"
@@ -42,6 +51,14 @@ CLASS_CP = "CP"
 CLASS_CANDIDATE = "POSITIVE_NOT_CP_CANDIDATE"
 CLASS_NON_POSITIVE = "NON_POSITIVE"
 CLASS_AFFINE = "AFFINE"
+
+# Ceiling on ``SearchConfig.trials``: a scan keeps one report, with its
+# unitary, per trial, so the count bounds the memory of its result.
+MAX_TRIALS = 10_000
+
+# Trials that :func:`scan` evaluates as one stack.  Fixed, so the peak
+# memory of a scan grows with neither its trial count nor its budget.
+TRIAL_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -74,8 +91,10 @@ class SearchConfig:
             raise ValueError("GENERATOR family needs params")
         if self.params is not None:
             object.__setattr__(self, "params", tuple(float(x) for x in self.params))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(
+                f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}"
+            )
         if self.positivity_budget < 1:
             raise ValueError(
                 f"positivity_budget must be >= 1, got {self.positivity_budget}"
@@ -101,20 +120,33 @@ class CandidateReport:
     __deepcopy__ = share_on_deepcopy
 
 
-def haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed random unitary, deterministic per seed.
+def haar_unitaries(dim: int, seeds) -> np.ndarray:
+    """Stack of Haar-distributed random unitaries, one per seed.
 
-    QR decomposition of a complex Gaussian matrix with the phases of the
-    triangular factor's diagonal absorbed into the unitary factor, which
-    makes the distribution exactly Haar.
+    Each matrix is drawn from its own ``default_rng(seed)``; one stacked QR
+    decomposition serves them all, and the phases of each triangular
+    factor's diagonal are absorbed into its unitary factor, which makes
+    the distribution exactly Haar.
     """
     if dim < 1:
         raise ShapeError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    draws = np.empty((2, len(seeds), dim, dim))
+    for seed, re, im in zip(seeds, draws[0], draws[1]):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+    z = (draws[0] + 1j * draws[1]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(dim: int, seed) -> np.ndarray:
+    """Haar-distributed random unitary, deterministic per seed.
+
+    The one-element case of :func:`haar_unitaries`.
+    """
+    return haar_unitaries(dim, [seed])[0]
 
 
 def generator_unitary(params, dim: int) -> np.ndarray:
@@ -166,48 +198,78 @@ def _as_decomposition(source) -> SLDecomposition:
     raise TypeError(f"source must be a decomposition or ensemble, got {type(source)}")
 
 
+def _reports(stack, unitaries, cfg: SearchConfig, seeds, trials) -> list:
+    """Classify the maps of a stack, probing map ``i`` with ``seeds[i]``.
+
+    A one-element stack, with its one unitary, stands for every trial.
+    """
+    verdicts = cp_verdicts(stack, cfg.cp_tol)
+    probes = probe_stack(
+        stack, seeds, budget=cfg.positivity_budget, tol=cfg.witness_tol
+    )
+    if len(stack) < len(seeds):
+        verdicts, unitaries = verdicts * len(seeds), list(unitaries) * len(seeds)
+    return [
+        CandidateReport(
+            unitary=u,
+            choi_min_eig=verdict.choi_min_eig,
+            shift_norm=verdict.shift_norm,
+            positivity=probe,
+            classification=classification_label(verdict, probe),
+            trial=trial,
+        )
+        for u, verdict, probe, trial in zip(unitaries, verdicts, probes, trials)
+    ]
+
+
 def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
     """Induce the map of one unitary and classify its positivity.
 
-    The label follows :func:`classification_label`.
+    The label follows :func:`classification_label`.  This is the
+    one-trial case of the stacked path :func:`scan` takes: with
+    ``probe_seed`` set to a trial's probe seed it returns that trial's
+    report bit for bit (apart from ``trial``).
     """
-    d = _as_decomposition(source)
-    m = induce(d, u)
-    verdict = is_cp(m, cfg.cp_tol)
-    probe = probe_positivity(
-        m,
-        budget=cfg.positivity_budget,
-        seed=cfg.seed if probe_seed is None else probe_seed,
-        tol=cfg.witness_tol,
-    )
-    label = classification_label(verdict, probe)
-    return CandidateReport(
-        unitary=u,
-        choi_min_eig=verdict.choi_min_eig,
-        shift_norm=verdict.shift_norm,
-        positivity=probe,
-        classification=label,
-    )
+    m = induce(_as_decomposition(source), u)
+    seed = cfg.seed if probe_seed is None else probe_seed
+    return _reports(m.stack, [u], cfg, [seed], [None])[0]
 
 
 def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     """Classify ``cfg.trials`` unitaries from the configured family.
 
     Trials are independently seeded from ``cfg.seed`` (spawned seed
-    sequences, one per trial), so the report list is deterministic and
-    order-stable for a fixed configuration.
+    sequences, one per trial, each split into a unitary and a probe
+    seed), so the report list is deterministic and order-stable for a
+    fixed configuration.  The trials run in stacks of ``TRIAL_GROUP``:
+    one QR decomposition, one unitarity check, one ``induce`` contraction
+    and one Choi diagonalisation per stack, and each probe stage on the
+    whole stack.  Every trial keeps its own random streams, so each report
+    equals :func:`classify` of its unitary with its probe seed.  A
+    GENERATOR scan induces and diagonalises its one map once; only the
+    probe seeds differ between its trials.
     """
     d = _as_decomposition(source)
     n = d.dim_a * d.dim_e
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    seeds = [child.spawn(2) for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
     if cfg.family == GENERATOR:
         fixed_u = generator_unitary(cfg.params, n)
+        fixed = induce(d, fixed_u).stack
     reports = []
-    for trial, child in enumerate(children):
-        u_seed, probe_seed = child.spawn(2)
-        u = haar_unitary(n, u_seed) if cfg.family == HAAR else fixed_u
-        report = classify(d, u, cfg, probe_seed=probe_seed)
-        reports.append(replace(report, trial=trial))
+    for start in range(0, cfg.trials, TRIAL_GROUP):
+        group = seeds[start : start + TRIAL_GROUP]
+        if cfg.family == HAAR:
+            us = check_unitaries(haar_unitaries(n, [u_seed for u_seed, _ in group]))
+            stack = induce_stack(d, us)
+        else:
+            stack, us = fixed, [fixed_u]
+        reports += _reports(
+            stack,
+            us,
+            cfg,
+            [probe_seed for _, probe_seed in group],
+            range(start, start + len(group)),
+        )
     return tuple(reports)
 
 

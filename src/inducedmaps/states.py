@@ -26,7 +26,6 @@ from .linalg import (
     dagger,
     frozen,
     hadamard,
-    hermitian_deviation,
     hermitian_eigen,
     is_psd,
     share_on_deepcopy,
@@ -69,21 +68,36 @@ class PairClass(IntEnum):
 def validate_density_matrix(rho, name: str = "rho"):
     """Check hermiticity, unit trace, and positivity; return the matrix.
 
-    All three checks use ``DEFAULT_DENSITY_TOL`` (hermiticity in max-entry norm).
+    All three checks use ``DEFAULT_DENSITY_TOL`` (hermiticity in max-entry
+    norm).  This is the one-element case of :func:`check_densities`.
     """
     rho = as_square(rho, name)
-    dev = hermitian_deviation(rho)
-    if dev > DEFAULT_DENSITY_TOL:
-        raise ValidationError(
-            f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {DEFAULT_DENSITY_TOL:.3e}"
-        )
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > DEFAULT_DENSITY_TOL:
-        raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
-    ok, lam = is_psd(rho, DEFAULT_DENSITY_TOL)
-    if not ok:
-        raise ValidationError(f"{name} has negative eigenvalue {lam:.3e}")
+    check_densities(rho[None], name)
     return rho
+
+
+def check_densities(rhos: np.ndarray, name: str) -> np.ndarray:
+    """:func:`validate_density_matrix` of every matrix in a finite ``(T, n, n)`` stack.
+
+    Each check runs once on the whole stack, in the same order, and the
+    first matrix that fails it is reported.  Returns ``rhos``.
+    """
+    adj = rhos.conj().swapaxes(-1, -2)
+    dev = np.abs(rhos - adj).max(axis=(1, 2))
+    bad = dev > DEFAULT_DENSITY_TOL
+    if bad.any():
+        raise ValidationError(
+            f"{name} is not Hermitian: max deviation {dev[bad][0]:.3e} exceeds {DEFAULT_DENSITY_TOL:.3e}"
+        )
+    tr = rhos.trace(axis1=1, axis2=2)
+    bad = np.abs(tr - 1.0) > DEFAULT_DENSITY_TOL
+    if bad.any():
+        raise ValidationError(f"{name} has trace {complex(tr[bad][0]):.12g}, expected 1")
+    lam = np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0]
+    bad = ~(lam >= -DEFAULT_DENSITY_TOL)
+    if bad.any():
+        raise ValidationError(f"{name} has negative eigenvalue {lam[bad][0]:.3e}")
+    return rhos
 
 
 @dataclass(frozen=True)
@@ -184,9 +198,9 @@ class SLDecomposition:
 
     __deepcopy__ = share_on_deepcopy
 
-    @property
+    @cached_property
     def is_sl(self) -> bool:
-        """True when no block is traceless yet nonzero."""
+        """True when no block is traceless yet nonzero (computed once)."""
         return not bool(np.any(self.pair_class == PairClass.TRACELESS_NONZERO))
 
 
@@ -246,7 +260,12 @@ def decompose_blocks(rho_ae, dim_a: int, dim_e: int) -> SLDecomposition:
     (stored raw with coefficient 1), and the rest are ZERO_BLOCK.  For an
     ensemble, read the cached ``SeparableEnsemble.decomposition`` instead.
     """
-    rho = validate_density_matrix(rho_ae, name="rho_ae")
+    return split_blocks(validate_density_matrix(rho_ae, name="rho_ae"), dim_a, dim_e)
+
+
+def split_blocks(rho, dim_a: int, dim_e: int) -> SLDecomposition:
+    """:func:`decompose_blocks` of a matrix that already passed
+    :func:`validate_density_matrix`, without validating it again."""
     n = dim_a * dim_e
     if dim_a < 1 or dim_e < 1 or rho.shape[0] != n:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")

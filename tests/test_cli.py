@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import inducedmaps.cli as cli
+import inducedmaps.states as states
 from inducedmaps import (
     CLASS_CANDIDATE,
     CLASS_NON_POSITIVE,
@@ -178,6 +179,37 @@ def test_induce_reports_choi_floor_of_cp_product_source(tmp_path, capsys):
     assert probe["floor"] >= -payload["config"]["witness_tol"]
     assert probe["min_eig"] >= probe["floor"]
     assert probe["witness"] is None
+
+
+@pytest.mark.parametrize("kind", ["matrix", "ensemble"])
+def test_induce_validates_its_state_once(tmp_path, capsys, monkeypatch, kind):
+    names = []
+    real = states.validate_density_matrix
+
+    def recorded(rho, name="rho"):
+        names.append(name)
+        return real(rho, name)
+
+    monkeypatch.setattr(states, "validate_density_matrix", recorded)
+    monkeypatch.setattr(cli, "validate_density_matrix", recorded)
+    unitary, inp = tmp_path / "u.json", tmp_path / "in.json"
+    if kind == "matrix":
+        state = tmp_path / "bell.json"
+        save_matrix(state, bell_density())
+        argv = ["induce", str(state), str(unitary), str(inp), "--dim-a", "2"]
+        save_matrix(unitary, cnot())
+        save_matrix(inp, np.diag([1.0, 0.0]).astype(complex))
+    else:
+        state = write_ensemble(tmp_path, "e.json", four_block_ensemble())
+        argv = ["induce", state, str(unitary), str(inp)]
+        save_matrix(unitary, haar_unitary(8, 3))
+        save_matrix(inp, np.eye(4, dtype=complex) / 4.0)
+    code, _, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    # the state once, then the input; loading the ensemble validates its
+    # terms, not the assembled state
+    state_name = "state" if kind == "matrix" else "rho_ae"
+    assert [n for n in names if n in ("state", "rho_ae", "input")] == [state_name, "input"]
 
 
 def test_induce_requires_dim_a_for_matrix_states(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Batched kernels of the induced-map layer: ``induce`` and the positivity probe."""
+"""Batched kernels of the induced-map layer (``induce``, the positivity probe)
+and the trial stacks ``scan`` runs them on."""
 
 import tracemalloc
 from functools import partial
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 
 from inducedmaps import (
+    GENERATOR,
     NO_VIOLATION_FOUND,
     VIOLATED,
+    EnsembleTerm,
     PairClass,
+    SeparableEnsemble,
     SearchConfig,
     assemble,
     check_condition,
@@ -17,6 +21,7 @@ from inducedmaps import (
     classify,
     dagger,
     decompose_blocks,
+    generator_unitary,
     InducedMap,
     haar_unitary,
     has_vqd,
@@ -28,9 +33,11 @@ from inducedmaps import (
     scan,
     validate_density_matrix,
 )
+from inducedmaps import maps, search
 from inducedmaps.cli import EXIT_USAGE, main
-from inducedmaps.jsonio import save_matrix
+from inducedmaps.jsonio import save_ensemble, save_matrix
 from inducedmaps.maps import min_eig_2x2
+from inducedmaps.search import MAX_TRIALS, TRIAL_GROUP
 from inducedmaps.presets import (
     bell_density,
     cnot,
@@ -81,6 +88,54 @@ def product_map(seed=0):
 
 def bell_cnot_map():
     return induce(decompose_blocks(bell_density(), 2, 2), cnot())
+
+
+def reference_probe(m, budget, seed, tol=1e-9, refine_iters=200):
+    """One map at a time: sample, refine, certify (the probe before stacking)."""
+    da = m.dim_a
+    herm = lambda a: (a + dagger(a)) / 2.0
+    apply = lambda rho: np.einsum("kl,klab->ab", rho, m.images) + m.shift
+    c = choi_matrix(m)
+    floor = float(np.linalg.eigvalsh(herm(c))[0] + np.linalg.eigvalsh(herm(m.shift))[0])
+    if floor >= -tol:
+        return NO_VIOLATION_FOUND, float(np.linalg.eigvalsh(herm(apply(np.eye(da) / da)))[0]), None
+
+    def outputs(xs):
+        inputs = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(len(xs), da * da)
+        out = (inputs @ m.images.reshape(da * da, da * da)).reshape(-1, da, da)
+        out += m.shift
+        return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+    rng = np.random.default_rng(seed)
+    best, best_x = np.inf, None
+    for start in range(0, budget, 1024):
+        size = min(1024, budget - start)
+        xs = rng.normal(size=(size, da)) + 1j * rng.normal(size=(size, da))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        outs = outputs(xs)
+        lams = min_eig_2x2(outs) if da == 2 else np.linalg.eigvalsh(outs)[:, 0]
+        i = int(np.argmin(lams))
+        lam = float(np.linalg.eigvalsh(outs[i])[0])
+        if lam < best:
+            best, best_x = lam, xs[i]
+    if refine_iters > 0:
+        y = np.linalg.eigh(outputs(best_x[None])[0])[1][:, 0]
+    for left in range(refine_iters - 1, -1, -1):
+        q = (m.images @ y) @ y.conj() + (y.conj() @ m.shift @ y) * np.eye(da)
+        x = np.linalg.eigh(q)[1][:, 0].conj()
+        w, v = np.linalg.eigh(outputs(x[None])[0])
+        gain = best - float(w[0])
+        if not gain > 0.0:
+            break
+        best, best_x, y = float(w[0]), x, v[:, 0]
+        if best - gain * left > -tol:
+            break
+    if best < -tol:
+        witness = np.outer(best_x, best_x.conj())
+        lam = float(np.linalg.eigvalsh(herm(apply(witness)))[0])
+        if lam < -tol:
+            return VIOLATED, lam, witness
+    return NO_VIOLATION_FOUND, best, None
 
 
 def choi_floor(m):
@@ -264,10 +319,12 @@ def test_classify_diagonalises_the_choi_matrix_once(source, monkeypatch):
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    # classify runs the stacked kernels on a one-element stack; a single
+    # Choi matrix or a stack of one counts alike
     choi_shape = (d.dim_a**2, d.dim_a**2)
     for calls, u in enumerate(unitaries, start=1):
         classify(d, u, SearchConfig(positivity_budget=50))
-        assert shapes.count(choi_shape) == calls
+        assert sum(s in (choi_shape, (1, *choi_shape)) for s in shapes) == calls
 
 
 @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
@@ -340,3 +397,204 @@ def test_induce_cli_rejects_empty_budget_as_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "budget must be >= 1" in captured.err
+
+
+def discordant(dim_a, dim_e, seed):
+    """Decomposition of a mixture of random products; it carries discord."""
+    rng = np.random.default_rng(seed)
+    terms = [
+        EnsembleTerm(p, random_density(dim_a, rng), random_density(dim_e, rng))
+        for p in (0.3, 0.3, 0.4)
+    ]
+    return SeparableEnsemble(dim_a, dim_e, tuple(terms)).decomposition
+
+
+def discordant_8x4():
+    return discordant(8, 4, 5)
+
+
+STACK_SOURCES = {
+    "bell-2x2": lambda: decompose_blocks(bell_density(), 2, 2),
+    "coherent-4x2": SOURCES["coherent-4x2"],
+    "four-block": lambda: decomposed(four_block_ensemble()),
+    "vqd-8x4": lambda: decomposed(random_vqd_ensemble(8, 4, np.random.default_rng(3))),
+    # qubit probes refine to the same point from any sample; these do not,
+    # so they show each trial drawing from its own stream
+    "mixture-8x4": discordant_8x4,
+    "generator-bell": lambda: decompose_blocks(bell_density(), 2, 2),
+}
+
+
+def trial_seeds(cfg):
+    """Unitary and probe seed of every trial, as scan spawns them."""
+    return [child.spawn(2) for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
+
+
+@pytest.mark.parametrize("budget", [50, 2500])
+@pytest.mark.parametrize("source", STACK_SOURCES, ids=STACK_SOURCES.keys())
+def test_scan_stack_equals_one_trial_classify(source, budget):
+    d = STACK_SOURCES[source]()
+    n = d.dim_a * d.dim_e
+    family = {}
+    if source.startswith("generator"):
+        params = np.random.default_rng(2).normal(size=n * n)
+        family = {"family": GENERATOR, "params": params}
+    # six trials span a full stack and a partial one
+    cfg = SearchConfig(trials=TRIAL_GROUP + 2, positivity_budget=budget, seed=9, **family)
+    reports = scan(d, cfg)
+    assert [r.trial for r in reports] == list(range(cfg.trials))
+    for r, (u_seed, probe_seed) in zip(reports, trial_seeds(cfg)):
+        if family:
+            u = generator_unitary(params, n)
+        else:
+            u = haar_unitary(n, u_seed)
+        alone = classify(d, u, cfg, probe_seed=probe_seed)
+        assert r.unitary.tobytes() == alone.unitary.tobytes()
+        assert (r.choi_min_eig, r.shift_norm) == (alone.choi_min_eig, alone.shift_norm)
+        assert r.classification == alone.classification
+        p, q = r.positivity, alone.positivity
+        assert (p.status, p.min_eig, p.floor) == (q.status, q.min_eig, q.floor)
+        if p.witness is None:
+            assert q.witness is None
+        else:
+            assert p.witness.tobytes() == q.witness.tobytes()
+
+
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+def test_scan_runs_one_qr_and_one_choi_diagonalisation_per_stack(source, monkeypatch):
+    d = source()
+    n, choi_dim = d.dim_a * d.dim_e, d.dim_a**2
+    calls = {"qr": [], "eigvalsh": [], "eigh": []}
+    for name, shapes in calls.items():
+
+        def counted(a, *args, _real=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    trials = 2 * TRIAL_GROUP + 1
+    scan(d, SearchConfig(trials=trials, positivity_budget=50))
+    sizes = [TRIAL_GROUP, TRIAL_GROUP, 1]
+    assert calls["qr"] == [(size, n, n) for size in sizes]
+    choi = [s for s in calls["eigvalsh"] + calls["eigh"] if s[-2:] == (choi_dim, choi_dim)]
+    assert choi == [(size, choi_dim, choi_dim) for size in sizes]
+
+
+def test_generator_scan_induces_and_diagonalises_its_map_once(monkeypatch):
+    d = decompose_blocks(bell_density(), 2, 2)
+    cfg = SearchConfig(
+        family=GENERATOR,
+        params=np.random.default_rng(2).normal(size=16),
+        trials=2 * TRIAL_GROUP + 1,
+        positivity_budget=50,
+    )
+    induced, choi = [], []
+    real_induce_stack = search.induce_stack
+
+    def counted_induce_stack(d, us):
+        induced.append(len(us))
+        return real_induce_stack(d, us)
+
+    def counted_eigvalsh(a, _real=np.linalg.eigvalsh):
+        if np.shape(a)[-2:] == (4, 4):
+            choi.append(np.shape(a))
+        return _real(a)
+
+    monkeypatch.setattr(search, "induce_stack", counted_induce_stack)
+    monkeypatch.setattr(maps, "induce_stack", counted_induce_stack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    reports = scan(d, cfg)
+    assert induced == [1] and choi == [(1, 4, 4)]
+    assert len({(r.unitary.tobytes(), r.choi_min_eig, r.positivity.floor) for r in reports}) == 1
+
+
+def test_scan_memory_does_not_grow_with_trials():
+    d = discordant_8x4()
+    transient = {}
+    for trials in (4, 64):
+        cfg = SearchConfig(trials=trials, positivity_budget=200, seed=1)
+        tracemalloc.start()
+        try:
+            reports = scan(d, cfg)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(r.positivity.floor < -1e-9 for r in reports)  # the probe sampled
+        # the reports themselves are the result, not working memory
+        transient[trials] = peak - current
+    # 64 trials evaluated as one stack would need about 16 times as much
+    assert transient[64] < 1.25 * transient[4]
+
+
+def test_search_config_caps_the_trial_count():
+    assert SearchConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+    with pytest.raises(ValueError, match="trials"):
+        SearchConfig(trials=MAX_TRIALS + 1)
+
+
+def test_hunt_cli_rejects_trials_above_the_cap_before_searching(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "scan", no_search)
+    path = tmp_path / "e.json"
+    save_ensemble(path, coherent_ensemble())
+    assert main(["hunt", str(path), "--trials", str(MAX_TRIALS + 1)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"between 1 and {MAX_TRIALS}" in captured.err
+
+
+def choi_positive_map():
+    images = np.zeros((3, 3, 3, 3), dtype=complex)
+    for k in range(3):
+        for l in range(3):
+            images[k, l, k, l] = -1.0
+        images[k, k, k, k] = 1.0
+        images[k, k, (k + 1) % 3, (k + 1) % 3] = 1.0
+    return InducedMap(3, images, np.zeros((3, 3)))
+
+
+def weak_bell(coherence):
+    rho = (1 - coherence) * np.diag([0.5, 0.0, 0.0, 0.5]) + coherence * bell_density()
+    return decompose_blocks(rho, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "budget, refine_iters", [(1, 200), (50, 0), (50, 3), (500, 200), (2500, 200)]
+)
+def test_probe_stack_matches_the_one_map_reference(budget, refine_iters):
+    rng = np.random.default_rng(13)
+    # qubit maps, positive qubit maps, 3x3 maps whose refine can stop
+    # early without a witness, and 8x4 maps that lose positivity
+    sources = (
+        decompose_blocks(bell_density(), 2, 2),
+        weak_bell(0.2),
+        discordant(3, 3, 1),
+        discordant_8x4(),
+    )
+    groups = [
+        [induce(d, haar_unitary(d.dim_a * d.dim_e, rng)) for _ in range(3)]
+        for d in sources
+    ]
+    # Choi's positive map on 3x3 inputs, which is not CP: the refine's
+    # gains shrink towards its minimum 0, so it stops on the reach test
+    groups.append([choi_positive_map()] * 3)
+    statuses = set()
+    for group in groups:
+        for stacked in (group[:2], group[2:], group):
+            stack = maps.MapStack(
+                np.stack([m.images for m in stacked]), np.stack([m.shift for m in stacked])
+            )
+            seeds = [int(rng.integers(1 << 30)) for _ in stacked]
+            probes = maps.probe_stack(stack, seeds, budget, 1e-9, refine_iters)
+            for m, seed, probe in zip(stacked, seeds, probes):
+                status, min_eig, witness = reference_probe(m, budget, seed, 1e-9, refine_iters)
+                assert (probe.status, probe.min_eig) == (status, min_eig)
+                if witness is None:
+                    assert probe.witness is None
+                else:
+                    assert probe.witness.tobytes() == witness.tobytes()
+                statuses.add((status, probe.floor < -1e-9))
+    # sampled maps both with and without a witness
+    assert {(VIOLATED, True), (NO_VIOLATION_FOUND, True)} <= statuses

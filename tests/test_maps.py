@@ -273,6 +273,9 @@ def test_is_cp_rejects_non_hermitian_and_non_finite_images():
     broken[1, 0, 0, 0] = np.nan
     with pytest.raises(ValidationError, match="non-finite"):
         is_cp(InducedMap(2, broken, shift))
+    # a NaN shift norm compares false against tol, which read as CP
+    with pytest.raises(ValidationError, match="non-finite"):
+        is_cp(InducedMap(2, images, np.full((2, 2), np.nan)))
 
 
 def test_probe_certifies_violation_for_flipped_bell_blocks():
