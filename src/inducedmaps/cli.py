@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .discord import NONZERO, VQD, has_vqd
+from .discord import NONZERO, VQD, discord_verdict
 from .errors import (
     PreconditionTheoremError,
     PreconditionVqdError,
@@ -123,16 +123,17 @@ def _probe_payload(probe) -> dict:
 
 
 def _state_with_dims(path, dim_a_flag):
-    """Load a state file as ``(rho, dim_a, dim_e, blocks)``.
+    """Load a state file as ``(rho, dim_a, dim_e, blocks)`` with ``rho`` validated.
 
-    A matrix is validated here and needs --dim-a to fix the tensor split;
-    an ensemble's state is validated when its cached decomposition is
-    first read.  ``blocks()`` returns the block decomposition without
-    validating the state again.
+    A matrix is validated as ``state`` and needs --dim-a to fix the tensor
+    split; an ensemble's assembled state is validated, as ``rho_ae``, by
+    its cached decomposition.  ``blocks()`` returns the block
+    decomposition without validating the state again.
     """
     kind, state = load_state(path)
     if kind == "ensemble":
-        return state.state, state.dim_a, state.dim_e, lambda: state.decomposition
+        d = state.decomposition
+        return state.state, state.dim_a, state.dim_e, lambda: d
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]
     if dim_a_flag is None:
@@ -152,7 +153,8 @@ def _cmd_check(args) -> int:
     report = check_condition(
         e, tol=args.tol, support_cutoff=args.support_cutoff, ortho_tol=args.ortho_tol
     )
-    verdict = has_vqd(e.state, e.dim_a, e.dim_e, tol=args.vqd_tol, seed=args.seed)
+    # check_condition validated e.state when it read e.decomposition.
+    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol, args.seed)
     _print_report(
         {
             "sl_class": report.sl_class,
@@ -229,7 +231,7 @@ def _cmd_induce(args) -> int:
 
 def _cmd_discord(args) -> int:
     rho, dim_a, dim_e, _ = _state_with_dims(args.state, args.dim_a)
-    verdict = has_vqd(rho, dim_a, dim_e, tol=args.tol, seed=args.seed)
+    verdict = discord_verdict(rho, dim_a, dim_e, args.tol, args.seed)
     payload = _discord_payload(verdict)
     payload["config"] = {
         "dim_a": dim_a,

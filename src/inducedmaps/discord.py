@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import check_tolerance, dagger, hermitian_eigen, partial_trace, tensor
+from .linalg import check_tolerance, dagger, hermitian_eigen, partial_trace
 from .states import validate_density_matrix
 
 VQD = "VQD"
@@ -41,13 +41,18 @@ class DiscordVerdict:
 def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
     """Max-norm defect of pinching ``rho_ae`` in an orthonormal A basis.
 
-    ``basis`` must be unitary (columns are the measurement directions).
-    Returns ``max| sum_k (P_k ⊗ I) rho (P_k ⊗ I) - rho |``.
+    ``basis`` must be finite and unitary (columns are the measurement
+    directions), else :class:`ValidationError`.  Returns
+    ``max| sum_k (P_k ⊗ I) rho (P_k ⊗ I) - rho |``, computed by rotating
+    ``rho`` into the basis once, keeping its diagonal A blocks and
+    rotating back.
     """
     rho = validate_density_matrix(rho_ae, name="rho_ae")
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (dim_a, dim_a):
         raise ShapeError(f"basis shape {basis.shape}, expected {(dim_a, dim_a)}")
+    if not np.isfinite(basis).all():
+        raise ValidationError("basis contains non-finite entries")
     unit_dev = float(np.abs(dagger(basis) @ basis - np.eye(dim_a)).max())
     if unit_dev > 1e-10:
         raise ValidationError(f"basis is not unitary: deviation {unit_dev:.3e}")
@@ -57,13 +62,14 @@ def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
 
 
 def _pinching_defect(rho: np.ndarray, basis, dim_a: int, dim_e: int) -> float:
-    # Kernel of pinching_defect for a validated state and unitary basis.
-    eye_e = np.eye(dim_e)
-    pinched = np.zeros_like(rho)
-    for k in range(dim_a):
-        col = basis[:, k]
-        pk = tensor(np.outer(col, col.conj()), eye_e)
-        pinched += pk @ rho @ pk
+    # Kernel of pinching_defect for a validated state and unitary basis:
+    # in the rotated frame (B ⊗ I)† rho (B ⊗ I) the pinching keeps the
+    # blocks on the A diagonal and zeroes the others.
+    n = dim_a * dim_e
+    u = np.kron(basis, np.eye(dim_e))
+    rotated = (dagger(u) @ rho @ u).reshape(dim_a, dim_e, dim_a, dim_e)
+    diagonal = np.eye(dim_a, dtype=bool)[:, None, :, None]
+    pinched = u @ np.where(diagonal, rotated, 0.0).reshape(n, n) @ dagger(u)
     return float(np.abs(pinched - rho).max())
 
 
@@ -80,11 +86,11 @@ def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
-def _refined_eigenbasis(mats: list[np.ndarray], gap: float) -> np.ndarray:
+def _refined_eigenbasis(mats: list[np.ndarray]) -> np.ndarray:
     """Simultaneous eigenbasis by successive block refinement.
 
-    Diagonalizes the first matrix, then re-diagonalizes each (near-)
-    degenerate eigenvalue cluster under the next matrix, and so on.
+    Diagonalizes the first matrix, then re-diagonalizes each cluster of
+    eigenvalues within ``DEGENERACY_GAP`` under the next matrix, and so on.
     Deterministic for fixed inputs.
     """
     dim = mats[0].shape[0]
@@ -101,7 +107,7 @@ def _refined_eigenbasis(mats: list[np.ndarray], gap: float) -> np.ndarray:
             v[:, idx] = v[:, idx] @ s
             start = 0
             for pos in range(1, len(idx)):
-                if w[pos] - w[pos - 1] > gap:
+                if w[pos] - w[pos - 1] > DEGENERACY_GAP:
                     new_blocks.append(idx[start:pos])
                     start = pos
             new_blocks.append(idx[start:])
@@ -115,12 +121,11 @@ def has_vqd(
     dim_e: int,
     tol: float = 1e-9,
     seed: int = 0,
-    degeneracy_gap: float = DEGENERACY_GAP,
 ) -> DiscordVerdict:
     """Decide whether a bipartite state has vanishing discord on A.
 
     Candidate bases come from two places: when the A marginal is
-    nondegenerate (all eigenvalue gaps above ``degeneracy_gap``) its
+    nondegenerate (all eigenvalue gaps above ``DEGENERACY_GAP``) its
     eigenbasis is the only basis any invariant pinching could use, so it
     is tested directly and a failure is conclusive (NONZERO).  Otherwise
     two seeded random Hermitian probes on E are contracted against the
@@ -135,15 +140,24 @@ def has_vqd(
     NONZERO even though no single failing basis can be exhibited.
     Degenerate cases with commuting probes whose candidates all fail are
     INDETERMINATE — never a guessed NONZERO.  ``tol`` must be a finite
-    number >= 0, else ValueError.
+    number >= 0, else ValueError.  ``rho_ae`` is validated to
+    ``DEFAULT_DENSITY_TOL``; for a state that already passed
+    :func:`validate_density_matrix`, call :func:`discord_verdict`.
     """
     check_tolerance(tol)
     rho = validate_density_matrix(rho_ae, name="rho_ae")
+    return discord_verdict(rho, dim_a, dim_e, tol, seed)
+
+
+def discord_verdict(rho, dim_a: int, dim_e: int, tol: float, seed: int) -> DiscordVerdict:
+    """:func:`has_vqd` of a matrix that already passed
+    :func:`validate_density_matrix`, at a ``tol`` already checked, without
+    validating either again."""
     if rho.shape[0] != dim_a * dim_e:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
     rho_a = partial_trace(rho, dim_a, dim_e, side="E")
     w, v_a = hermitian_eigen(rho_a)
-    nondegenerate = bool(np.all(np.diff(w) > degeneracy_gap))
+    nondegenerate = bool(np.all(np.diff(w) > DEGENERACY_GAP))
 
     if nondegenerate:
         defect = _pinching_defect(rho, v_a, dim_a, dim_e)
@@ -158,7 +172,7 @@ def has_vqd(
     commutator = float(np.abs(t1 @ t2 - t2 @ t1).max())
     candidates = []
     if commutator <= tol:
-        candidates.append(_refined_eigenbasis([t1, t2, rho_a], degeneracy_gap))
+        candidates.append(_refined_eigenbasis([t1, t2, rho_a]))
     candidates.append(v_a)
 
     best_defect = np.inf

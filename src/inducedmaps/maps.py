@@ -484,7 +484,9 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     eigenvalues, reshaped so that ``sum_j K_j rho K_j†`` reproduces the
     map's linear action.  A Choi eigenvalue below ``-tol`` raises
     :class:`NotPsdError`; eigenvalues up to ``KRAUS_KEEP_TOL`` are discarded.
-    ``tol`` must be a finite number >= 0, else ValueError.
+    The kept eigenvectors are scaled and reshaped as one array, and the
+    operators come in ascending eigenvalue order.  ``tol`` must be a
+    finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
     choi = as_square(choi, "choi")
@@ -494,8 +496,7 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     w, v = hermitian_eigen(choi, tol=max(tol, 1e-9))
     if float(w[0]) < -tol:
         raise NotPsdError(f"Choi matrix has negative eigenvalue {float(w[0]):.3e}")
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > KRAUS_KEEP_TOL:
-            ops.append(np.sqrt(lam) * vec.reshape(da, da).T)
-    return ops
+    keep = w > KRAUS_KEEP_TOL
+    # Column j of v, reshaped to (da, da) and transposed, is operator j.
+    scaled = (v[:, keep] * np.sqrt(w[keep])).T
+    return list(scaled.reshape(-1, da, da).swapaxes(1, 2))

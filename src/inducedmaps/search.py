@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
-from .discord import VQD, has_vqd
+from .discord import VQD, discord_verdict
 from .linalg import (
     check_tolerance,
     dagger,
@@ -309,7 +309,8 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
         raise PreconditionTheoremError(
             f"block-support condition does not hold: witnesses {list(report.witnesses)}"
         )
-    verdict = has_vqd(e.state, e.dim_a, e.dim_e, tol=cfg.vqd_tol, seed=cfg.seed)
+    # check_condition validated e.state when it read e.decomposition.
+    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol, cfg.seed)
     if verdict.status == VQD:
         raise PreconditionVqdError(
             "ensemble has vanishing discord (pinching defect "

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CancellationError,
+    HermiticityError,
     NonSLError,
     ShapeError,
     ValidationError,
@@ -23,11 +24,8 @@ from .errors import (
 from .linalg import (
     as_square,
     check_tolerance,
-    dagger,
     frozen,
     hadamard,
-    hermitian_eigen,
-    is_psd,
     share_on_deepcopy,
     tensor,
 )
@@ -265,27 +263,27 @@ def decompose_blocks(rho_ae, dim_a: int, dim_e: int) -> SLDecomposition:
 
 def split_blocks(rho, dim_a: int, dim_e: int) -> SLDecomposition:
     """:func:`decompose_blocks` of a matrix that already passed
-    :func:`validate_density_matrix`, without validating it again."""
+    :func:`validate_density_matrix`, without validating it again.
+
+    All ``dim_a²`` blocks are classified at once on a ``(k, l, e, f)``
+    view of ``rho``; each block trace is summed along its own diagonal, as
+    ``np.trace`` of the block would, so the result is bit for bit that of
+    a per-block loop.
+    """
     n = dim_a * dim_e
     if dim_a < 1 or dim_e < 1 or rho.shape[0] != n:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
-    coeffs = np.zeros((dim_a, dim_a), dtype=complex)
-    blocks = np.zeros((dim_a, dim_a, dim_e, dim_e), dtype=complex)
-    pair_class = np.zeros((dim_a, dim_a), dtype=np.int8)
-    for k in range(dim_a):
-        for l in range(dim_a):
-            block = rho[k * dim_e : (k + 1) * dim_e, l * dim_e : (l + 1) * dim_e]
-            tr = complex(np.trace(block))
-            if abs(tr) > BLOCK_TRACE_TOL:
-                coeffs[k, l] = tr
-                blocks[k, l] = block / tr
-                pair_class[k, l] = PairClass.UNIT_TRACE
-            elif np.abs(block).max() > BLOCK_ZERO_TOL:
-                coeffs[k, l] = 1.0
-                blocks[k, l] = block
-                pair_class[k, l] = PairClass.TRACELESS_NONZERO
-            else:
-                pair_class[k, l] = PairClass.ZERO_BLOCK
+    view = rho.reshape(dim_a, dim_e, dim_a, dim_e).swapaxes(1, 2)
+    # A contiguous diagonal makes the trace a reduction along the last axis.
+    tr = np.ascontiguousarray(view.diagonal(axis1=2, axis2=3)).sum(axis=-1)
+    unit = np.abs(tr) > BLOCK_TRACE_TOL
+    raw = ~unit & (np.abs(view).max(axis=(2, 3)) > BLOCK_ZERO_TOL)
+    coeffs = np.where(unit, tr, np.where(raw, 1.0, 0.0))
+    scaled = view / np.where(unit, tr, 1.0)[:, :, None, None]
+    blocks = np.where(unit[:, :, None, None], scaled, np.where(raw[:, :, None, None], view, 0.0))
+    pair_class = np.where(
+        unit, PairClass.UNIT_TRACE, np.where(raw, PairClass.TRACELESS_NONZERO, PairClass.ZERO_BLOCK)
+    )
     return SLDecomposition(dim_a, dim_e, coeffs, blocks, pair_class)
 
 
@@ -324,29 +322,54 @@ def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
         raise NonSLError(
             f"assembled state has traceless nonzero blocks at {pairs.tolist()}"
         )
-    gamma = np.zeros((e.dim_a, e.dim_a), dtype=complex)
-    for t in e.terms:
-        gamma += t.p * t.rho_a
+    rho_as = np.stack([t.rho_a for t in e.terms])
+    weights = np.array([t.p for t in e.terms])
+    # The sum over the leading axis adds the terms in order.
+    gamma = (weights[:, None, None] * rho_as).sum(axis=0)
     defined = np.abs(gamma) > BLOCK_TRACE_TOL
-    matrices = []
-    for i, t in enumerate(e.terms):
-        stray = ~defined & (np.abs(t.rho_a) > BLOCK_ZERO_TOL)
-        if np.any(stray):
-            entries = np.argwhere(stray).tolist()
-            raise CancellationError(
-                f"component {i} is nonzero at {entries} where the total "
-                "coefficient vanishes; rescaling is indeterminate"
-            )
-        ratio = np.zeros_like(gamma)
-        np.divide(t.rho_a, gamma, out=ratio, where=defined)
-        matrices.append(ratio)
-    return RescaledSet(tuple(matrices), defined)
+    stray = ~defined & (np.abs(rho_as) > BLOCK_ZERO_TOL)
+    if stray.any():
+        i = int(np.argmax(stray.any(axis=(1, 2))))
+        raise CancellationError(
+            f"component {i} is nonzero at {np.argwhere(stray[i]).tolist()} where the "
+            "total coefficient vanishes; rescaling is indeterminate"
+        )
+    ratios = np.zeros_like(rho_as)
+    np.divide(rho_as, gamma, out=ratios, where=defined)
+    return RescaledSet(tuple(ratios), defined)
 
 
-def _support_projector(rho: np.ndarray, cutoff: float) -> np.ndarray:
-    w, v = hermitian_eigen(rho)
-    keep = v[:, w > cutoff]
-    return keep @ dagger(keep)
+def _hermitian_min_eigs(ms: np.ndarray, tol: float) -> np.ndarray:
+    # λmin of the Hermitian part of each matrix in a (T, d, d) stack, with
+    # the checks of hermitian_eigen(m, tol) and its errors: the first
+    # matrix that is non-finite or further than tol from Hermitian fails.
+    adj = ms.conj().swapaxes(-1, -2)
+    dev = np.abs(ms - adj).max(axis=(1, 2))
+    # A non-finite entry makes its deviation inf or NaN, so it fails too.
+    bad = ~(dev <= tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not np.isfinite(ms[i]).all():
+            raise ValidationError("m contains non-finite entries")
+        raise HermiticityError(f"hermiticity deviation {dev[i]:.3e} exceeds tolerance {tol:.3e}")
+    # eigh, not eigvalsh: its eigenvalues are hermitian_eigen's to the bit.
+    return np.linalg.eigh((ms + adj) / 2.0)[0][:, 0]
+
+
+def _support_projectors(rhos: np.ndarray, cutoff: float) -> np.ndarray:
+    # Projector onto the eigenvectors above cutoff of each validated matrix
+    # in a (T, d, d) stack.  One eigh serves the stack; the products are
+    # taken per rank, so each projector is the same matmul of the same
+    # (d, rank) factor that a one-matrix projector would be.
+    w, v = np.linalg.eigh((rhos + rhos.conj().swapaxes(-1, -2)) / 2.0)
+    ranks = (w > cutoff).sum(axis=1)
+    projectors = np.empty_like(rhos)
+    for r in set(ranks.tolist()):
+        # eigh sorts ascending, so the kept eigenvectors are the last r.
+        same = ranks == r
+        keep = np.ascontiguousarray(v[same, :, v.shape[-1] - r :])
+        projectors[same] = keep @ keep.conj().swapaxes(-1, -2)
+    return projectors
 
 
 def check_condition(
@@ -367,6 +390,12 @@ def check_condition(
     route does.  Cancellation blocks the rescaled route only; the
     projector route is still evaluated.  Every tolerance must be a finite
     number >= 0, else ValueError.
+
+    Each step runs once on the stacked terms, whatever their number: one
+    Hermiticity check and one ``eigh`` of the rescaled matrices, one
+    ``eigh`` of the ``rho_a`` factors for their support projectors, and
+    one singular-value call over the products of all pairs ``i < j``.
+    Witnesses list failing terms, then failing pairs, in index order.
     """
     check_tolerance(tol)
     check_tolerance(support_cutoff, "support_cutoff")
@@ -388,36 +417,44 @@ def check_condition(
                 {"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}
             )
         else:
-            rescaled_psd = True
-            for i, m in enumerate(rs.matrices):
-                ok, lam = is_psd(m, tol)
-                if not ok:
-                    rescaled_psd = False
-                    witnesses.append(
-                        {"route": ROUTE_RESCALED, "term": i, "min_eig": lam}
-                    )
+            lam = _hermitian_min_eigs(np.stack(rs.matrices), tol)
+            failing = np.flatnonzero(~(lam >= -tol))
+            rescaled_psd = not failing.size
+            witnesses += (
+                {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
+                for i in failing
+            )
 
-    block_projector = True
+    block_projector = False
     if sl_class == NON_SL:
-        block_projector = False
         witnesses.append({"route": ROUTE_BLOCK, "error": "NON_SL"})
     else:
-        projectors = [_support_projector(t.rho_a, support_cutoff) for t in e.terms]
-        for i, (t, proj) in enumerate(zip(e.terms, projectors)):
-            residual = float(np.abs(t.rho_a - proj @ t.rho_a @ proj).max())
-            if residual > tol:
-                block_projector = False
-                witnesses.append(
-                    {"route": ROUTE_BLOCK, "term": i, "projection_residual": residual}
-                )
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                overlap = float(np.linalg.norm(projectors[i] @ projectors[j], 2))
-                if overlap > ortho_tol:
-                    block_projector = False
-                    witnesses.append(
-                        {"route": ROUTE_BLOCK, "pair": [i, j], "overlap": overlap}
-                    )
+        # The factors passed validate_density_matrix, whose Hermiticity test
+        # is hermitian_eigen's at the same tolerance, so none is rechecked.
+        rho_as = np.stack([t.rho_a for t in e.terms])
+        projectors = _support_projectors(rho_as, support_cutoff)
+        residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
+        failing = np.flatnonzero(residual > tol)
+        witnesses += (
+            {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
+            for i in failing
+        )
+        index = np.arange(len(rho_as))
+        first, second = np.nonzero(index[:, None] < index)
+        overlapping = ()
+        if first.size:  # a single term has no pairs
+            products = projectors[first] @ projectors[second]
+            overlap = np.linalg.svd(products, compute_uv=False).max(axis=-1)
+            overlapping = np.flatnonzero(overlap > ortho_tol)
+            witnesses += (
+                {
+                    "route": ROUTE_BLOCK,
+                    "pair": [int(first[k]), int(second[k])],
+                    "overlap": float(overlap[k]),
+                }
+                for k in overlapping
+            )
+        block_projector = not (failing.size or len(overlapping))
 
     routes = tuple(
         name

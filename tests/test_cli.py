@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import inducedmaps.cli as cli
+import inducedmaps.discord as discord
 import inducedmaps.states as states
 from inducedmaps import (
     CLASS_CANDIDATE,
@@ -271,6 +272,44 @@ def test_discord_exit_ok_on_discord_free_ensembles(tmp_path, capsys):
     assert payload["status"] == "VQD"
     assert payload["basis"] is not None
     assert payload["config"]["dim_a"] == 4
+
+
+def recorded_validations(monkeypatch):
+    """Names of every validate_density_matrix call, in order."""
+    names = []
+    real = states.validate_density_matrix
+
+    def recorded(rho, name="rho"):
+        names.append(name)
+        return real(rho, name)
+
+    for module in (states, discord, cli):
+        monkeypatch.setattr(module, "validate_density_matrix", recorded)
+    return names
+
+
+@pytest.mark.parametrize("kind", ["matrix", "ensemble"])
+def test_discord_validates_its_state_once(tmp_path, capsys, monkeypatch, kind):
+    if kind == "matrix":
+        path = tmp_path / "rho.json"
+        save_matrix(path, np.kron(random_density(2, 4), random_density(3, 5)))
+        argv = ["discord", str(path), "--dim-a", "2"]
+    else:
+        argv = ["discord", write_ensemble(tmp_path, "e.json", four_block_ensemble())]
+    names = recorded_validations(monkeypatch)
+    code, _, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    # loading an ensemble validates its terms, not the assembled state
+    state_name = "state" if kind == "matrix" else "rho_ae"
+    assert [n for n in names if n in ("state", "rho_ae")] == [state_name]
+
+
+def test_check_validates_the_ensemble_state_once(tmp_path, capsys, monkeypatch):
+    path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
+    names = recorded_validations(monkeypatch)
+    code, _, _ = run(capsys, ["check", path])
+    assert code == EXIT_OK
+    assert [n for n in names if n in ("state", "rho_ae")] == ["rho_ae"]
 
 
 def test_discord_exit_condition_fails_on_entangled_states(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Vanishing-discord detection via pinching defects."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,29 @@ def test_pinching_defect_validates_basis_and_shape():
         pinching_defect(bell_density(), np.ones((2, 2)), 2, 2)
     with pytest.raises(ShapeError):
         pinching_defect(bell_density(), np.eye(3), 3, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pinching_defect_rejects_a_non_finite_basis(bad):
+    basis = np.eye(2, dtype=complex)
+    basis[0, 0] = bad
+    with pytest.raises(ValidationError, match="basis contains non-finite entries"):
+        pinching_defect(bell_density(), basis, 2, 2)
+
+
+def test_classical_quantum_state_with_maximally_mixed_marginal_is_vqd():
+    # ½|+><+| ⊗ |0><0| + ½|-><-| ⊗ τ has marginal I/2, so the basis must
+    # come from the environment probes; taking the degenerate marginal's
+    # computational eigenbasis as the only candidate called it NONZERO
+    # with residual 0.1875
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    tau = np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)
+    rho = classical_quantum_state((0.5, 0.5), hadamard, (RHO_E_1, tau))
+    verdict = has_vqd(rho, 2, 2)
+    assert verdict.status == VQD
+    assert verdict.residual <= 1e-15
+    assert np.abs(np.abs(verdict.basis) - np.sqrt(0.5)).max() < 1e-12
+    assert "degeneracy_gap" not in inspect.signature(has_vqd).parameters
 
 
 def test_classical_mixture_with_distinct_weights_is_vqd():

@@ -1,5 +1,6 @@
-"""Batched kernels of the induced-map layer (``induce``, the positivity probe)
-and the trial stacks ``scan`` runs them on."""
+"""Batched kernels of the induced-map layer (``induce``, the positivity probe),
+the trial stacks ``scan`` runs them on, and the loop-free certification
+gates (``check_condition``, ``has_vqd``, ``split_blocks``, ``kraus_from_choi``)."""
 
 import tracemalloc
 from functools import partial
@@ -8,9 +9,15 @@ import numpy as np
 import pytest
 
 from inducedmaps import (
+    CP,
     GENERATOR,
     NO_VIOLATION_FOUND,
+    ROUTE_BLOCK,
+    ROUTE_NONE,
+    ROUTE_RESCALED,
     VIOLATED,
+    CancellationError,
+    ConditionReport,
     EnsembleTerm,
     PairClass,
     SeparableEnsemble,
@@ -25,15 +32,19 @@ from inducedmaps import (
     InducedMap,
     haar_unitary,
     has_vqd,
+    hermitian_eigen,
     induce,
     is_cp,
+    is_psd,
     kraus_from_choi,
     partial_trace,
     probe_positivity,
+    rescaled_matrices,
     scan,
+    tensor,
     validate_density_matrix,
 )
-from inducedmaps import maps, search
+from inducedmaps import discord, maps, search, states
 from inducedmaps.cli import EXIT_USAGE, main
 from inducedmaps.jsonio import save_ensemble, save_matrix
 from inducedmaps.maps import min_eig_2x2
@@ -598,3 +609,249 @@ def test_probe_stack_matches_the_one_map_reference(budget, refine_iters):
                 statuses.add((status, probe.floor < -1e-9))
     # sampled maps both with and without a witness
     assert {(VIOLATED, True), (NO_VIOLATION_FOUND, True)} <= statuses
+
+
+def reference_split_blocks(rho, dim_a, dim_e):
+    """One block at a time (the decomposition before it was vectorised)."""
+    coeffs = np.zeros((dim_a, dim_a), dtype=complex)
+    blocks = np.zeros((dim_a, dim_a, dim_e, dim_e), dtype=complex)
+    pair_class = np.zeros((dim_a, dim_a), dtype=np.int8)
+    for k in range(dim_a):
+        for l in range(dim_a):
+            block = rho[k * dim_e : (k + 1) * dim_e, l * dim_e : (l + 1) * dim_e]
+            tr = complex(np.trace(block))
+            if abs(tr) > states.BLOCK_TRACE_TOL:
+                coeffs[k, l], blocks[k, l] = tr, block / tr
+                pair_class[k, l] = PairClass.UNIT_TRACE
+            elif np.abs(block).max() > states.BLOCK_ZERO_TOL:
+                coeffs[k, l], blocks[k, l] = 1.0, block
+                pair_class[k, l] = PairClass.TRACELESS_NONZERO
+    return coeffs, blocks, pair_class
+
+
+def reference_rescaled(e):
+    """Ratios term by term, with a running total (before vectorising)."""
+    gamma = np.zeros((e.dim_a, e.dim_a), dtype=complex)
+    for t in e.terms:
+        gamma += t.p * t.rho_a
+    defined = np.abs(gamma) > states.BLOCK_TRACE_TOL
+    ratios = []
+    for t in e.terms:
+        ratio = np.zeros_like(gamma)
+        np.divide(t.rho_a, gamma, out=ratio, where=defined)
+        ratios.append(ratio)
+    return ratios, defined
+
+
+def reference_condition(e, tol=1e-9, support_cutoff=1e-9, ortho_tol=1e-9):
+    """Per term and per pair: one eigh per matrix, one SVD per pair."""
+    witnesses = []
+    sl = e.decomposition.is_sl
+    rescaled_psd = blocked = None
+    if not sl:
+        blocked = "NON_SL"
+        witnesses.append({"route": ROUTE_RESCALED, "error": "NON_SL"})
+    else:
+        try:
+            rs = rescaled_matrices(e)
+        except CancellationError as exc:
+            blocked = "CANCELLATION"
+            witnesses.append({"route": ROUTE_RESCALED, "error": blocked, "detail": str(exc)})
+        else:
+            rescaled_psd = True
+            for i, m in enumerate(rs.matrices):
+                ok, lam = is_psd(m, tol)
+                if not ok:
+                    rescaled_psd = False
+                    witnesses.append({"route": ROUTE_RESCALED, "term": i, "min_eig": lam})
+    block_projector = sl
+    if not sl:
+        witnesses.append({"route": ROUTE_BLOCK, "error": "NON_SL"})
+    else:
+        projectors = []
+        for t in e.terms:
+            w, v = hermitian_eigen(t.rho_a)
+            keep = v[:, w > support_cutoff]
+            projectors.append(keep @ dagger(keep))
+        for i, (t, proj) in enumerate(zip(e.terms, projectors)):
+            residual = float(np.abs(t.rho_a - proj @ t.rho_a @ proj).max())
+            if residual > tol:
+                block_projector = False
+                witnesses.append({"route": ROUTE_BLOCK, "term": i, "projection_residual": residual})
+        for i in range(len(projectors)):
+            for j in range(i + 1, len(projectors)):
+                overlap = float(np.linalg.norm(projectors[i] @ projectors[j], 2))
+                if overlap > ortho_tol:
+                    block_projector = False
+                    witnesses.append({"route": ROUTE_BLOCK, "pair": [i, j], "overlap": overlap})
+    routes = tuple(
+        name for name, ok in ((ROUTE_RESCALED, rescaled_psd), (ROUTE_BLOCK, block_projector)) if ok
+    )
+    return ConditionReport(
+        bool(routes),
+        routes[0] if routes else ROUTE_NONE,
+        routes,
+        "SL" if sl else "NON_SL",
+        rescaled_psd,
+        blocked,
+        block_projector,
+        tuple(witnesses),
+    )
+
+
+def reference_kraus(choi):
+    """One operator per kept eigenvalue (before vectorising)."""
+    w, v = hermitian_eigen(choi)
+    da = int(round(np.sqrt(len(choi))))
+    return [
+        np.sqrt(lam) * vec.reshape(da, da).T
+        for lam, vec in zip(w, v.T)
+        if lam > maps.KRAUS_KEEP_TOL
+    ]
+
+
+def reference_pinching_defect(rho, basis, dim_a, dim_e):
+    """Sum of the dim_a pinched terms, one Kronecker projector each."""
+    pinched = np.zeros_like(rho)
+    for k in range(dim_a):
+        pk = tensor(np.outer(basis[:, k], basis[:, k].conj()), np.eye(dim_e))
+        pinched += pk @ rho @ pk
+    return float(np.abs(pinched - rho).max())
+
+
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+RHO_E_0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def mixture(dim_a, dim_e, terms, rng):
+    """Mixture of random full-rank products; it carries discord."""
+    p = rng.uniform(0.5, 1.5, size=terms)
+    return SeparableEnsemble(
+        dim_a,
+        dim_e,
+        tuple(
+            EnsembleTerm(float(w), random_density(dim_a, rng), random_density(dim_e, rng))
+            for w in p / p.sum()
+        ),
+    )
+
+
+GATE_SOURCES = {
+    "aligned-2x2": lambda rng: random_vqd_ensemble(2, 2, rng),
+    "aligned-3x2": lambda rng: random_vqd_ensemble(3, 2, rng),
+    "aligned-8x4": lambda rng: random_vqd_ensemble(8, 4, rng),
+    "haar-4x4": lambda rng: random_vqd_ensemble(4, 4, rng, haar_basis=True),
+    "four-block": lambda rng: four_block_ensemble(rng.uniform(0.2, 0.8)),
+    "coherent": random_coherent_block_ensemble,
+    "discordant-3x2": lambda rng: mixture(3, 2, 3, rng),
+    "discordant-4x4": lambda rng: mixture(4, 4, 8, rng),
+    "single-term": lambda rng: mixture(2, 3, 1, rng),
+    # |+><+| and |-><-| with distinct environments: traceless coherence blocks
+    "non-sl": lambda rng: SeparableEnsemble(
+        2, 2, (EnsembleTerm(0.5, PLUS, RHO_E_0), EnsembleTerm(0.5, MINUS, random_density(2, rng)))
+    ),
+    # the same factors with one environment: the coherences cancel exactly
+    "cancellation": lambda rng: SeparableEnsemble(
+        2, 2, (EnsembleTerm(0.5, PLUS, RHO_E_0), EnsembleTerm(0.5, MINUS, RHO_E_0))
+    ),
+}
+
+
+# (tol, support_cutoff, ortho_tol): the defaults, a coarse cutoff that
+# drops eigenvalues, so that support ranks differ between terms, and a
+# cutoff no eigenvalue of a density matrix exceeds (empty supports)
+CONDITION_KNOBS = [(1e-9, 1e-9, 1e-9), (1e-6, 0.3, 0.1), (1e-9, 1.0, 1e-9)]
+
+
+@pytest.mark.parametrize("kind", GATE_SOURCES)
+def test_gates_match_the_per_term_references_bit_for_bit(kind):
+    source = GATE_SOURCES[kind]
+    rng = np.random.default_rng(17)
+    kraus_sets = 0
+    for _ in range(4):
+        e = source(rng)
+        d = states.split_blocks(e.state, e.dim_a, e.dim_e)
+        want = reference_split_blocks(e.state, e.dim_a, e.dim_e)
+        for got, ref in zip((d.coeffs, d.blocks, d.pair_class), want):
+            assert got.tobytes() == ref.tobytes()
+        for knobs in CONDITION_KNOBS:
+            report = check_condition(e, *knobs)
+            assert report == reference_condition(e, *knobs)
+            assert repr(report) == repr(reference_condition(e, *knobs))
+        if report.rescaled_blocked is None:
+            rs = rescaled_matrices(e)
+            ratios, defined = reference_rescaled(e)
+            assert [m.tobytes() for m in rs.matrices] == [m.tobytes() for m in ratios]
+            assert np.array_equal(rs.defined_mask, defined)
+        for _ in range(2):
+            m = induce(d, haar_unitary(e.dim_a * e.dim_e, rng))
+            if is_cp(m).status == CP:
+                kraus_sets += 1
+                got = kraus_from_choi(choi_matrix(m))
+                want = reference_kraus(choi_matrix(m))
+                assert [k.tobytes() for k in got] == [k.tobytes() for k in want]
+    if kind.startswith("aligned"):
+        # every map of an aligned discord-free source is CP
+        assert kraus_sets == 8
+
+
+WITNESS_KEYS = ("error", "min_eig", "projection_residual", "overlap")
+
+
+def test_condition_reference_covers_every_witness_kind():
+    # the sources above reach each branch of the condition, and terms of
+    # one ensemble whose supports have different ranks
+    rng = np.random.default_rng(17)
+    kinds, mixed_ranks = set(), False
+    for source in GATE_SOURCES.values():
+        for _ in range(4):
+            e = source(rng)
+            for knobs in CONDITION_KNOBS:
+                for w in check_condition(e, *knobs).witnesses:
+                    kinds.add(next(k for k in WITNESS_KEYS if k in w))
+                ranks = {int((np.linalg.eigvalsh(t.rho_a) > knobs[1]).sum()) for t in e.terms}
+                mixed_ranks |= len(ranks) > 1
+    assert kinds == set(WITNESS_KEYS)
+    assert mixed_ranks
+
+
+@pytest.mark.parametrize("source", GATE_SOURCES.values(), ids=GATE_SOURCES.keys())
+def test_pinching_matches_the_kronecker_reference(source, monkeypatch):
+    rng = np.random.default_rng(19)
+    ensembles = [source(rng) for _ in range(4)]
+    got = [has_vqd(e.state, e.dim_a, e.dim_e) for e in ensembles]
+    monkeypatch.setattr(discord, "_pinching_defect", reference_pinching_defect)
+    want = [has_vqd(e.state, e.dim_a, e.dim_e) for e in ensembles]
+    for g, w in zip(got, want):
+        assert g.status == w.status
+        assert (g.basis is None) == (w.basis is None)
+        if g.basis is not None:
+            assert g.basis.tobytes() == w.basis.tobytes()
+        assert abs(g.residual - w.residual) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: random_vqd_ensemble(2, 2, rng),
+        lambda rng: mixture(3, 2, 3, rng),
+        lambda rng: random_vqd_ensemble(8, 4, rng),
+        lambda rng: mixture(4, 2, 8, rng),
+    ],
+    ids=["2-terms", "3-terms", "8-terms", "8-terms-discordant"],
+)
+def test_check_condition_makes_a_fixed_number_of_spectral_calls(make, monkeypatch):
+    e = make(np.random.default_rng(23))
+    e.decomposition  # the state's validation is not part of the condition
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    check_condition(e)
+    # rescaled matrices, support projectors, all pair products
+    assert sorted(calls) == ["eigh", "eigh", "svd"]

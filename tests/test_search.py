@@ -30,10 +30,12 @@ from inducedmaps import (
     hunt,
     scan,
 )
+from inducedmaps import discord, states
 from inducedmaps.presets import (
     bell_density,
     cnot,
     four_block_ensemble,
+    random_coherent_block_ensemble,
     random_density,
 )
 
@@ -248,6 +250,28 @@ def test_hunt_rejects_sources_failing_the_condition():
 def test_hunt_rejects_discord_free_sources():
     with pytest.raises(PreconditionVqdError):
         hunt(four_block_ensemble(), SearchConfig(trials=2, positivity_budget=20))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [four_block_ensemble, lambda: random_coherent_block_ensemble(np.random.default_rng(5))],
+    ids=["four-block", "coherent"],
+)
+def test_hunt_validates_the_ensemble_state_once(make, monkeypatch):
+    e = make()
+    names = []
+    real = states.validate_density_matrix
+
+    def recorded(rho, name="rho"):
+        names.append(name)
+        return real(rho, name)
+
+    monkeypatch.setattr(states, "validate_density_matrix", recorded)
+    monkeypatch.setattr(discord, "validate_density_matrix", recorded)
+    # both gates read the state; the condition's decomposition validates it
+    with pytest.raises(PreconditionVqdError):
+        hunt(e, SearchConfig(trials=2, positivity_budget=20))
+    assert names == ["rho_ae"]
 
 
 def test_hunt_checks_the_condition_before_discord():
