@@ -8,7 +8,8 @@ positive-but-not-CP candidates, and ``repro`` regenerates the two built-in
 reference fixtures and asserts their pinned values.
 
 Every report is JSON on stdout with the effective configuration echoed
-under ``"config"``.  Exit codes are a stable contract: 0 success (or
+under ``"config"``; a library record in a report prints as its fields
+(:func:`_plain`).  Exit codes are a stable contract: 0 success (or
 condition/VQD holds), 2 condition fails (including search precondition
 rejections and failed repro assertions), 3 indeterminate, 64 usage, I/O,
 or validation errors, 65 dimension mismatches.
@@ -28,13 +29,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .jsonio import (
-    load_ensemble,
-    load_matrix,
-    load_state,
-    matrix_to_json,
-    save_matrix,
-)
+from .jsonio import load_ensemble, load_matrix, load_state, matrix_to_json, save_matrix
 from .linalg import check_tolerance, hermitian_eigen, is_psd
 from .maps import choi_matrix, induce, is_cp, probe_positivity
 from .presets import bell_density, cnot, four_block_ensemble
@@ -79,8 +74,23 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer >= 0, as numpy seeds must be."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _plain(value):
-    """Strict-JSON report values: arrays as matrix payloads, NaN and ±inf as null."""
+    """Strict-JSON report values: records as ``{field: value}``, arrays as
+    matrix payloads, NaN and ±inf as null."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        # getattr, not dataclasses.asdict: asdict deep-copies every array.
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -105,35 +115,15 @@ def _print_report(payload: dict) -> None:
     print(json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
-def _discord_payload(verdict) -> dict:
-    return {
-        "status": verdict.status,
-        "residual": verdict.residual,
-        "basis": None if verdict.basis is None else matrix_to_json(verdict.basis),
-    }
-
-
-def _probe_payload(probe) -> dict:
-    return {
-        "status": probe.status,
-        "min_eig": probe.min_eig,
-        "floor": probe.floor,
-        "witness": None if probe.witness is None else matrix_to_json(probe.witness),
-    }
-
-
 def _state_with_dims(path, dim_a_flag):
-    """Load a state file as ``(rho, dim_a, dim_e, blocks)`` with ``rho`` validated.
+    """Load a state file as ``(rho, dim_a, dim_e)`` with ``rho`` validated once.
 
     A matrix is validated as ``state`` and needs --dim-a to fix the tensor
-    split; an ensemble's assembled state is validated, as ``rho_ae``, by
-    its cached decomposition.  ``blocks()`` returns the block
-    decomposition without validating the state again.
+    split; an ensemble's assembled state is validated as ``rho_ae``.
     """
     kind, state = load_state(path)
     if kind == "ensemble":
-        d = state.decomposition
-        return state.state, state.dim_a, state.dim_e, lambda: d
+        return validate_density_matrix(state.state, name="rho_ae"), state.dim_a, state.dim_e
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]
     if dim_a_flag is None:
@@ -144,8 +134,7 @@ def _state_with_dims(path, dim_a_flag):
         raise ShapeError(
             f"state dimension {n} does not split as {dim_a_flag} x E"
         )
-    dim_e = n // dim_a_flag
-    return rho, dim_a_flag, dim_e, lambda: split_blocks(rho, dim_a_flag, dim_e)
+    return rho, dim_a_flag, n // dim_a_flag
 
 
 def _cmd_check(args) -> int:
@@ -155,19 +144,12 @@ def _cmd_check(args) -> int:
     )
     # check_condition validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol, args.seed)
+    condition = _plain(report)
     _print_report(
         {
-            "sl_class": report.sl_class,
-            "condition": {
-                "holds": report.holds,
-                "route": report.route,
-                "routes": list(report.routes),
-                "rescaled_psd": report.rescaled_psd,
-                "rescaled_blocked": report.rescaled_blocked,
-                "block_projector": report.block_projector,
-                "witnesses": list(report.witnesses),
-            },
-            "vqd": _discord_payload(verdict),
+            "sl_class": condition.pop("sl_class"),
+            "condition": condition,
+            "vqd": verdict,
             "config": {
                 "tol": args.tol,
                 "support_cutoff": args.support_cutoff,
@@ -187,8 +169,8 @@ def _cmd_check(args) -> int:
 def _cmd_induce(args) -> int:
     if args.budget < 1:
         raise _UsageError(f"budget must be >= 1, got {args.budget}")
-    _, dim_a, dim_e, blocks = _state_with_dims(args.state, args.dim_a)
-    d = blocks()
+    rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
+    d = split_blocks(rho, dim_a, dim_e)
     m = induce(d, load_matrix(args.unitary))
     rho_prime = validate_density_matrix(load_matrix(args.input), name="input")
     if rho_prime.shape[0] != dim_a:
@@ -208,13 +190,13 @@ def _cmd_induce(args) -> int:
     _print_report(
         {
             "sl_class": classify_sl(d),
-            "output": matrix_to_json(out),
+            "output": out,
             "output_min_eig": float(out_eigs[0]),
             "output_trace": float(np.trace(out).real),
             "choi_min_eig": verdict.choi_min_eig,
             "shift_norm": verdict.shift_norm,
             "cp_status": verdict.status,
-            "positivity": _probe_payload(probe),
+            "positivity": probe,
             "classification": classification_label(verdict, probe),
             "config": {
                 "dim_a": dim_a,
@@ -230,16 +212,10 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_discord(args) -> int:
-    rho, dim_a, dim_e, _ = _state_with_dims(args.state, args.dim_a)
+    rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
     verdict = discord_verdict(rho, dim_a, dim_e, args.tol, args.seed)
-    payload = _discord_payload(verdict)
-    payload["config"] = {
-        "dim_a": dim_a,
-        "dim_e": dim_e,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
-    _print_report(payload)
+    config = {"dim_a": dim_a, "dim_e": dim_e, "tol": args.tol, "seed": args.seed}
+    _print_report({**_plain(verdict), "config": config})
     if verdict.status == VQD:
         return EXIT_OK
     if verdict.status == NONZERO:
@@ -265,31 +241,15 @@ def _cmd_hunt(args) -> int:
         _print_report(
             {
                 "error": {"code": _PRECONDITION_CODES[type(exc)], "message": str(exc)},
-                "config": dataclasses.asdict(cfg),
+                "config": cfg,
             }
         )
         return EXIT_CONDITION_FAILS
-    _print_report(
-        {
-            "count": len(candidates),
-            "candidates": [
-                {
-                    "trial": r.trial,
-                    "choi_min_eig": r.choi_min_eig,
-                    "shift_norm": r.shift_norm,
-                    "classification": r.classification,
-                    "positivity": _probe_payload(r.positivity),
-                    "unitary": matrix_to_json(r.unitary),
-                }
-                for r in candidates
-            ],
-            "config": dataclasses.asdict(cfg),
-        }
-    )
+    _print_report({"count": len(candidates), "candidates": candidates, "config": cfg})
     return EXIT_OK
 
 
-def _repro_four_block(p1: float) -> int:
+def _repro_four_block(p1: float) -> tuple[dict, dict]:
     e = four_block_ensemble(p1)
     rs = rescaled_matrices(e)
     m1, m2 = rs.matrices
@@ -306,23 +266,17 @@ def _repro_four_block(p1: float) -> int:
         "block_entries_match": entry_dev <= 1e-12,
         "all_psd": bool(ok1 and ok2),
     }
-    status = "PASS" if all(checks.values()) else "FAIL"
-    _print_report(
-        {
-            "name": "example-4xf",
-            "rescaled": [matrix_to_json(m1), matrix_to_json(m2)],
-            "expected_block_values": [1.0 / p1, 1.0 / (1.0 - p1)],
-            "entry_deviation": entry_dev,
-            "min_eigs": [min1, min2],
-            "checks": checks,
-            "status": status,
-            "config": {"p1": p1},
-        }
-    )
-    return EXIT_OK if status == "PASS" else EXIT_CONDITION_FAILS
+    report = {
+        "rescaled": [m1, m2],
+        "expected_block_values": [1.0 / p1, 1.0 / (1.0 - p1)],
+        "entry_deviation": entry_dev,
+        "min_eigs": [min1, min2],
+        "config": {"p1": p1},
+    }
+    return report, checks
 
 
-def _repro_bell_cnot() -> int:
+def _repro_bell_cnot() -> tuple[dict, dict]:
     d = decompose_blocks(bell_density(), 2, 2)
     m = induce(d, cnot())
     rho_prime = np.diag([1.0, 0.0]).astype(complex)
@@ -335,28 +289,26 @@ def _repro_bell_cnot() -> int:
         "output_matches": entry_dev <= 1e-12,
         "min_eig_matches": abs(min_eig - expected_eig) <= 1e-10,
     }
-    status = "PASS" if all(checks.values()) else "FAIL"
-    _print_report(
-        {
-            "name": "bell-cnot",
-            "output": matrix_to_json(out),
-            "entry_deviation": entry_dev,
-            "min_eig": min_eig,
-            "expected_min_eig": expected_eig,
-            "checks": checks,
-            "status": status,
-            "config": {},
-        }
-    )
-    return EXIT_OK if status == "PASS" else EXIT_CONDITION_FAILS
+    report = {
+        "output": out,
+        "entry_deviation": entry_dev,
+        "min_eig": min_eig,
+        "expected_min_eig": expected_eig,
+        "config": {},
+    }
+    return report, checks
 
 
 def _cmd_repro(args) -> int:
     if args.name == "example-4xf":
         if not 0.0 < args.p1 < 1.0:
             raise _UsageError(f"--p1 must lie strictly between 0 and 1, got {args.p1}")
-        return _repro_four_block(args.p1)
-    return _repro_bell_cnot()
+        report, checks = _repro_four_block(args.p1)
+    else:
+        report, checks = _repro_bell_cnot()
+    status = "PASS" if all(checks.values()) else "FAIL"
+    _print_report({"name": args.name, **report, "checks": checks, "status": status})
+    return EXIT_OK if status == "PASS" else EXIT_CONDITION_FAILS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--support-cutoff", type=_tolerance, default=1e-9)
     pc.add_argument("--ortho-tol", type=_tolerance, default=1e-9)
     pc.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
-    pc.add_argument("--seed", type=int, default=0)
+    pc.add_argument("--seed", type=_seed, default=0)
     pc.set_defaults(func=_cmd_check)
 
     pi = sub.add_parser("induce", help="induce a map and apply it to an input")
@@ -386,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--out", default=None, help="write the output matrix here")
     pi.add_argument("--choi", default=None, help="write the Choi matrix here")
     pi.add_argument("--budget", type=int, default=500)
-    pi.add_argument("--seed", type=int, default=0)
+    pi.add_argument("--seed", type=_seed, default=0)
     pi.add_argument("--cp-tol", type=_tolerance, default=1e-9)
     pi.add_argument("--witness-tol", type=_tolerance, default=1e-9)
     pi.set_defaults(func=_cmd_induce)
@@ -395,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("state", help="ensemble or matrix JSON file")
     pd.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
     pd.add_argument("--tol", type=_tolerance, default=1e-9)
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--seed", type=_seed, default=0)
     pd.set_defaults(func=_cmd_discord)
 
     ph = sub.add_parser("hunt", help="search unitaries for positive-not-CP candidates")
@@ -407,12 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument(
         "--budget", dest="positivity_budget", metavar="BUDGET", type=int, default=500
     )
-    ph.add_argument("--seed", type=int, default=0)
+    ph.add_argument("--seed", type=_seed, default=0)
     ph.add_argument("--cp-tol", type=_tolerance, default=1e-9)
     ph.add_argument("--witness-tol", type=_tolerance, default=1e-9)
     ph.add_argument("--condition-tol", type=_tolerance, default=1e-9)
     ph.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
-    ph.add_argument("--candidate-threshold", type=float, default=1e-6)
+    ph.add_argument("--candidate-threshold", type=_tolerance, default=1e-6)
     ph.set_defaults(func=_cmd_hunt)
 
     pr = sub.add_parser("repro", help="regenerate a reference fixture and assert its values")

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import check_tolerance, dagger, hermitian_eigen, partial_trace
+from .linalg import (
+    check_tolerance,
+    check_unitaries,
+    dagger,
+    hermitian_eigen,
+    hermitian_part,
+    partial_trace,
+)
 from .states import validate_density_matrix
 
 VQD = "VQD"
@@ -53,9 +60,7 @@ def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
         raise ShapeError(f"basis shape {basis.shape}, expected {(dim_a, dim_a)}")
     if not np.isfinite(basis).all():
         raise ValidationError("basis contains non-finite entries")
-    unit_dev = float(np.abs(dagger(basis) @ basis - np.eye(dim_a)).max())
-    if unit_dev > 1e-10:
-        raise ValidationError(f"basis is not unitary: deviation {unit_dev:.3e}")
+    check_unitaries(basis[None])
     if rho.shape[0] != dim_a * dim_e:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
     return _pinching_defect(rho, basis, dim_a, dim_e)
@@ -76,13 +81,12 @@ def _pinching_defect(rho: np.ndarray, basis, dim_a: int, dim_e: int) -> float:
 def _probe_marginal(rho4: np.ndarray, g: np.ndarray) -> np.ndarray:
     # Tr_E[rho (I ⊗ G)]; Hermitian for Hermitian G because the partial
     # trace is cyclic in operators acting on the traced factor only.
-    t = np.einsum("iejf,fe->ij", rho4, g)
-    return (t + dagger(t)) / 2.0
+    return hermitian_part(np.einsum("iejf,fe->ij", rho4, g))
 
 
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + dagger(g)) / 2.0
+    h = hermitian_part(g)
     return h / np.linalg.norm(h)
 
 

@@ -17,6 +17,9 @@ MAX_TENSOR_ROWS = 4096
 # Default tolerance for hermiticity checks, in max-entry norm.
 DEFAULT_HERM_TOL = 1e-9
 
+# Tolerance for ``U†U = I`` in max-entry norm.
+DEFAULT_UNITARITY_TOL = 1e-10
+
 
 class Spectrum(NamedTuple):
     """Eigendecomposition of a Hermitian matrix."""
@@ -79,9 +82,31 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    """Max-entry norm of ``m - m†``."""
-    return float(np.abs(m - dagger(m)).max())
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """Hermitian parts ``(a + a†)/2`` of the matrices in the last two axes of ``a``.
+
+    Built in place in one new array, so a stack of matrices needs one copy
+    rather than three.
+    """
+    h = np.conjugate(a).swapaxes(-1, -2)
+    h += a
+    h /= 2.0
+    return h
+
+
+def check_unitaries(us: np.ndarray) -> np.ndarray:
+    """Return the stack ``us`` if every ``U†U = I`` to ``DEFAULT_UNITARITY_TOL``.
+
+    Max-entry norm, one stacked product for the whole stack; the first
+    failing deviation is reported.  A non-finite matrix has a NaN
+    deviation and fails too.
+    """
+    dev = np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1]))
+    dev = dev.max(axis=(-2, -1))
+    bad = ~(dev <= DEFAULT_UNITARITY_TOL)
+    if bad.any():
+        raise ValidationError(f"matrix is not unitary: deviation {dev[bad][0]:.3e}")
+    return us
 
 
 def tensor(a, b) -> np.ndarray:
@@ -122,27 +147,34 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'E', got {side!r}")
 
 
-def check_hermitian(m, tol: float) -> np.ndarray:
-    """:func:`as_square` of ``m``; HermiticityError if ``max|m - m†| > tol``."""
-    m = as_square(m, "m")
-    dev = hermitian_deviation(m)
-    if dev > tol:
-        raise HermiticityError(
-            f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return m
+def hermitian_spectra(ms: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
+    """Eigendecompositions of the matrices in a ``(T, d, d)`` stack.
+
+    Every matrix must be finite (else ValidationError) and within ``tol``
+    of Hermitian, ``max|m - m†| <= tol`` (else HermiticityError); the first
+    failing matrix is reported.  Each decomposition is taken of the
+    Hermitian part ``(m + m†)/2``, which keeps the result deterministic and
+    exactly reconstructible; one ``eigh`` call serves the stack, and
+    ``eigenvalues[t]`` is ascending for each ``t``.
+    """
+    dev = np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    # A non-finite entry makes its deviation inf or NaN, so it fails too.
+    if not dev.max() <= tol:
+        i = int(np.argmax(~(dev <= tol)))
+        if not np.isfinite(ms[i]).all():
+            raise ValidationError("m contains non-finite entries")
+        raise HermiticityError(f"hermiticity deviation {dev[i]:.3e} exceeds tolerance {tol:.3e}")
+    return Spectrum(*np.linalg.eigh(hermitian_part(ms)))
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    ``m`` must pass :func:`check_hermitian` at ``tol``; the decomposition is
-    taken of the Hermitian part ``(m + m†)/2``, which keeps the result
-    deterministic and exactly reconstructible.
+    The one-element case of :func:`hermitian_spectra`, for a nonempty
+    square ``m`` (else ShapeError).
     """
-    m = check_hermitian(m, tol)
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    return Spectrum(w, v)
+    w, v = hermitian_spectra(as_square(m, "m")[None], tol)
+    return Spectrum(w[0], v[0])
 
 
 def is_psd(m, tol: float = DEFAULT_HERM_TOL) -> tuple[bool, float]:

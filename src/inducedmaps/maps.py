@@ -14,10 +14,13 @@ import numpy as np
 
 from .errors import HermiticityError, NotPsdError, ShapeError, ValidationError
 from .linalg import (
+    DEFAULT_UNITARITY_TOL,  # re-exported: unitarity is checked in linalg
     as_square,
     check_tolerance,
+    check_unitaries,
     frozen,
     hermitian_eigen,
+    hermitian_part,
     share_on_deepcopy,
 )
 from .states import PairClass, SLDecomposition, check_densities
@@ -28,8 +31,6 @@ NOT_CP_AFFINE = "NOT_CP_AFFINE"
 
 VIOLATED = "VIOLATED"
 NO_VIOLATION_FOUND = "NO_VIOLATION_FOUND"
-
-DEFAULT_UNITARITY_TOL = 1e-10
 
 # Eigenvalues of the Choi matrix below this are dropped when extracting
 # operator-sum terms; their total contribution is far below the 1e-9
@@ -69,9 +70,8 @@ class MapStack:
         if not (np.isfinite(self.images).all() and np.isfinite(self.shift).all()):
             raise ValidationError("induced map contains non-finite entries")
         choi = _choi_matrices(self.images)
-        adj = choi.conj().swapaxes(-1, -2)
-        dev = np.abs(choi - adj).max(axis=(1, 2))
-        return dev, np.linalg.eigvalsh((choi + adj) / 2.0)[:, 0]
+        dev = np.abs(choi - choi.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+        return dev, np.linalg.eigvalsh(hermitian_part(choi))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -159,20 +159,6 @@ class PositivityProbe:
             object.__setattr__(self, "witness", frozen(self.witness))
 
     __deepcopy__ = share_on_deepcopy
-
-
-def check_unitaries(us: np.ndarray) -> np.ndarray:
-    """Return the stack ``us`` if every ``U†U = I`` to ``DEFAULT_UNITARITY_TOL``.
-
-    Max-entry norm, one stacked product for the whole stack; the first
-    failing deviation is reported.
-    """
-    dev = np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(us.shape[-1]))
-    dev = dev.max(axis=(-2, -1))
-    bad = dev > DEFAULT_UNITARITY_TOL
-    if bad.any():
-        raise ValidationError(f"matrix is not unitary: deviation {dev[bad][0]:.3e}")
-    return us
 
 
 def validate_unitary(u, dim: int | None = None):
@@ -279,18 +265,6 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
     return cp_verdicts(m.stack, tol)[0]
 
 
-def _hermitian(a: np.ndarray) -> np.ndarray:
-    """Hermitian parts of the matrices in the last two axes of ``a``.
-
-    Built in place in one new array, so a stack of sampled outputs needs
-    one copy rather than three.
-    """
-    h = a.conj().swapaxes(-1, -2)
-    h += a
-    h /= 2.0
-    return h
-
-
 def _apply(images: np.ndarray, shift: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Outputs ``sum_kl rho[k,l] images[k,l] + shift``, stacked over leading axes."""
     return np.einsum("...kl,...klab->...ab", rho, images) + shift
@@ -302,7 +276,7 @@ def _outputs(images: np.ndarray, shift: np.ndarray, xs: np.ndarray) -> np.ndarra
     out = (xs[..., :, None] * xs.conj()[..., None, :]).reshape(t, -1, da * da)
     out = (out @ images.reshape(t, da * da, da * da)).reshape(t, -1, da, da)
     out += shift[:, None]
-    return _hermitian(out)
+    return hermitian_part(out)
 
 
 def min_eig_2x2(h: np.ndarray) -> np.ndarray:
@@ -410,12 +384,12 @@ def probe_stack(
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the floor.
-    floors = s.choi[1] + np.linalg.eigvalsh(_hermitian(shift))[:, 0]
+    floors = s.choi[1] + np.linalg.eigvalsh(hermitian_part(shift))[:, 0]
     lam, witness = np.empty(n), [None] * n
     done = floors >= -tol
     if done.any():
         outs = _apply(images[done], shift[done], np.eye(da) / da)
-        lam[done] = np.linalg.eigvalsh(_hermitian(outs))[:, 0]
+        lam[done] = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
     rest = np.flatnonzero(~done)
     if len(rest):
         sub = MapStack(images[rest], shift[rest])
@@ -429,7 +403,7 @@ def probe_stack(
             x = best_x[hit]
             inputs = check_densities(x[:, :, None] * x.conj()[:, None, :], name="witness")
             outs = _apply(sub.images[hit], sub.shift[hit], inputs)
-            recheck = np.linalg.eigvalsh(_hermitian(outs))[:, 0]
+            recheck = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
             for j, rho, value in zip(rest[hit].tolist(), inputs, recheck.tolist()):
                 if value < -tol:
                     lam[j], witness[j] = value, rho

@@ -27,6 +27,7 @@ from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, discord_verdict
 from .linalg import (
     check_tolerance,
+    check_unitaries,
     dagger,
     frozen,
     hermitian_eigen,
@@ -36,7 +37,6 @@ from .maps import (
     CP,
     NOT_CP_AFFINE,
     VIOLATED,
-    check_unitaries,
     cp_verdicts,
     induce,
     induce_stack,
@@ -99,7 +99,9 @@ class SearchConfig:
             raise ValueError(
                 f"positivity_budget must be >= 1, got {self.positivity_budget}"
             )
-        for name in ("cp_tol", "witness_tol", "condition_tol", "vqd_tol"):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("cp_tol", "witness_tol", "condition_tol", "vqd_tol", "candidate_threshold"):
             check_tolerance(getattr(self, name), name)
 
 

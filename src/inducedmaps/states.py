@@ -14,18 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CancellationError,
-    HermiticityError,
-    NonSLError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import CancellationError, NonSLError, ShapeError, ValidationError
 from .linalg import (
     as_square,
     check_tolerance,
     frozen,
     hadamard,
+    hermitian_part,
+    hermitian_spectra,
     share_on_deepcopy,
     tensor,
 )
@@ -80,8 +76,7 @@ def check_densities(rhos: np.ndarray, name: str) -> np.ndarray:
     Each check runs once on the whole stack, in the same order, and the
     first matrix that fails it is reported.  Returns ``rhos``.
     """
-    adj = rhos.conj().swapaxes(-1, -2)
-    dev = np.abs(rhos - adj).max(axis=(1, 2))
+    dev = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(1, 2))
     bad = dev > DEFAULT_DENSITY_TOL
     if bad.any():
         raise ValidationError(
@@ -91,7 +86,7 @@ def check_densities(rhos: np.ndarray, name: str) -> np.ndarray:
     bad = np.abs(tr - 1.0) > DEFAULT_DENSITY_TOL
     if bad.any():
         raise ValidationError(f"{name} has trace {complex(tr[bad][0]):.12g}, expected 1")
-    lam = np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0]
+    lam = np.linalg.eigvalsh(hermitian_part(rhos))[:, 0]
     bad = ~(lam >= -DEFAULT_DENSITY_TOL)
     if bad.any():
         raise ValidationError(f"{name} has negative eigenvalue {lam[bad][0]:.3e}")
@@ -339,29 +334,12 @@ def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
     return RescaledSet(tuple(ratios), defined)
 
 
-def _hermitian_min_eigs(ms: np.ndarray, tol: float) -> np.ndarray:
-    # λmin of the Hermitian part of each matrix in a (T, d, d) stack, with
-    # the checks of hermitian_eigen(m, tol) and its errors: the first
-    # matrix that is non-finite or further than tol from Hermitian fails.
-    adj = ms.conj().swapaxes(-1, -2)
-    dev = np.abs(ms - adj).max(axis=(1, 2))
-    # A non-finite entry makes its deviation inf or NaN, so it fails too.
-    bad = ~(dev <= tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not np.isfinite(ms[i]).all():
-            raise ValidationError("m contains non-finite entries")
-        raise HermiticityError(f"hermiticity deviation {dev[i]:.3e} exceeds tolerance {tol:.3e}")
-    # eigh, not eigvalsh: its eigenvalues are hermitian_eigen's to the bit.
-    return np.linalg.eigh((ms + adj) / 2.0)[0][:, 0]
-
-
 def _support_projectors(rhos: np.ndarray, cutoff: float) -> np.ndarray:
     # Projector onto the eigenvectors above cutoff of each validated matrix
     # in a (T, d, d) stack.  One eigh serves the stack; the products are
     # taken per rank, so each projector is the same matmul of the same
     # (d, rank) factor that a one-matrix projector would be.
-    w, v = np.linalg.eigh((rhos + rhos.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(rhos))
     ranks = (w > cutoff).sum(axis=1)
     projectors = np.empty_like(rhos)
     for r in set(ranks.tolist()):
@@ -417,7 +395,7 @@ def check_condition(
                 {"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}
             )
         else:
-            lam = _hermitian_min_eigs(np.stack(rs.matrices), tol)
+            lam = hermitian_spectra(np.stack(rs.matrices), tol).eigenvalues[:, 0]
             failing = np.flatnonzero(~(lam >= -tol))
             rescaled_psd = not failing.size
             witnesses += (

@@ -80,6 +80,29 @@ def cancelling_orthogonal_ensemble():
     )
 
 
+def command_files(tmp_path, command):
+    """Input files that let ``command`` reach its flags' checks."""
+    files = [write_ensemble(tmp_path, "e.json", four_block_ensemble())]
+    if command == "induce":
+        unitary, inp = tmp_path / "u.json", tmp_path / "in.json"
+        save_matrix(unitary, np.eye(8, dtype=complex))
+        save_matrix(inp, np.eye(4, dtype=complex) / 4.0)
+        files += [str(unitary), str(inp)]
+    return files
+
+
+def fake_candidate():
+    """A hand-built candidate record; its probe's floor keeps the -inf default."""
+    return CandidateReport(
+        unitary=np.eye(8, dtype=complex),
+        choi_min_eig=-2e-6,
+        shift_norm=0.0,
+        positivity=PositivityProbe(NO_VIOLATION_FOUND, -3e-7, None),
+        classification=CLASS_CANDIDATE,
+        trial=3,
+    )
+
+
 def test_check_reports_holding_condition(tmp_path, capsys):
     path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
     code, payload, _ = run(capsys, ["check", path])
@@ -348,15 +371,7 @@ def test_hunt_reports_vqd_precondition(tmp_path, capsys):
 
 def test_hunt_reports_candidates_when_search_runs(tmp_path, capsys, monkeypatch):
     path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
-    fake = CandidateReport(
-        unitary=np.eye(8, dtype=complex),
-        choi_min_eig=-2e-6,
-        shift_norm=0.0,
-        positivity=PositivityProbe(NO_VIOLATION_FOUND, -3e-7, None),
-        classification=CLASS_CANDIDATE,
-        trial=3,
-    )
-    monkeypatch.setattr(cli, "hunt", lambda e, cfg: (fake,))
+    monkeypatch.setattr(cli, "hunt", lambda e, cfg: (fake_candidate(),))
     code, payload, _ = run(capsys, ["hunt", path, "--trials", "10"])
     assert code == EXIT_OK
     assert payload["count"] == 1
@@ -393,22 +408,181 @@ def test_hunt_usage_error_on_bad_config(tmp_path, capsys):
         ("hunt", "--witness-tol"),
         ("hunt", "--condition-tol"),
         ("hunt", "--vqd-tol"),
+        ("hunt", "--candidate-threshold"),
     ],
 )
 def test_tolerance_flags_reject_negative_and_non_finite_values(
     tmp_path, capsys, command, flag, value
 ):
-    ensemble = write_ensemble(tmp_path, "e.json", four_block_ensemble())
-    files = [ensemble]
-    if command == "induce":
-        unitary, inp = tmp_path / "u.json", tmp_path / "in.json"
-        save_matrix(unitary, np.eye(8, dtype=complex))
-        save_matrix(inp, np.eye(4, dtype=complex) / 4.0)
-        files += [str(unitary), str(inp)]
+    files = command_files(tmp_path, command)
     code, payload, err = run(capsys, [command, *files, flag, value])
     assert code == EXIT_USAGE
     assert payload is None
     assert flag in err and "finite number >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["check", "induce", "discord", "hunt"])
+def test_seed_flags_reject_negative_values(tmp_path, capsys, command):
+    files = command_files(tmp_path, command)
+    code, payload, err = run(capsys, [command, *files, "--seed", "-1"])
+    assert code == EXIT_USAGE
+    assert payload is None
+    assert "--seed" in err and ">= 0" in err
+
+
+MATRIX = {"rows": None, "cols": None, "data": None}
+SEARCH_CONFIG = dict.fromkeys(
+    [
+        "family",
+        "params",
+        "trials",
+        "positivity_budget",
+        "seed",
+        "cp_tol",
+        "witness_tol",
+        "condition_tol",
+        "vqd_tol",
+        "candidate_threshold",
+    ]
+)
+
+
+def key_tree(value):
+    """Nested key sets of a JSON value: objects map each key to its own
+    tree, lists holding objects list their trees, anything else is None."""
+    if isinstance(value, dict):
+        return {k: key_tree(v) for k, v in value.items()}
+    if isinstance(value, list) and any(isinstance(v, dict) for v in value):
+        return [key_tree(v) for v in value]
+    return None
+
+
+def check_argv(tmp_path, monkeypatch):
+    return ["check", write_ensemble(tmp_path, "e.json", four_block_ensemble())]
+
+
+def induce_argv(tmp_path, monkeypatch):
+    paths = [tmp_path / name for name in ("bell.json", "u.json", "in.json")]
+    for path, matrix in zip(paths, [bell_density(), cnot(), ZERO]):
+        save_matrix(path, matrix)
+    return ["induce", *map(str, paths), "--dim-a", "2"]
+
+
+def discord_argv(tmp_path, monkeypatch):
+    return ["discord", write_ensemble(tmp_path, "e.json", four_block_ensemble())]
+
+
+def hunt_precondition_argv(tmp_path, monkeypatch):
+    path = write_ensemble(tmp_path, "e.json", overlapping_ensemble())
+    return ["hunt", path, "--trials", "2", "--budget", "20"]
+
+
+def hunt_candidates_argv(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "hunt", lambda e, cfg: (fake_candidate(),))
+    return ["hunt", write_ensemble(tmp_path, "e.json", four_block_ensemble())]
+
+
+REPORT_KEYS = {
+    "check": (
+        check_argv,
+        {
+            "sl_class": None,
+            "condition": dict.fromkeys(
+                [
+                    "holds",
+                    "route",
+                    "routes",
+                    "rescaled_psd",
+                    "rescaled_blocked",
+                    "block_projector",
+                    "witnesses",
+                ]
+            ),
+            "vqd": {"status": None, "residual": None, "basis": MATRIX},
+            "config": dict.fromkeys(["tol", "support_cutoff", "ortho_tol", "vqd_tol", "seed"]),
+        },
+    ),
+    "induce": (
+        induce_argv,
+        {
+            "sl_class": None,
+            "output": MATRIX,
+            "output_min_eig": None,
+            "output_trace": None,
+            "choi_min_eig": None,
+            "shift_norm": None,
+            "cp_status": None,
+            "positivity": {"status": None, "min_eig": None, "floor": None, "witness": MATRIX},
+            "classification": None,
+            "config": dict.fromkeys(
+                ["dim_a", "dim_e", "budget", "seed", "cp_tol", "witness_tol"]
+            ),
+        },
+    ),
+    "discord": (
+        discord_argv,
+        {
+            "status": None,
+            "residual": None,
+            "basis": MATRIX,
+            "config": dict.fromkeys(["dim_a", "dim_e", "tol", "seed"]),
+        },
+    ),
+    "hunt-precondition": (
+        hunt_precondition_argv,
+        {"error": {"code": None, "message": None}, "config": SEARCH_CONFIG},
+    ),
+    "hunt-candidates": (
+        hunt_candidates_argv,
+        {
+            "count": None,
+            "candidates": [
+                {
+                    "trial": None,
+                    "choi_min_eig": None,
+                    "shift_norm": None,
+                    "classification": None,
+                    "positivity": dict.fromkeys(["status", "min_eig", "floor", "witness"]),
+                    "unitary": MATRIX,
+                }
+            ],
+            "config": SEARCH_CONFIG,
+        },
+    ),
+    "repro-example-4xf": (
+        lambda tmp_path, monkeypatch: ["repro", "example-4xf"],
+        {
+            "name": None,
+            "rescaled": [MATRIX, MATRIX],
+            "expected_block_values": None,
+            "entry_deviation": None,
+            "min_eigs": None,
+            "checks": {"block_entries_match": None, "all_psd": None},
+            "status": None,
+            "config": {"p1": None},
+        },
+    ),
+    "repro-bell-cnot": (
+        lambda tmp_path, monkeypatch: ["repro", "bell-cnot"],
+        {
+            "name": None,
+            "output": MATRIX,
+            "entry_deviation": None,
+            "min_eig": None,
+            "expected_min_eig": None,
+            "checks": {"output_matches": None, "min_eig_matches": None},
+            "status": None,
+            "config": {},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("report", list(REPORT_KEYS))
+def test_reports_have_exactly_their_keys_at_every_level(tmp_path, capsys, monkeypatch, report):
+    make_argv, expected = REPORT_KEYS[report]
+    _, payload, _ = run(capsys, make_argv(tmp_path, monkeypatch))
+    assert key_tree(payload) == expected
 
 
 def test_repro_flat_blocks_passes(tmp_path, capsys):

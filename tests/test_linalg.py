@@ -7,6 +7,7 @@ from inducedmaps import (
     HermiticityError,
     ShapeError,
     SizeError,
+    ValidationError,
     dagger,
     hadamard,
     hermitian_eigen,
@@ -14,6 +15,7 @@ from inducedmaps import (
     partial_trace,
     tensor,
 )
+from inducedmaps.linalg import check_unitaries
 from inducedmaps.presets import bell_density, random_density
 
 
@@ -168,3 +170,12 @@ def test_entrywise_product_of_psd_pairs_stays_psd():
         b = random_density(dim, rng)
         ok, lam = is_psd(hadamard(a, b), tol=1e-10)
         assert ok, f"entrywise product lost positivity: min eig {lam}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_unitaries_rejects_a_non_finite_matrix(bad):
+    us = np.stack([np.eye(2, dtype=complex), np.eye(2, dtype=complex)])
+    us[1, 0, 1] = bad
+    # inf * 0 in U†U is NaN: the deviation is NaN, which must fail
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not unitary"):
+        check_unitaries(us)

@@ -61,12 +61,16 @@ def test_search_config_validates_inputs():
         SearchConfig(family=GENERATOR)  # params required
     with pytest.raises(ValueError):
         SearchConfig(trials=0)
+    with pytest.raises(ValueError, match="seed"):
+        SearchConfig(seed=-1)
     cfg = SearchConfig(family=GENERATOR, params=[1, 2, 3, 4])
     assert cfg.params == (1.0, 2.0, 3.0, 4.0)
 
 
 @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
-@pytest.mark.parametrize("field", ["cp_tol", "witness_tol", "condition_tol", "vqd_tol"])
+@pytest.mark.parametrize(
+    "field", ["cp_tol", "witness_tol", "condition_tol", "vqd_tol", "candidate_threshold"]
+)
 def test_search_config_rejects_negative_and_non_finite_tolerances(field, value):
     with pytest.raises(ValueError, match=field):
         SearchConfig(**{field: value})
