@@ -61,7 +61,6 @@ from .presets import (
     four_block_ensemble,
     random_coherent_block_ensemble,
     random_density,
-    random_pure_density,
     random_vqd_ensemble,
 )
 from .search import (

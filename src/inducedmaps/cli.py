@@ -143,7 +143,7 @@ def _cmd_check(args) -> int:
         e, tol=args.tol, support_cutoff=args.support_cutoff, ortho_tol=args.ortho_tol
     )
     # check_condition validated e.state when it read e.decomposition.
-    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol, args.seed)
+    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol)
     condition = _plain(report)
     _print_report(
         {
@@ -213,7 +213,7 @@ def _cmd_induce(args) -> int:
 
 def _cmd_discord(args) -> int:
     rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
-    verdict = discord_verdict(rho, dim_a, dim_e, args.tol, args.seed)
+    verdict = discord_verdict(rho, dim_a, dim_e, args.tol)
     config = {"dim_a": dim_a, "dim_e": dim_e, "tol": args.tol, "seed": args.seed}
     _print_report({**_plain(verdict), "config": config})
     if verdict.status == VQD:
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--support-cutoff", type=_tolerance, default=1e-9)
     pc.add_argument("--ortho-tol", type=_tolerance, default=1e-9)
     pc.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
-    pc.add_argument("--seed", type=_seed, default=0)
+    pc.add_argument("--seed", type=_seed, default=0, help="echoed; the verdicts take no seed")
     pc.set_defaults(func=_cmd_check)
 
     pi = sub.add_parser("induce", help="induce a map and apply it to an input")
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("state", help="ensemble or matrix JSON file")
     pd.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
     pd.add_argument("--tol", type=_tolerance, default=1e-9)
-    pd.add_argument("--seed", type=_seed, default=0)
+    pd.add_argument("--seed", type=_seed, default=0, help="echoed; the verdict takes no seed")
     pd.set_defaults(func=_cmd_discord)
 
     ph = sub.add_parser("hunt", help="search unitaries for positive-not-CP candidates")

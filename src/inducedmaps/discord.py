@@ -3,11 +3,14 @@
 A state has vanishing discord (measured on the A side) exactly when some
 orthonormal A basis pinches it invariantly:
 ``sum_k (P_k ⊗ I) rho (P_k ⊗ I) = rho`` with rank-1 projectors ``P_k``.
-The checker below is sound by construction: it only ever reports VQD
-after verifying that identity for a concrete basis.
+Candidate bases are common eigenbases of the state's E-indexed blocks.
+The checker is sound by construction: it only ever reports VQD after
+verifying that identity for a concrete basis, and NONZERO only when two
+blocks fail to commute by more than the tolerance.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,10 +37,9 @@ DEGENERACY_GAP = 1e-8
 class DiscordVerdict:
     """Outcome of the vanishing-discord check.
 
-    ``basis`` holds the measurement basis (orthonormal columns) for VQD
-    (verified) and NONZERO (the unique nondegenerate candidate that
-    failed); it is None for INDETERMINATE.  ``residual`` is the pinching
-    defect of the best basis actually tested.
+    ``basis`` holds the verified measurement basis (orthonormal columns)
+    for VQD and is None for NONZERO and INDETERMINATE.  ``residual`` is
+    the pinching defect of the best basis actually tested.
     """
 
     status: str
@@ -78,115 +80,128 @@ def _pinching_defect(rho: np.ndarray, basis, dim_a: int, dim_e: int) -> float:
     return float(np.abs(pinched - rho).max())
 
 
-def _probe_marginal(rho4: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Tr_E[rho (I ⊗ G)]; Hermitian for Hermitian G because the partial
-    # trace is cyclic in operators acting on the traced factor only.
-    return hermitian_part(np.einsum("iejf,fe->ij", rho4, g))
+def _block_stack(rho: np.ndarray, dim_a: int, dim_e: int) -> np.ndarray:
+    """Hermitian parts of ``M_ef`` (``e <= f``) and ``i·M_ef`` (``e < f``).
+
+    ``M_ef = Tr_E[rho (I ⊗ |f><e|)]`` has entries ``rho[(i, e), (j, f)]``
+    and ``M_ef† = M_fe``, so these ``dim_e**2`` Hermitian matrices span
+    the same real space as every ``M_ef`` and its adjoint.
+    """
+    m = rho.reshape(dim_a, dim_e, dim_a, dim_e).transpose(1, 3, 0, 2)
+    index = np.arange(dim_e)
+    e, f = np.nonzero(index[:, None] <= index)
+    blocks = m[e, f]
+    return hermitian_part(np.concatenate([blocks, 1j * blocks[e < f]]))
 
 
-def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = hermitian_part(g)
-    return h / np.linalg.norm(h)
+def _max_commutator(stack: np.ndarray) -> float:
+    """Largest max-entry commutator over all pairs of a Hermitian stack.
+
+    For Hermitian ``X`` and ``Y``, ``[X, Y] = XY - (XY)†``, so one product
+    per pair suffices.  Each matrix meets all later ones as one stacked
+    product, so the memory in use never exceeds the stack's own.
+    """
+    worst = 0.0
+    for i in range(len(stack) - 1):
+        p = stack[i] @ stack[i + 1 :]
+        worst = max(worst, float(np.abs(p - np.conjugate(p).swapaxes(-1, -2)).max()))
+    return worst
 
 
-def _refined_eigenbasis(mats: list[np.ndarray]) -> np.ndarray:
+def _can_split(stack: np.ndarray) -> np.ndarray:
+    """Mask of the Hermitian matrices in ``stack`` that can split a cluster.
+
+    A matrix within ``DEGENERACY_GAP / 2`` (Frobenius norm) of a multiple
+    ``cI`` has every eigenvalue of every compression within that distance
+    of ``c`` (Weyl), so no gap above ``DEGENERACY_GAP``: it refines nothing.
+    """
+    d = stack.shape[-1]
+    centre = np.trace(stack, axis1=-2, axis2=-1).real / d
+    deviation = np.linalg.norm(stack - centre[:, None, None] * np.eye(d), axis=(-2, -1))
+    return 2 * deviation > DEGENERACY_GAP
+
+
+def _clusters(w: np.ndarray, idx: np.ndarray) -> list[np.ndarray]:
+    """Split ``idx`` wherever consecutive ascending eigenvalues ``w`` are
+    more than ``DEGENERACY_GAP`` apart."""
+    w = w.tolist()
+    cuts = [0, *(p for p in range(1, len(w)) if w[p] - w[p - 1] > DEGENERACY_GAP), len(w)]
+    return [idx[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _refined_eigenbasis(mats) -> np.ndarray:
     """Simultaneous eigenbasis by successive block refinement.
 
     Diagonalizes the first matrix, then re-diagonalizes each cluster of
     eigenvalues within ``DEGENERACY_GAP`` under the next matrix, and so on.
-    Deterministic for fixed inputs.
+    A single-vector cluster is never changed again, so the refinement
+    stops once every cluster is one.  Deterministic for fixed inputs.
     """
-    dim = mats[0].shape[0]
-    v = np.eye(dim, dtype=complex)
-    blocks = [np.arange(dim)]
+    mats = iter(mats)
+    w, v = hermitian_eigen(next(mats), tol=np.inf)
+    blocks = _clusters(w, np.arange(len(w)))
     for m in mats:
+        if len(blocks) == len(w):
+            break
         new_blocks = []
         for idx in blocks:
             if len(idx) == 1:
                 new_blocks.append(idx)
                 continue
             sub = dagger(v[:, idx]) @ m @ v[:, idx]
-            w, s = hermitian_eigen(sub, tol=np.inf)
+            w_sub, s = hermitian_eigen(sub, tol=np.inf)
             v[:, idx] = v[:, idx] @ s
-            start = 0
-            for pos in range(1, len(idx)):
-                if w[pos] - w[pos - 1] > DEGENERACY_GAP:
-                    new_blocks.append(idx[start:pos])
-                    start = pos
-            new_blocks.append(idx[start:])
+            new_blocks += _clusters(w_sub, idx)
         blocks = new_blocks
     return v
 
 
-def has_vqd(
-    rho_ae,
-    dim_a: int,
-    dim_e: int,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> DiscordVerdict:
+def has_vqd(rho_ae, dim_a: int, dim_e: int, tol: float = 1e-9) -> DiscordVerdict:
     """Decide whether a bipartite state has vanishing discord on A.
 
-    Candidate bases come from two places: when the A marginal is
-    nondegenerate (all eigenvalue gaps above ``DEGENERACY_GAP``) its
-    eigenbasis is the only basis any invariant pinching could use, so it
-    is tested directly and a failure is conclusive (NONZERO).  Otherwise
-    two seeded random Hermitian probes on E are contracted against the
-    state; if their A-side marginals commute within ``tol`` their
-    simultaneous eigenbasis (refined against the A marginal) is tested,
-    with the bare marginal eigenbasis as fallback.  VQD is reported only
-    when a tested basis achieves a pinching defect within ``tol``.
+    A state has zero discord on A exactly when its E-indexed blocks
+    ``M_ef = Tr_E[rho (I ⊗ |f><e|)]`` are normal and commute pairwise
+    (Datta, arXiv:1003.5256; Dakić, Vedral & Brukner, PRL 105, 190502
+    (2010)); their common eigenbasis is then a pinching basis.  The test
+    works on the Hermitian parts of ``M_ef`` and ``i·M_ef``, which commute
+    pairwise under the same condition:
 
-    A vanishing-discord state pinches every probe marginal into the same
-    basis, so all probe marginals commute; a commutator above ``tol`` is
-    therefore a certificate that no basis exists and the verdict is
-    NONZERO even though no single failing basis can be exhibited.
-    Degenerate cases with commuting probes whose candidates all fail are
-    INDETERMINATE — never a guessed NONZERO.  ``tol`` must be a finite
+    1. the A marginal's eigenbasis, refined against the stack, is pinched
+       and a defect within ``tol`` gives VQD;
+    2. otherwise a pair of stack matrices whose commutator exceeds ``tol``
+       in max-entry norm shows that no pinching basis exists: NONZERO;
+    3. otherwise the refined basis that starts from each stack matrix in
+       turn is pinched, and the first within ``tol`` gives VQD;
+       if none is, the verdict is INDETERMINATE, never a guess.
+
+    Refinements skip the stack matrices that can split no cluster.  The
+    verdict is deterministic and needs no seed.  ``tol`` must be a finite
     number >= 0, else ValueError.  ``rho_ae`` is validated to
     ``DEFAULT_DENSITY_TOL``; for a state that already passed
     :func:`validate_density_matrix`, call :func:`discord_verdict`.
     """
     check_tolerance(tol)
     rho = validate_density_matrix(rho_ae, name="rho_ae")
-    return discord_verdict(rho, dim_a, dim_e, tol, seed)
+    return discord_verdict(rho, dim_a, dim_e, tol)
 
 
-def discord_verdict(rho, dim_a: int, dim_e: int, tol: float, seed: int) -> DiscordVerdict:
+def discord_verdict(rho, dim_a: int, dim_e: int, tol: float) -> DiscordVerdict:
     """:func:`has_vqd` of a matrix that already passed
     :func:`validate_density_matrix`, at a ``tol`` already checked, without
     validating either again."""
-    if rho.shape[0] != dim_a * dim_e:
-        raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
     rho_a = partial_trace(rho, dim_a, dim_e, side="E")
-    w, v_a = hermitian_eigen(rho_a)
-    nondegenerate = bool(np.all(np.diff(w) > DEGENERACY_GAP))
-
-    if nondegenerate:
-        defect = _pinching_defect(rho, v_a, dim_a, dim_e)
-        if defect <= tol:
-            return DiscordVerdict(VQD, v_a, defect)
-        return DiscordVerdict(NONZERO, v_a, defect)
-
-    rng = np.random.default_rng(seed)
-    rho4 = rho.reshape(dim_a, dim_e, dim_a, dim_e)
-    t1 = _probe_marginal(rho4, _random_hermitian(dim_e, rng))
-    t2 = _probe_marginal(rho4, _random_hermitian(dim_e, rng))
-    commutator = float(np.abs(t1 @ t2 - t2 @ t1).max())
-    candidates = []
-    if commutator <= tol:
-        candidates.append(_refined_eigenbasis([t1, t2, rho_a]))
-    candidates.append(v_a)
-
-    best_defect = np.inf
-    best_basis = None
-    for basis in candidates:
+    stack = _block_stack(rho, dim_a, dim_e)
+    refiners = stack[_can_split(stack)]
+    basis = _refined_eigenbasis(chain([rho_a], refiners))
+    best = _pinching_defect(rho, basis, dim_a, dim_e)
+    if best <= tol:
+        return DiscordVerdict(VQD, basis, best)
+    if _max_commutator(stack) > tol:
+        return DiscordVerdict(NONZERO, None, best)
+    for k in range(len(refiners)):
+        basis = _refined_eigenbasis(np.roll(refiners, -k, axis=0))
         defect = _pinching_defect(rho, basis, dim_a, dim_e)
-        if defect < best_defect:
-            best_defect, best_basis = defect, basis
-    if best_defect <= tol:
-        return DiscordVerdict(VQD, best_basis, float(best_defect))
-    if commutator > tol:
-        return DiscordVerdict(NONZERO, None, float(best_defect))
-    return DiscordVerdict(INDETERMINATE, None, float(best_defect))
+        if defect <= tol:
+            return DiscordVerdict(VQD, basis, defect)
+        best = min(best, defect)
+    return DiscordVerdict(INDETERMINATE, None, best)

@@ -66,14 +66,6 @@ def random_density(dim: int, rng) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_pure_density(dim: int, rng) -> np.ndarray:
-    """Rank-1 density matrix of a Haar-random pure state."""
-    rng = np.random.default_rng(rng)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def random_vqd_ensemble(
     dim_a: int, dim_e: int, rng, haar_basis: bool = False
 ) -> SeparableEnsemble:

@@ -17,6 +17,8 @@ are all CP (Shabani & Lidar, PRL 102, 100402 (2009)).  The discord gate
 therefore rejects every source the condition gate admits, and the search
 stage runs only when :func:`has_vqd` does not certify VQD (NONZERO or
 INDETERMINATE) for a source that passes the condition within tolerance.
+The discord gate is deterministic and takes no seed; ``SearchConfig.seed``
+seeds the unitary draws and positivity probes of the search alone.
 """
 
 from dataclasses import dataclass
@@ -56,6 +58,10 @@ CLASS_AFFINE = "AFFINE"
 # unitary, per trial, so the count bounds the memory of its result.
 MAX_TRIALS = 10_000
 
+# Largest magnitude of a GENERATOR parameter: above it float64 spacing
+# exceeds one radian, so ``exp(iH)`` keeps no meaningful phase.
+MAX_GENERATOR_PARAM = 2.0**52
+
 # Trials that :func:`scan` evaluates as one stack.  Fixed, so the peak
 # memory of a scan grows with neither its trial count nor its budget.
 TRIAL_GROUP = 4
@@ -68,7 +74,9 @@ class SearchConfig:
     ``family`` picks the unitary source: HAAR draws a fresh seeded random
     unitary per trial, GENERATOR evaluates the fixed unitary generated by
     ``params`` (steered searches vary ``params`` externally and call
-    :func:`classify` directly).  ``candidate_threshold`` is the magnitude
+    :func:`classify` directly); HAAR takes no ``params``, and each
+    GENERATOR parameter must be a finite number of magnitude at most
+    ``MAX_GENERATOR_PARAM``.  ``candidate_threshold`` is the magnitude
     a negative Choi eigenvalue must exceed for a report to survive the
     candidate filter in :func:`hunt`.
     """
@@ -87,10 +95,16 @@ class SearchConfig:
     def __post_init__(self):
         if self.family not in (HAAR, GENERATOR):
             raise ValueError(f"unknown unitary family {self.family!r}")
-        if self.family == GENERATOR and self.params is None:
-            raise ValueError("GENERATOR family needs params")
+        if (self.family == GENERATOR) != (self.params is not None):
+            raise ValueError("the GENERATOR family needs params, and no other family takes them")
         if self.params is not None:
-            object.__setattr__(self, "params", tuple(float(x) for x in self.params))
+            params = tuple(float(x) for x in self.params)
+            bad = [x for x in params if not abs(x) <= MAX_GENERATOR_PARAM]
+            if bad:
+                raise ValueError(
+                    f"params must be finite numbers of magnitude at most 2**52, got {bad[0]}"
+                )
+            object.__setattr__(self, "params", params)
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(
                 f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}"
@@ -312,7 +326,7 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
             f"block-support condition does not hold: witnesses {list(report.witnesses)}"
         )
     # check_condition validated e.state when it read e.decomposition.
-    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol, cfg.seed)
+    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
     if verdict.status == VQD:
         raise PreconditionVqdError(
             "ensemble has vanishing discord (pinching defect "

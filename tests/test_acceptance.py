@@ -268,7 +268,7 @@ def test_hunt_on_condition_passing_coherent_blocks():
     assert check_condition(e).holds
     cfg = SearchConfig(trials=1000, positivity_budget=50, seed=7)
     rho = assemble(e)
-    discord = has_vqd(rho, 4, 2, tol=cfg.vqd_tol, seed=cfg.seed)
+    discord = has_vqd(rho, 4, 2, tol=cfg.vqd_tol)
     assert discord.status == VQD
     assert discord.residual <= cfg.vqd_tol
     messages = []

@@ -343,6 +343,26 @@ def test_discord_exit_condition_fails_on_entangled_states(tmp_path, capsys):
     assert payload["status"] == "NONZERO"
 
 
+def test_discord_exit_ok_on_near_gap_classical_quantum_state(tmp_path, capsys):
+    # weights 0.5 ± 1e-8 in a Haar basis B and a 5e-10 coherence between
+    # B's vectors: pinching in B stays within tolerance, though the
+    # marginal's eigenbasis is turned away from B
+    b = haar_unitary(2, 3)
+    taus = [ZERO, np.array([[0.25, 0.25], [0.25, 0.75]], dtype=complex)]
+    rho = sum(
+        w * np.kron(np.outer(b[:, k], b[:, k].conj()), tau)
+        for k, (w, tau) in enumerate(zip([0.5 + 1e-8, 0.5 - 1e-8], taus))
+    )
+    coherence = np.outer(b[:, 0], b[:, 1].conj())
+    rho = rho + 5e-10 * np.kron(coherence + coherence.conj().T, np.eye(2) / 2.0)
+    path = tmp_path / "near_gap.json"
+    save_matrix(path, rho)
+    code, payload, _ = run(capsys, ["discord", str(path), "--dim-a", "2"])
+    assert code == EXIT_OK
+    assert payload["status"] == "VQD"
+    assert payload["residual"] <= 1e-9
+
+
 def test_discord_exit_indeterminate_on_weak_coherence(tmp_path, capsys):
     eps = 1e-5
     rho = eps * bell_density() + (1.0 - eps) * np.eye(4, dtype=complex) / 4.0
@@ -391,6 +411,26 @@ def test_hunt_usage_error_on_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, ["hunt", path, "--trials", "0"])
     assert code == EXIT_USAGE
     assert "trials" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--params", "1", "2", "3"], "no other family takes them"),
+        (["--family", "GENERATOR", "--params", *["nan"] * 16], "params must be finite"),
+        (["--family", "GENERATOR", "--params", *["1e308"] * 16], "magnitude at most 2**52"),
+    ],
+    ids=["haar", "non-finite", "overflowing"],
+)
+def test_hunt_rejects_params_it_cannot_use(tmp_path, capsys, flags, message):
+    # the overlapping ensemble passes the condition at --condition-tol 1 and
+    # carries discord, so only the config stands between it and the search
+    path = write_ensemble(tmp_path, "e.json", overlapping_ensemble())
+    argv = ["hunt", path, "--condition-tol", "1", "--trials", "1", "--budget", "5", *flags]
+    code, payload, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert payload is None
+    assert message in err
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])

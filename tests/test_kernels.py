@@ -831,6 +831,37 @@ def test_pinching_matches_the_kronecker_reference(source, monkeypatch):
         assert abs(g.residual - w.residual) <= 1e-15
 
 
+@pytest.mark.parametrize("k, d", [(1, 2), (4, 3), (64, 8)])
+def test_block_commutator_matches_the_pairwise_reference(k, d):
+    rng = np.random.default_rng(k)
+    g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    stack = (g + g.conj().swapaxes(1, 2)) / 2.0
+    want = max(
+        (np.abs(x @ y - y @ x).max() for i, x in enumerate(stack) for y in stack[i + 1 :]),
+        default=0.0,
+    )
+    assert abs(discord._max_commutator(stack) - want) <= 1e-14 * max(want, 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7], ids=["maximally-mixed", "weak-bell"])
+def test_discord_skips_blocks_that_refine_nothing(eps, monkeypatch):
+    # Every E-indexed block of these 2x16 states lies within
+    # DEGENERACY_GAP / 2 of a multiple of I, so none can split a cluster
+    # and only the marginal is diagonalised; refining against all 256
+    # blocks from each of 256 starts would take seconds.
+    rho = eps * np.kron(bell_density(), np.eye(8) / 8) + (1 - eps) * np.eye(32) / 32
+    calls = []
+
+    def counted(a, *args, _real=np.linalg.eigh, **kwargs):
+        calls.append(a.shape)
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    verdict = has_vqd(rho, 2, 16)
+    assert verdict.status == ("VQD" if eps == 0.0 else "INDETERMINATE")
+    assert calls == [(1, 2, 2)]
+
+
 @pytest.mark.parametrize(
     "make",
     [

@@ -9,6 +9,7 @@ from inducedmaps import (
     CLASS_CP,
     CLASS_NON_POSITIVE,
     GENERATOR,
+    HAAR,
     NO_VIOLATION_FOUND,
     VIOLATED,
     CandidateReport,
@@ -65,6 +66,20 @@ def test_search_config_validates_inputs():
         SearchConfig(seed=-1)
     cfg = SearchConfig(family=GENERATOR, params=[1, 2, 3, 4])
     assert cfg.params == (1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        (HAAR, [1.0, 2.0, 3.0], "no other family takes them"),
+        (GENERATOR, [0.0, float("nan"), 0.0, 0.0], "finite numbers"),
+        (GENERATOR, [1e308] * 4, "magnitude at most 2\\*\\*52"),
+    ],
+    ids=["haar", "non-finite", "overflowing"],
+)
+def test_search_config_rejects_params_it_cannot_use(family, params, message):
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(family=family, params=params)
 
 
 @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
