@@ -10,6 +10,7 @@ blocks fail to commute by more than the tolerance.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -135,14 +136,13 @@ def _refined_eigenbasis(mats) -> np.ndarray:
     Diagonalizes the first matrix, then re-diagonalizes each cluster of
     eigenvalues within ``DEGENERACY_GAP`` under the next matrix, and so on.
     A single-vector cluster is never changed again, so the refinement
-    stops once every cluster is one.  Deterministic for fixed inputs.
+    stops, without drawing another matrix, once every cluster is one.
+    Deterministic for fixed inputs.
     """
     mats = iter(mats)
     w, v = hermitian_eigen(next(mats), tol=np.inf)
     blocks = _clusters(w, np.arange(len(w)))
-    for m in mats:
-        if len(blocks) == len(w):
-            break
+    while len(blocks) < len(w) and (m := next(mats, None)) is not None:
         new_blocks = []
         for idx in blocks:
             if len(idx) == 1:
@@ -154,6 +154,11 @@ def _refined_eigenbasis(mats) -> np.ndarray:
             new_blocks += _clusters(w_sub, idx)
         blocks = new_blocks
     return v
+
+
+def _deferred(make):
+    """Iterate over ``make()``, calling it only once an item is asked for."""
+    yield from make()
 
 
 def has_vqd(rho_ae, dim_a: int, dim_e: int, tol: float = 1e-9) -> DiscordVerdict:
@@ -189,17 +194,19 @@ def discord_verdict(rho, dim_a: int, dim_e: int, tol: float) -> DiscordVerdict:
     """:func:`has_vqd` of a matrix that already passed
     :func:`validate_density_matrix`, at a ``tol`` already checked, without
     validating either again."""
+    # The block stack is built only once a marginal cluster needs refining
+    # or the marginal's eigenbasis fails to pinch.
+    stack = cache(lambda: _block_stack(rho, dim_a, dim_e))
+    refiners = cache(lambda: stack()[_can_split(stack())])
     rho_a = partial_trace(rho, dim_a, dim_e, side="E")
-    stack = _block_stack(rho, dim_a, dim_e)
-    refiners = stack[_can_split(stack)]
-    basis = _refined_eigenbasis(chain([rho_a], refiners))
+    basis = _refined_eigenbasis(chain([rho_a], _deferred(refiners)))
     best = _pinching_defect(rho, basis, dim_a, dim_e)
     if best <= tol:
         return DiscordVerdict(VQD, basis, best)
-    if _max_commutator(stack) > tol:
+    if _max_commutator(stack()) > tol:
         return DiscordVerdict(NONZERO, None, best)
-    for k in range(len(refiners)):
-        basis = _refined_eigenbasis(np.roll(refiners, -k, axis=0))
+    for k in range(len(refiners())):
+        basis = _refined_eigenbasis(np.roll(refiners(), -k, axis=0))
         defect = _pinching_defect(rho, basis, dim_a, dim_e)
         if defect <= tol:
             return DiscordVerdict(VQD, basis, defect)

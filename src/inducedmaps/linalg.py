@@ -147,34 +147,43 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'E', got {side!r}")
 
 
+def _check_hermitian(m: np.ndarray, dev, tol: float) -> None:
+    """Raise for the matrix ``m`` whose deviation ``max|m - m†|`` is ``dev``."""
+    # A non-finite entry makes its deviation inf or NaN, so it fails too.
+    if not dev <= tol:
+        if not np.isfinite(m).all():
+            raise ValidationError("m contains non-finite entries")
+        raise HermiticityError(f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}")
+
+
 def hermitian_spectra(ms: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
-    """Eigendecompositions of the matrices in a ``(T, d, d)`` stack.
+    """Eigendecompositions of a ``(d, d)`` matrix or of a ``(T, d, d)`` stack.
 
     Every matrix must be finite (else ValidationError) and within ``tol``
     of Hermitian, ``max|m - m†| <= tol`` (else HermiticityError); the first
     failing matrix is reported.  Each decomposition is taken of the
     Hermitian part ``(m + m†)/2``, which keeps the result deterministic and
     exactly reconstructible; one ``eigh`` call serves the stack, and
-    ``eigenvalues[t]`` is ascending for each ``t``.
+    ``eigenvalues[t]`` is ascending for each ``t``.  A single matrix skips
+    the per-matrix reduction and gives the same bits as a stack of one.
     """
-    dev = np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    # A non-finite entry makes its deviation inf or NaN, so it fails too.
-    if not dev.max() <= tol:
-        i = int(np.argmax(~(dev <= tol)))
-        if not np.isfinite(ms[i]).all():
-            raise ValidationError("m contains non-finite entries")
-        raise HermiticityError(f"hermiticity deviation {dev[i]:.3e} exceeds tolerance {tol:.3e}")
+    if ms.ndim == 2:
+        _check_hermitian(ms, np.abs(ms - ms.conj().T).max(), tol)
+    else:
+        dev = np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        if not dev.max() <= tol:
+            i = int(np.argmax(~(dev <= tol)))
+            _check_hermitian(ms[i], dev[i], tol)
     return Spectrum(*np.linalg.eigh(hermitian_part(ms)))
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    The one-element case of :func:`hermitian_spectra`, for a nonempty
+    The one-matrix case of :func:`hermitian_spectra`, for a nonempty
     square ``m`` (else ShapeError).
     """
-    w, v = hermitian_spectra(as_square(m, "m")[None], tol)
-    return Spectrum(w[0], v[0])
+    return hermitian_spectra(as_square(m, "m"), tol)
 
 
 def is_psd(m, tol: float = DEFAULT_HERM_TOL) -> tuple[bool, float]:

@@ -50,7 +50,8 @@ class MapStack:
     ``(T, da, da)``; entry ``t`` is one :class:`InducedMap`.  The stacked
     kernels (:func:`cp_verdicts`, :func:`probe_stack`) evaluate all ``T``
     maps with one numpy call per step instead of one per map.  The arrays
-    are stored as given, not copied; ``choi`` is derived once.
+    are stored as given, not copied; ``choi`` and ``shifted`` are derived
+    once each.
     """
 
     images: np.ndarray
@@ -72,6 +73,28 @@ class MapStack:
         choi = _choi_matrices(self.images)
         dev = np.abs(choi - choi.conj().swapaxes(-1, -2)).max(axis=(1, 2))
         return dev, np.linalg.eigvalsh(hermitian_part(choi))[:, 0]
+
+    @cached_property
+    def shifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``λmin(C_L)``, a candidate input ``x`` and the output's ``λmin`` at ``x``.
+
+        ``C_L = Herm C + I ⊗ Herm shift``: every output eigenvalue is some
+        ``<x̄⊗y|C_L|x̄⊗y>`` with unit ``x`` and ``y``, so none lies below
+        ``λmin(C_L)``, which by Weyl is never below ``λmin(Herm C) +
+        λmin(Herm shift)``.  ``x`` is the conjugated leading left singular
+        vector of the bottom eigenvector reshaped to ``(da, da)``; when that
+        eigenvector is a product ``x̄⊗y``, the output at ``x`` attains the
+        floor.  One ``eigh``, one ``svd`` and one ``eigvalsh`` serve the stack.
+        """
+        t, da = self.images.shape[:2]
+        # I ⊗ shift adds the shift to every diagonal image before the reshape.
+        c_l = _choi_matrices(self.images + np.eye(da)[:, :, None, None] * self.shift[:, None, None])
+        c_l = hermitian_part(c_l)
+        w, v = np.linalg.eigh(c_l)
+        x = np.linalg.svd(v[:, :, 0].reshape(t, da, da))[0][:, :, 0].conj()
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        value = np.linalg.eigvalsh(_outputs(self.images, self.shift, x[:, None]))[:, 0, 0]
+        return w[:, 0], x, value
 
 
 @dataclass(frozen=True)
@@ -136,17 +159,23 @@ class PositivityProbe:
     """Outcome of a positivity probe.
 
     Every probe brackets the true minimum output eigenvalue over valid
-    inputs: ``floor <= true minimum <= min_eig``.  ``floor`` is the Choi
-    floor, a certified lower bound (``-inf`` on hand-built records);
-    ``min_eig`` is an eigenvalue attained at a valid input.
+    inputs: ``floor <= true minimum <= min_eig``.  ``floor`` is a
+    certified lower bound (``-inf`` on hand-built records): the cheap
+    floor ``λmin(Herm C) + λmin(Herm shift)``, raised to
+    ``λmin(Herm C + I ⊗ Herm shift)`` when the cheap one is below ``-tol``
+    and clipped at ``min_eig``; ``min_eig`` is an eigenvalue attained at a
+    valid input.  A closed bracket, ``min_eig - floor <= tol``, makes
+    ``min_eig`` the exact minimum to ``tol``.
 
     VIOLATED comes with a certified witness: a valid input density matrix
     whose output has smallest eigenvalue ``min_eig`` below tolerance.
     NO_VIOLATION_FOUND with ``floor >= -tol`` is a proof that no input
-    reaches ``-tol``, and ``min_eig`` is then the output's smallest
-    eigenvalue on the maximally mixed input.  With ``floor < -tol`` it is
-    an exhausted search, not a proof of positivity, and ``min_eig`` is the
-    best sampled or refined value.
+    reaches ``-tol``; ``min_eig`` is then the output's smallest eigenvalue
+    on the maximally mixed input, unless the spectral stage closed the
+    bracket.  With a closed bracket and ``floor < 0`` it is a violation
+    shallower than ``tol``, shown exactly.  With an open bracket and
+    ``floor < -tol`` it is an exhausted search, not a proof of positivity,
+    and ``min_eig`` is the best sampled or refined value.
     """
 
     status: str
@@ -367,46 +396,59 @@ def probe_stack(
 ) -> list[PositivityProbe]:
     """:func:`probe_positivity` of map ``t`` of ``s`` with seed ``seeds[t]``.
 
-    Every stage runs on the whole stack: the floors, the maximally mixed
-    outputs of the floor-certified maps, each sampling batch of the rest,
-    the refine steps (in lock-step over the maps still refining) and the
-    witness checks.  Map ``t`` draws from its own stream exactly as it
-    would alone, so its probe is the same bit for bit.  A one-element
-    stack is probed under every seed.
+    Every stage runs on the whole stack: the cheap floors, the spectral
+    stage of the maps whose cheap floor is below ``-tol``, the maximally
+    mixed outputs of the floor-certified maps, each sampling batch of the
+    maps whose bracket stays open, the refine steps (in lock-step over
+    the maps still refining) and the witness checks.  Map ``t`` draws
+    from its own stream exactly as it would alone, so its probe is the
+    same bit for bit.  A one-element stack is probed under every seed;
+    its floors and spectral stage are computed once.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     check_tolerance(tol)
-    n = len(seeds)
-    images = np.broadcast_to(s.images, (n, *s.images.shape[1:]))
-    shift = np.broadcast_to(s.shift, (n, *s.shift.shape[1:]))
-    da = images.shape[1]
+    n, da = len(seeds), s.images.shape[1]
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
-    # x and y, so none lies below the floor.
-    floors = s.choi[1] + np.linalg.eigvalsh(hermitian_part(shift))[:, 0]
-    lam, witness = np.empty(n), [None] * n
-    done = floors >= -tol
+    # x and y, so none lies below the cheap floor.
+    floors = s.choi[1] + np.linalg.eigvalsh(hermitian_part(s.shift))[:, 0]
+    lam, x = np.zeros(len(s)), np.zeros((len(s), da), dtype=complex)
+    spectral = floors < -tol
+    closed = np.zeros(len(s), dtype=bool)
+    if spectral.any():
+        sub = s if spectral.all() else MapStack(s.images[spectral], s.shift[spectral])
+        lowest, x[spectral], lam[spectral] = sub.shifted
+        floors[spectral] = np.maximum(floors[spectral], lowest)
+        closed[spectral] = lam[spectral] - floors[spectral] <= tol
+    # Seed j probes map per_seed[j]: a one-element stack stands for every seed.
+    per_seed = np.zeros(n, dtype=int) if len(s) < n else np.arange(n)
+    floors, lam, x, closed = floors[per_seed], lam[per_seed], x[per_seed], closed[per_seed]
+    images, shift = s.images[per_seed], s.shift[per_seed]
+
+    witness = [None] * n
+    done = ~closed & (floors >= -tol)
     if done.any():
         outs = _apply(images[done], shift[done], np.eye(da) / da)
         lam[done] = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
-    rest = np.flatnonzero(~done)
+    rest = np.flatnonzero(~closed & ~done)
     if len(rest):
         sub = MapStack(images[rest], shift[rest])
         best, best_x = _sample(sub, [seeds[j] for j in rest.tolist()], budget)
         _refine(sub, best, best_x, tol, refine_iters)
-        lam[rest] = best
-        # A value below -tol counts only once its input passes as a density
-        # matrix and its recomputed output eigenvalue is still below -tol.
-        hit = np.flatnonzero(best < -tol)
-        if len(hit):
-            x = best_x[hit]
-            inputs = check_densities(x[:, :, None] * x.conj()[:, None, :], name="witness")
-            outs = _apply(sub.images[hit], sub.shift[hit], inputs)
-            recheck = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
-            for j, rho, value in zip(rest[hit].tolist(), inputs, recheck.tolist()):
-                if value < -tol:
-                    lam[j], witness[j] = value, rho
+        lam[rest], x[rest] = best, best_x
+    # A value below -tol counts only once its input passes as a density
+    # matrix and its recomputed output eigenvalue is still below -tol.
+    hit = np.flatnonzero(~done & (lam < -tol))
+    if len(hit):
+        inputs = check_densities(x[hit, :, None] * x[hit].conj()[:, None, :], name="witness")
+        outs = _apply(images[hit], shift[hit], inputs)
+        recheck = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
+        for j, rho, value in zip(hit.tolist(), inputs, recheck.tolist()):
+            if value < -tol:
+                lam[j], witness[j] = value, rho
+    # min_eig is attained, so a floor above it is rounding on a closed bracket.
+    np.minimum(floors, lam, out=floors)
     return [
         PositivityProbe(NO_VIOLATION_FOUND if w is None else VIOLATED, value, w, floor)
         for value, w, floor in zip(lam.tolist(), witness, floors.tolist())
@@ -422,24 +464,32 @@ def probe_positivity(
 ) -> PositivityProbe:
     """Search for an input whose output loses positivity.
 
-    First computes the Choi floor ``λmin(Herm C) + λmin(Herm shift)``,
+    First computes the cheap floor ``λmin(Herm C) + λmin(Herm shift)``,
     ``C = choi_matrix(m)``, with ``λmin(Herm C)`` the cached
-    ``m.choi_min_eig``: no output eigenvalue lies below it, and the shift is
-    traceless, so it is at most ``λmin(C)``.  When the floor is at least
-    ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which proves
-    that no input reaches ``-tol``; it draws no samples, and ``min_eig`` is
-    the smallest output eigenvalue on ``I/dim_a``.
-    Otherwise it samples ``budget`` Haar-random pure inputs in batches of
-    ``PROBE_CHUNK`` (one stacked eigenvalue call per batch, or the closed
-    form :func:`min_eig_2x2` when ``dim_a == 2``), then refines the worst
-    sample by alternating minimisation of ``<y|Φ(xx†)|y>``: ``y`` is the
-    lowest output eigenvector at ``x``, and ``x`` the conjugated lowest
-    eigenvector of ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
+    ``m.choi_min_eig``: no output eigenvalue lies below it, and the shift
+    is traceless, so it is at most ``λmin(C)``.  When the floor is at
+    least ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which
+    proves that no input reaches ``-tol``; it draws no samples, and
+    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.  Otherwise a spectral stage (see ``MapStack.shifted``)
+    raises the floor to ``λmin(C_L)``, ``C_L = Herm C + I ⊗ Herm shift``,
+    and evaluates the output at the candidate input read off its bottom
+    eigenvector.  When that value is within ``tol`` of the floor the
+    bracket is closed and the candidate is the result, with no sampling;
+    when the raised floor is at least ``-tol`` without closing, the
+    result is the maximally mixed output as above.
+    Every other map samples ``budget`` Haar-random pure inputs in
+    batches of ``PROBE_CHUNK`` (one stacked eigenvalue call per batch,
+    or the closed form :func:`min_eig_2x2` when ``dim_a == 2``), then
+    refines the worst sample by alternating minimisation of
+    ``<y|Φ(xx†)|y>``: ``y`` is the lowest output eigenvector at ``x``,
+    and ``x`` the conjugated lowest eigenvector of
+    ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
     Both half-steps are exact, so the value never rises.  Refining stops
     after ``refine_iters`` steps, on a step that gains nothing, or once
     the remaining steps at the last gain could not reach ``-tol``.
     VIOLATED is reported only with a certified witness (a valid density
-    matrix whose recomputed output eigenvalue is below ``-tol``);
+    matrix whose recomputed output eigenvalue is below ``-tol``), whether
+    the input came from the spectral stage or from the search;
     NO_VIOLATION_FOUND after sampling is an exhausted search, not a proof
     of positivity, with the best value found as ``min_eig``.  Every probe
     carries the floor, so ``floor <= true minimum <= min_eig``.

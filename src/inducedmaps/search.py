@@ -3,9 +3,10 @@
 The search space is the joint unitary; the source ensemble is fixed and
 must satisfy the block-support condition while carrying nonzero discord
 (both preconditions are enforced, in that order).  Each trial induces the
-map, takes the Choi spectrum and shift norm, and probes positivity on
-random pure inputs; reports classify as CP, NON_POSITIVE (certified
-witness), AFFINE (nonzero shift), or POSITIVE_NOT_CP_CANDIDATE.
+map, takes the Choi spectrum and shift norm, and probes positivity
+(spectrally, or on random pure inputs where that leaves the bracket
+open); reports classify as CP, NON_POSITIVE (certified witness), AFFINE
+(nonzero shift), or POSITIVE_NOT_CP_CANDIDATE.
 
 For exact inputs the two preconditions exclude each other.  The weighted
 rescaled components ``p_i ϱ^(i)`` sum to the rank-one all-ones pattern on
@@ -259,11 +260,12 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     seed), so the report list is deterministic and order-stable for a
     fixed configuration.  The trials run in stacks of ``TRIAL_GROUP``:
     one QR decomposition, one unitarity check, one ``induce`` contraction
-    and one Choi diagonalisation per stack, and each probe stage on the
-    whole stack.  Every trial keeps its own random streams, so each report
-    equals :func:`classify` of its unitary with its probe seed.  A
-    GENERATOR scan induces and diagonalises its one map once; only the
-    probe seeds differ between its trials.
+    and one Choi diagonalisation per stack, plus one diagonalisation of
+    ``C + I ⊗ shift`` over the maps whose cheap floor is open, and each
+    probe stage on the whole stack.  Every trial keeps its own random
+    streams, so each report equals :func:`classify` of its unitary with
+    its probe seed.  A GENERATOR scan induces its one map and takes both
+    diagonalisations once; only the probe seeds differ between its trials.
     """
     d = _as_decomposition(source)
     n = d.dim_a * d.dim_e

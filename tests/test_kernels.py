@@ -101,21 +101,27 @@ def bell_cnot_map():
     return induce(decompose_blocks(bell_density(), 2, 2), cnot())
 
 
-def reference_probe(m, budget, seed, tol=1e-9, refine_iters=200):
-    """One map at a time: sample, refine, certify (the probe before stacking)."""
-    da = m.dim_a
-    herm = lambda a: (a + dagger(a)) / 2.0
-    apply = lambda rho: np.einsum("kl,klab->ab", rho, m.images) + m.shift
-    c = choi_matrix(m)
-    floor = float(np.linalg.eigvalsh(herm(c))[0] + np.linalg.eigvalsh(herm(m.shift))[0])
-    if floor >= -tol:
-        return NO_VIOLATION_FOUND, float(np.linalg.eigvalsh(herm(apply(np.eye(da) / da)))[0]), None
+def herm(a):
+    return (a + dagger(a)) / 2.0
 
-    def outputs(xs):
-        inputs = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(len(xs), da * da)
-        out = (inputs @ m.images.reshape(da * da, da * da)).reshape(-1, da, da)
-        out += m.shift
-        return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+def reference_apply(m, rho):
+    return np.einsum("kl,klab->ab", rho, m.images) + m.shift
+
+
+def reference_outputs(m, xs):
+    """Hermitian parts of the outputs of ``m`` on the pure inputs ``xs``."""
+    da = m.dim_a
+    inputs = (xs[:, :, None] * xs.conj()[:, None, :]).reshape(len(xs), da * da)
+    out = (inputs @ m.images.reshape(da * da, da * da)).reshape(-1, da, da)
+    out += m.shift
+    return (out + out.conj().transpose(0, 2, 1)) / 2.0
+
+
+def sampled_reference(m, budget, seed, tol=1e-9, refine_iters=200):
+    """One map at a time: sample, refine, certify (the probe's search stages)."""
+    da = m.dim_a
+    outputs = partial(reference_outputs, m)
 
     rng = np.random.default_rng(seed)
     best, best_x = np.inf, None
@@ -141,12 +147,46 @@ def reference_probe(m, budget, seed, tol=1e-9, refine_iters=200):
         best, best_x, y = float(w[0]), x, v[:, 0]
         if best - gain * left > -tol:
             break
+    return certified(m, best, best_x, tol)
+
+
+def certified(m, best, best_x, tol):
+    """The probe's witness check of the value ``best`` attained at ``best_x``."""
     if best < -tol:
         witness = np.outer(best_x, best_x.conj())
-        lam = float(np.linalg.eigvalsh(herm(apply(witness)))[0])
+        lam = float(np.linalg.eigvalsh(herm(reference_apply(m, witness)))[0])
         if lam < -tol:
             return VIOLATED, lam, witness
     return NO_VIOLATION_FOUND, best, None
+
+
+def shifted_spectrum(m):
+    """Eigenpairs of C_L = Herm(C) + I ⊗ Herm(shift)."""
+    return np.linalg.eigh(herm(choi_matrix(m) + np.kron(np.eye(m.dim_a), m.shift)))
+
+
+def reference_probe(m, budget, seed, tol=1e-9, refine_iters=200):
+    """One map at a time: cheap floor, spectral stage, then the search stages.
+
+    Returns ``(status, min_eig, witness, floor)``.
+    """
+    da = m.dim_a
+    floor = float(choi_floor(m))
+    mixed = float(np.linalg.eigvalsh(herm(reference_apply(m, np.eye(da) / da)))[0])
+    if floor >= -tol:
+        return NO_VIOLATION_FOUND, mixed, None, floor
+    w, v = shifted_spectrum(m)
+    floor = max(floor, float(w[0]))
+    x = np.linalg.svd(v[:, 0].reshape(da, da))[0][:, 0].conj()
+    x /= np.linalg.norm(x)
+    value = float(np.linalg.eigvalsh(reference_outputs(m, x[None])[0])[0])
+    if value - floor <= tol:
+        status, min_eig, witness = certified(m, value, x, tol)
+    elif floor >= -tol:
+        status, min_eig, witness = NO_VIOLATION_FOUND, mixed, None
+    else:
+        status, min_eig, witness = sampled_reference(m, budget, seed, tol, refine_iters)
+    return status, min_eig, witness, min(floor, min_eig)
 
 
 def choi_floor(m):
@@ -156,6 +196,52 @@ def choi_floor(m):
         np.linalg.eigvalsh((c + dagger(c)) / 2)[0]
         + np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2)[0]
     )
+
+
+def spectral_floor(m, tol=1e-9):
+    """The probe's floor before it is clipped at ``min_eig``: the cheap
+    floor, raised to λmin(C_L) when the cheap floor is below ``-tol``."""
+    floor = float(choi_floor(m))
+    return floor if floor >= -tol else max(floor, float(shifted_spectrum(m)[0][0]))
+
+
+def bloch_min_eig(m, points=4000, rounds=8, local=400):
+    """Smallest output eigenvalue of a qubit map over all inputs, by search.
+
+    Independent of the probe.  The smallest output eigenvalue of an
+    affine map is concave in the input, so the minimum lies on a pure
+    state: a Fibonacci grid over the Bloch sphere, then random points in
+    shrinking caps around the best one.  Every value is attained, so the
+    result is never below the minimum (to rounding) and lies within about
+    1e-9 above it.
+    """
+
+    def lowest(r):
+        x, y, z = r.T
+        rho = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]).transpose(2, 0, 1) / 2
+        out = np.einsum("nkl,klab->nab", rho, m.images) + m.shift
+        return np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2)[:, 0]
+
+    i = np.arange(points) + 0.5
+    z = 1 - 2 * i / points
+    phi = np.pi * (1 + 5**0.5) * i
+    r = np.stack([np.sqrt(1 - z * z) * np.cos(phi), np.sqrt(1 - z * z) * np.sin(phi), z], axis=1)
+    lam = lowest(r)
+    best, value = r[lam.argmin()], float(lam.min())
+    radius = 2 * np.sqrt(4 * np.pi / points)
+    rng = np.random.default_rng(0)
+    for _ in range(rounds):
+        cand = best + radius * rng.normal(size=(local, 3))
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        lam = lowest(cand)
+        if lam.min() < value:
+            best, value = cand[lam.argmin()], float(lam.min())
+        radius /= 3
+    return value
+
+
+def no_sampling(*args, **kwargs):
+    raise AssertionError("the probe sampled")
 
 
 @pytest.mark.parametrize(
@@ -186,14 +272,86 @@ def test_probe_reaches_exact_bell_cnot_minimum():
     assert abs(probe.min_eig - BELL_CNOT_MIN_EIG) < 1e-8
 
 
+def discordant_qubit_map():
+    """A discordant SL qubit map that loses positivity; the bottom
+    eigenvector of its Choi matrix is entangled, so its bracket stays open."""
+    return induce(discordant(2, 2, 0), haar_unitary(4, np.random.default_rng(0)))
+
+
+def test_bell_cnot_probe_closes_at_the_exact_minimum_without_sampling(monkeypatch):
+    monkeypatch.setattr(maps, "_sample", no_sampling)
+    probe = probe_positivity(bell_cnot_map())
+    assert probe.status == VIOLATED
+    assert abs(probe.min_eig - BELL_CNOT_MIN_EIG) < 1e-12
+    assert abs(probe.floor - BELL_CNOT_MIN_EIG) < 1e-12
+    assert probe.floor <= probe.min_eig
+
+
+def test_shallow_violation_closes_as_an_exact_negative_minimum(monkeypatch):
+    # Bell coherence c through CNOT: the minimum output eigenvalue is
+    # (1 - sqrt(1 + 4c²)) / 4 = -c² / (1 + sqrt(1 + 4c²)), about -5e-11 here,
+    # shallower than tol: no witness, but the bracket shows it exactly
+    monkeypatch.setattr(maps, "_sample", no_sampling)
+    c = 1e-5
+    exact = -(c**2) / (1 + np.sqrt(1 + 4 * c**2))
+    probe = probe_positivity(induce(weak_bell(c), cnot()))
+    assert probe.status == NO_VIOLATION_FOUND and probe.witness is None
+    assert probe.floor == pytest.approx(exact, rel=1e-9)
+    assert probe.min_eig == pytest.approx(exact, rel=1e-9)
+    assert 0.0 <= probe.min_eig - probe.floor <= 1e-20
+
+
+@pytest.mark.parametrize("coherence", [1.0, 0.3], ids=["bell", "weak-bell"])
+def test_probe_brackets_the_bloch_sphere_minimum(coherence):
+    d = weak_bell(coherence)
+    rng = np.random.default_rng(31)
+    closed = 0
+    for _ in range(16):
+        m = induce(d, haar_unitary(4, rng))
+        probe = probe_positivity(m, budget=50, seed=2)
+        exact = bloch_min_eig(m)
+        # floor <= true minimum <= exact, and exact - 1e-8 <= true minimum <= min_eig
+        assert probe.floor <= exact + 1e-12
+        assert probe.min_eig >= exact - 1e-8
+        assert probe.floor <= probe.min_eig
+        # the spectral stage ran and closed the bracket
+        closed += choi_floor(m) < -1e-9 and probe.min_eig - probe.floor <= 1e-9
+    assert closed >= 12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2)], ids=["2x2", "3x2", "4x2"])
+def test_discordant_stacks_sample_and_refine_as_before(dims):
+    # SL discordant maps whose bottom Choi eigenvector is entangled keep
+    # today's search, bit for bit, with the spectral stage only raising
+    # the floor
+    d = discordant(*dims, 5)
+    rng = np.random.default_rng(37)
+    group = [induce(d, haar_unitary(d.dim_a * d.dim_e, rng)) for _ in range(8)]
+    stack = maps.MapStack(np.stack([m.images for m in group]), np.stack([m.shift for m in group]))
+    seeds = list(range(len(group)))
+    searched = 0
+    for m, seed, probe in zip(group, seeds, maps.probe_stack(stack, seeds, 200, 1e-9)):
+        if probe.floor < -1e-9 and probe.min_eig - probe.floor > 1e-9:
+            searched += 1
+            status, min_eig, witness = sampled_reference(m, 200, seed)
+            assert (probe.status, probe.min_eig) == (status, min_eig)
+            assert (witness is None) == (probe.witness is None)
+            if witness is not None:
+                assert probe.witness.tobytes() == witness.tobytes()
+            assert probe.floor == max(choi_floor(m), shifted_spectrum(m)[0][0])
+    assert searched >= 2
+
+
 def test_probe_without_refine_returns_sampled_minimum():
-    m = bell_cnot_map()
+    m = discordant_qubit_map()
     sampled = probe_positivity(m, budget=50, seed=4, refine_iters=0)
     refined = probe_positivity(m, budget=50, seed=4)
-    assert sampled.status == VIOLATED
+    exact = bloch_min_eig(m)
+    assert sampled.status == refined.status == VIOLATED
+    assert refined.min_eig - refined.floor > 1e-3  # the spectral stage did not close it
     # sampling alone stops short of the exact minimum; refining closes the gap
-    assert sampled.min_eig - BELL_CNOT_MIN_EIG > 1e-8
-    assert abs(refined.min_eig - BELL_CNOT_MIN_EIG) < 1e-8
+    assert sampled.min_eig - exact > 1e-3
+    assert abs(refined.min_eig - exact) < 1e-8
     out = m.apply(sampled.witness)
     assert abs(np.linalg.eigvalsh((out + dagger(out)) / 2)[0] - sampled.min_eig) < 1e-12
 
@@ -303,8 +461,8 @@ def test_probe_never_reports_below_choi_floor():
         for refine_iters in (0, 200):
             probe = probe_positivity(m, budget=100, seed=1, refine_iters=refine_iters)
             assert probe.min_eig >= choi_floor(m) - 1e-12
-            assert probe.floor == pytest.approx(choi_floor(m), abs=1e-15)
-            assert probe.floor <= probe.min_eig + 1e-12
+            assert probe.floor == pytest.approx(spectral_floor(m), abs=1e-15)
+            assert probe.floor <= probe.min_eig
             statuses.add(probe.status)
     assert statuses == {VIOLATED, NO_VIOLATION_FOUND}
 
@@ -322,29 +480,37 @@ def test_classify_diagonalises_the_choi_matrix_once(source, monkeypatch):
     d = source()
     rng = np.random.default_rng(8)
     unitaries = [haar_unitary(d.dim_a * d.dim_e, rng) for _ in range(4)]
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
+    open_floors = np.cumsum([choi_floor(induce(d, u)) < -1e-9 for u in unitaries])
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, calls in shapes.items():
 
-        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
+        def counted(a, *args, _real=getattr(np.linalg, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     # classify runs the stacked kernels on a one-element stack; a single
     # Choi matrix or a stack of one counts alike
     choi_shape = (d.dim_a**2, d.dim_a**2)
-    for calls, u in enumerate(unitaries, start=1):
+    count = lambda calls: sum(s in (choi_shape, (1, *choi_shape)) for s in calls)
+    for calls, (u, spectral) in enumerate(zip(unitaries, open_floors), start=1):
         classify(d, u, SearchConfig(positivity_budget=50))
-        assert sum(s in (choi_shape, (1, *choi_shape)) for s in shapes) == calls
+        assert count(shapes["eigvalsh"]) == calls
+        # plus one eigh of C_L for each map whose cheap floor is open
+        assert count(shapes["eigh"]) == spectral
 
 
 @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
 def test_probe_floor_adds_the_reported_choi_eigenvalue(source):
     d = source()
     for r in scan(d, SearchConfig(trials=12, positivity_budget=50, seed=4)):
-        shift = induce(d, r.unitary).shift
-        shift_min = np.linalg.eigvalsh((shift + dagger(shift)) / 2)[0]
-        assert r.positivity.floor == r.choi_min_eig + shift_min
+        m = induce(d, r.unitary)
+        shift_min = np.linalg.eigvalsh((m.shift + dagger(m.shift)) / 2)[0]
+        floor = r.choi_min_eig + shift_min
+        if floor < -1e-9:
+            floor = max(floor, shifted_spectrum(m)[0][0])
+        # clipped at min_eig, which a closed bracket's floor can exceed by rounding
+        assert r.positivity.floor == min(floor, r.positivity.min_eig)
 
 
 def coherent_ensemble():
@@ -484,11 +650,17 @@ def test_scan_runs_one_qr_and_one_choi_diagonalisation_per_stack(source, monkeyp
 
         monkeypatch.setattr(np.linalg, name, counted)
     trials = 2 * TRIAL_GROUP + 1
-    scan(d, SearchConfig(trials=trials, positivity_budget=50))
+    reports = scan(d, SearchConfig(trials=trials, positivity_budget=50))
+    choi = {
+        name: [s for s in shapes if s[-2:] == (choi_dim, choi_dim)] for name, shapes in calls.items()
+    }
     sizes = [TRIAL_GROUP, TRIAL_GROUP, 1]
     assert calls["qr"] == [(size, n, n) for size in sizes]
-    choi = [s for s in calls["eigvalsh"] + calls["eigh"] if s[-2:] == (choi_dim, choi_dim)]
-    assert choi == [(size, choi_dim, choi_dim) for size in sizes]
+    assert choi["eigvalsh"] == [(size, choi_dim, choi_dim) for size in sizes]
+    # one eigh of C_L per stack, over the maps whose cheap floor is open
+    spectral = [choi_floor(induce(d, r.unitary)) < -1e-9 for r in reports]
+    stacks = [sum(spectral[i : i + TRIAL_GROUP]) for i in range(0, trials, TRIAL_GROUP)]
+    assert choi["eigh"] == [(k, choi_dim, choi_dim) for k in stacks if k]
 
 
 def test_generator_scan_induces_and_diagonalises_its_map_once(monkeypatch):
@@ -499,7 +671,7 @@ def test_generator_scan_induces_and_diagonalises_its_map_once(monkeypatch):
         trials=2 * TRIAL_GROUP + 1,
         positivity_budget=50,
     )
-    induced, choi = [], []
+    induced, choi, spectral = [], [], []
     real_induce_stack = search.induce_stack
 
     def counted_induce_stack(d, us):
@@ -513,9 +685,17 @@ def test_generator_scan_induces_and_diagonalises_its_map_once(monkeypatch):
 
     monkeypatch.setattr(search, "induce_stack", counted_induce_stack)
     monkeypatch.setattr(maps, "induce_stack", counted_induce_stack)
+    def counted_eigh(a, _real=np.linalg.eigh):
+        if np.shape(a)[-2:] == (4, 4):
+            spectral.append(np.shape(a))
+        return _real(a)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     reports = scan(d, cfg)
-    assert induced == [1] and choi == [(1, 4, 4)]
+    # eigh serves exp(iH) of the 4x4 generator, and C_L once: the map's
+    # cheap floor is open, and its spectral stage is cached with its stack
+    assert induced == [1] and choi == [(1, 4, 4)] and spectral == [(4, 4), (1, 4, 4)]
     assert len({(r.unitary.tobytes(), r.choi_min_eig, r.positivity.floor) for r in reports}) == 1
 
 
@@ -600,15 +780,22 @@ def test_probe_stack_matches_the_one_map_reference(budget, refine_iters):
             seeds = [int(rng.integers(1 << 30)) for _ in stacked]
             probes = maps.probe_stack(stack, seeds, budget, 1e-9, refine_iters)
             for m, seed, probe in zip(stacked, seeds, probes):
-                status, min_eig, witness = reference_probe(m, budget, seed, 1e-9, refine_iters)
-                assert (probe.status, probe.min_eig) == (status, min_eig)
+                status, min_eig, witness, floor = reference_probe(
+                    m, budget, seed, 1e-9, refine_iters
+                )
+                assert (probe.status, probe.min_eig, probe.floor) == (status, min_eig, floor)
                 if witness is None:
                     assert probe.witness is None
                 else:
                     assert probe.witness.tobytes() == witness.tobytes()
-                statuses.add((status, probe.floor < -1e-9))
-    # sampled maps both with and without a witness
-    assert {(VIOLATED, True), (NO_VIOLATION_FOUND, True)} <= statuses
+                statuses.add((status, floor < -1e-9, min_eig - floor <= 1e-9))
+    # maps closed by the spectral stage, and sampled maps (open bracket)
+    # both with and without a witness
+    assert {
+        (VIOLATED, True, True),
+        (VIOLATED, True, False),
+        (NO_VIOLATION_FOUND, True, False),
+    } <= statuses
 
 
 def reference_split_blocks(rho, dim_a, dim_e):
@@ -843,6 +1030,40 @@ def test_block_commutator_matches_the_pairwise_reference(k, d):
     assert abs(discord._max_commutator(stack) - want) <= 1e-14 * max(want, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make, built",
+    [
+        (lambda rng: random_vqd_ensemble(3, 2, rng), 0),
+        (lambda rng: random_vqd_ensemble(8, 4, rng), 0),
+        (lambda rng: four_block_ensemble(rng.uniform(0.2, 0.8)), 1),
+        (lambda rng: mixture(3, 2, 3, rng), 1),
+    ],
+    ids=["aligned-3x2", "aligned-8x4", "four-block", "discordant-3x2"],
+)
+def test_discord_builds_the_block_stack_only_when_it_reads_it(make, built, monkeypatch):
+    # A nondegenerate marginal whose eigenbasis pinches (aligned sources)
+    # needs no block; a degenerate marginal (four blocks) or a failed
+    # pinch (discordant) builds the stack once
+    ensembles = [make(np.random.default_rng(seed)) for seed in range(3)]
+    want = [has_vqd(e.state, e.dim_a, e.dim_e) for e in ensembles]
+    calls = []
+    real = discord._block_stack
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(discord, "_block_stack", counted)
+    for e, w in zip(ensembles, want):
+        calls.clear()
+        got = has_vqd(e.state, e.dim_a, e.dim_e)
+        assert len(calls) == built
+        assert (got.status, got.residual) == (w.status, w.residual)
+        assert (got.basis is None) == (w.basis is None)
+        if got.basis is not None:
+            assert got.basis.tobytes() == w.basis.tobytes()
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-7], ids=["maximally-mixed", "weak-bell"])
 def test_discord_skips_blocks_that_refine_nothing(eps, monkeypatch):
     # Every E-indexed block of these 2x16 states lies within
@@ -859,7 +1080,7 @@ def test_discord_skips_blocks_that_refine_nothing(eps, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     verdict = has_vqd(rho, 2, 16)
     assert verdict.status == ("VQD" if eps == 0.0 else "INDETERMINATE")
-    assert calls == [(1, 2, 2)]
+    assert calls == [(2, 2)]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from inducedmaps import (
     partial_trace,
     tensor,
 )
-from inducedmaps.linalg import check_unitaries
+from inducedmaps.linalg import check_unitaries, hermitian_spectra
 from inducedmaps.presets import bell_density, random_density
 
 
@@ -137,6 +137,23 @@ def test_hermitian_eigen_is_deterministic():
 def test_hermitian_eigen_rejects_non_hermitian_input():
     with pytest.raises(HermiticityError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_one_matrix_spectrum_matches_a_stack_of_one_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for dim in (2, 4, 16):
+        # slightly non-Hermitian, so the Hermitian part is taken for real
+        m = random_hermitian(dim, rng) + 1e-12j * rng.normal(size=(dim, dim))
+        one, stacked = hermitian_spectra(m), hermitian_spectra(m[None])
+        assert one.eigenvalues.tobytes() == stacked.eigenvalues[0].tobytes()
+        assert one.eigenvectors.tobytes() == stacked.eigenvectors[0].tobytes()
+    for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        errors = []
+        for a in (bad, bad[None]):
+            with pytest.raises((HermiticityError, ValidationError)) as exc:
+                hermitian_spectra(a)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
 
 
 def test_is_psd_on_reference_matrices():
