@@ -5,6 +5,7 @@ Matrices are small (dims well below 100), so dense LAPACK routines are
 used throughout and no sparse or structured paths exist.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -149,8 +150,9 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
 
 def _check_hermitian(m: np.ndarray, dev, tol: float) -> None:
     """Raise for the matrix ``m`` whose deviation ``max|m - m†|`` is ``dev``."""
-    # A non-finite entry makes its deviation inf or NaN, so it fails too.
-    if not dev <= tol:
+    # A non-finite entry makes its deviation inf or NaN, which fails even
+    # at tol = inf.
+    if not (dev <= tol and math.isfinite(dev)):
         if not np.isfinite(m).all():
             raise ValidationError("m contains non-finite entries")
         raise HermiticityError(f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}")
@@ -171,8 +173,9 @@ def hermitian_spectra(ms: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum
         _check_hermitian(ms, np.abs(ms - ms.conj().T).max(), tol)
     else:
         dev = np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        if not dev.max() <= tol:
-            i = int(np.argmax(~(dev <= tol)))
+        bad = ~((dev <= tol) & np.isfinite(dev))
+        if bad.any():
+            i = int(np.argmax(bad))
             _check_hermitian(ms[i], dev[i], tol)
     return Spectrum(*np.linalg.eigh(hermitian_part(ms)))
 

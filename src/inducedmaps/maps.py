@@ -41,6 +41,9 @@ KRAUS_KEEP_TOL = 1e-12
 # memory independently of its sampling budget.
 PROBE_CHUNK = 1024
 
+# Most alternating-minimisation steps the probe takes from its best sample.
+REFINE_ITERS = 200
+
 
 @dataclass(frozen=True)
 class MapStack:
@@ -50,8 +53,7 @@ class MapStack:
     ``(T, da, da)``; entry ``t`` is one :class:`InducedMap`.  The stacked
     kernels (:func:`cp_verdicts`, :func:`probe_stack`) evaluate all ``T``
     maps with one numpy call per step instead of one per map.  The arrays
-    are stored as given, not copied; ``choi`` and ``shifted`` are derived
-    once each.
+    are stored as given, not copied; ``choi`` is derived once.
     """
 
     images: np.ndarray
@@ -73,28 +75,6 @@ class MapStack:
         choi = _choi_matrices(self.images)
         dev = np.abs(choi - choi.conj().swapaxes(-1, -2)).max(axis=(1, 2))
         return dev, np.linalg.eigvalsh(hermitian_part(choi))[:, 0]
-
-    @cached_property
-    def shifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``λmin(C_L)``, a candidate input ``x`` and the output's ``λmin`` at ``x``.
-
-        ``C_L = Herm C + I ⊗ Herm shift``: every output eigenvalue is some
-        ``<x̄⊗y|C_L|x̄⊗y>`` with unit ``x`` and ``y``, so none lies below
-        ``λmin(C_L)``, which by Weyl is never below ``λmin(Herm C) +
-        λmin(Herm shift)``.  ``x`` is the conjugated leading left singular
-        vector of the bottom eigenvector reshaped to ``(da, da)``; when that
-        eigenvector is a product ``x̄⊗y``, the output at ``x`` attains the
-        floor.  One ``eigh``, one ``svd`` and one ``eigvalsh`` serve the stack.
-        """
-        t, da = self.images.shape[:2]
-        # I ⊗ shift adds the shift to every diagonal image before the reshape.
-        c_l = _choi_matrices(self.images + np.eye(da)[:, :, None, None] * self.shift[:, None, None])
-        c_l = hermitian_part(c_l)
-        w, v = np.linalg.eigh(c_l)
-        x = np.linalg.svd(v[:, :, 0].reshape(t, da, da))[0][:, :, 0].conj()
-        x /= np.linalg.norm(x, axis=-1, keepdims=True)
-        value = np.linalg.eigvalsh(_outputs(self.images, self.shift, x[:, None]))[:, 0, 0]
-        return w[:, 0], x, value
 
 
 @dataclass(frozen=True)
@@ -391,40 +371,58 @@ def _refine(s: MapStack, best, best_x, tol: float, iters: int) -> None:
                 return
 
 
-def probe_stack(
-    s: MapStack, seeds, budget: int, tol: float, refine_iters: int = 200
-) -> list[PositivityProbe]:
+def _shifted(images: np.ndarray, shift: np.ndarray):
+    """``λmin(C_L)``, a candidate input ``x`` and the output's ``λmin`` at ``x``.
+
+    ``C_L = Herm C + I ⊗ Herm shift``: every output eigenvalue is some
+    ``<x̄⊗y|C_L|x̄⊗y>`` with unit ``x`` and ``y``, so none lies below
+    ``λmin(C_L)``, which by Weyl is never below ``λmin(Herm C) +
+    λmin(Herm shift)``.  ``x`` is the conjugated leading left singular
+    vector of the bottom eigenvector reshaped to ``(da, da)``; when that
+    eigenvector is a product ``x̄⊗y``, the output at ``x`` attains the
+    floor.  One ``eigh``, one ``svd`` and one ``eigvalsh`` serve the stack.
+    """
+    t, da = images.shape[:2]
+    # I ⊗ shift adds the shift to every diagonal image before the reshape.
+    c_l = _choi_matrices(images + np.eye(da)[:, :, None, None] * shift[:, None, None])
+    c_l = hermitian_part(c_l)
+    w, v = np.linalg.eigh(c_l)
+    x = np.linalg.svd(v[:, :, 0].reshape(t, da, da))[0][:, :, 0].conj()
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    value = np.linalg.eigvalsh(_outputs(images, shift, x[:, None]))[:, 0, 0]
+    return w[:, 0], x, value
+
+
+def probe_stack(s: MapStack, seeds, budget: int, tol: float) -> list[PositivityProbe]:
     """:func:`probe_positivity` of map ``t`` of ``s`` with seed ``seeds[t]``.
 
     Every stage runs on the whole stack: the cheap floors, the spectral
-    stage of the maps whose cheap floor is below ``-tol``, the maximally
-    mixed outputs of the floor-certified maps, each sampling batch of the
-    maps whose bracket stays open, the refine steps (in lock-step over
-    the maps still refining) and the witness checks.  Map ``t`` draws
-    from its own stream exactly as it would alone, so its probe is the
-    same bit for bit.  A one-element stack is probed under every seed;
-    its floors and spectral stage are computed once.
+    stage (:func:`_shifted`) of the maps whose cheap floor is below
+    ``-tol``, the maximally mixed outputs of the floor-certified maps,
+    each sampling batch of the maps whose bracket stays open, the refine
+    steps (in lock-step over the maps still refining) and the witness
+    checks.  Map ``t`` draws from its own stream exactly as it would
+    alone, so its probe is the same bit for bit.  ``seeds`` holds one
+    seed per map, else ValueError.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if len(seeds) != len(s):
+        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {len(s)} maps")
     check_tolerance(tol)
-    n, da = len(seeds), s.images.shape[1]
+    n, da = len(s), s.images.shape[1]
+    images, shift = s.images, s.shift
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the cheap floor.
-    floors = s.choi[1] + np.linalg.eigvalsh(hermitian_part(s.shift))[:, 0]
-    lam, x = np.zeros(len(s)), np.zeros((len(s), da), dtype=complex)
+    floors = s.choi[1] + np.linalg.eigvalsh(hermitian_part(shift))[:, 0]
+    lam, x = np.zeros(n), np.zeros((n, da), dtype=complex)
     spectral = floors < -tol
-    closed = np.zeros(len(s), dtype=bool)
+    closed = np.zeros(n, dtype=bool)
     if spectral.any():
-        sub = s if spectral.all() else MapStack(s.images[spectral], s.shift[spectral])
-        lowest, x[spectral], lam[spectral] = sub.shifted
+        lowest, x[spectral], lam[spectral] = _shifted(images[spectral], shift[spectral])
         floors[spectral] = np.maximum(floors[spectral], lowest)
         closed[spectral] = lam[spectral] - floors[spectral] <= tol
-    # Seed j probes map per_seed[j]: a one-element stack stands for every seed.
-    per_seed = np.zeros(n, dtype=int) if len(s) < n else np.arange(n)
-    floors, lam, x, closed = floors[per_seed], lam[per_seed], x[per_seed], closed[per_seed]
-    images, shift = s.images[per_seed], s.shift[per_seed]
 
     witness = [None] * n
     done = ~closed & (floors >= -tol)
@@ -435,7 +433,7 @@ def probe_stack(
     if len(rest):
         sub = MapStack(images[rest], shift[rest])
         best, best_x = _sample(sub, [seeds[j] for j in rest.tolist()], budget)
-        _refine(sub, best, best_x, tol, refine_iters)
+        _refine(sub, best, best_x, tol, REFINE_ITERS)
         lam[rest], x[rest] = best, best_x
     # A value below -tol counts only once its input passes as a density
     # matrix and its recomputed output eigenvalue is still below -tol.
@@ -456,11 +454,7 @@ def probe_stack(
 
 
 def probe_positivity(
-    m: InducedMap,
-    budget: int = 500,
-    seed: int = 0,
-    tol: float = 1e-9,
-    refine_iters: int = 200,
+    m: InducedMap, budget: int = 500, seed: int = 0, tol: float = 1e-9
 ) -> PositivityProbe:
     """Search for an input whose output loses positivity.
 
@@ -470,13 +464,16 @@ def probe_positivity(
     is traceless, so it is at most ``λmin(C)``.  When the floor is at
     least ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which
     proves that no input reaches ``-tol``; it draws no samples, and
-    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.  Otherwise a spectral stage (see ``MapStack.shifted``)
-    raises the floor to ``λmin(C_L)``, ``C_L = Herm C + I ⊗ Herm shift``,
-    and evaluates the output at the candidate input read off its bottom
-    eigenvector.  When that value is within ``tol`` of the floor the
-    bracket is closed and the candidate is the result, with no sampling;
-    when the raised floor is at least ``-tol`` without closing, the
-    result is the maximally mixed output as above.
+    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.
+
+    Otherwise a spectral stage raises the floor to ``λmin(C_L)``,
+    ``C_L = Herm C + I ⊗ Herm shift``, and evaluates the output at the
+    candidate input read off its bottom eigenvector.  When that value is
+    within ``tol`` of the floor the bracket is closed and the candidate
+    is the result, with no sampling; when the raised floor is at least
+    ``-tol`` without closing, the result is the maximally mixed output as
+    above.
+
     Every other map samples ``budget`` Haar-random pure inputs in
     batches of ``PROBE_CHUNK`` (one stacked eigenvalue call per batch,
     or the closed form :func:`min_eig_2x2` when ``dim_a == 2``), then
@@ -485,8 +482,9 @@ def probe_positivity(
     and ``x`` the conjugated lowest eigenvector of
     ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
     Both half-steps are exact, so the value never rises.  Refining stops
-    after ``refine_iters`` steps, on a step that gains nothing, or once
+    after ``REFINE_ITERS`` steps, on a step that gains nothing, or once
     the remaining steps at the last gain could not reach ``-tol``.
+
     VIOLATED is reported only with a certified witness (a valid density
     matrix whose recomputed output eigenvalue is below ``-tol``), whether
     the input came from the spectral stage or from the search;
@@ -498,7 +496,7 @@ def probe_positivity(
     :func:`probe_stack`, which :func:`~inducedmaps.search.scan` runs on
     stacks of trials with the same random streams.
     """
-    return probe_stack(m.stack, [seed], budget, tol, refine_iters)[0]
+    return probe_stack(m.stack, [seed], budget, tol)[0]
 
 
 def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:

@@ -28,16 +28,13 @@ def cnot() -> np.ndarray:
     return u
 
 
-def four_block_ensemble(
-    p1: float = 0.5, rho_e_first=None, rho_e_second=None
-) -> SeparableEnsemble:
+def four_block_ensemble(p1: float = 0.5) -> SeparableEnsemble:
     """Two-term d=4 ensemble with coherent system blocks {0,1} and {2,3}.
 
     The first system factor is the pure state (|0>+|1>)/sqrt(2), the second
     (|2>-|3>)/sqrt(2), so the supports are orthogonal 2-dimensional-block
-    aligned and every within-block entry is nonzero.  Environment factors
-    default to a qubit |0><0| and a mixed 2x2 matrix; pass replacements to
-    change the environment dimension.
+    aligned and every within-block entry is nonzero.  The environment
+    factors are the qubit |0><0| and a mixed 2x2 matrix.
     """
     if not 0.0 < p1 < 1.0:
         raise ValidationError(f"p1 must lie strictly between 0 and 1, got {p1}")
@@ -46,16 +43,13 @@ def four_block_ensemble(
     minus = np.zeros(4, dtype=complex)
     minus[2] = 1.0 / np.sqrt(2.0)
     minus[3] = -1.0 / np.sqrt(2.0)
-    if rho_e_first is None:
-        rho_e_first = np.diag([1.0, 0.0]).astype(complex)
-    if rho_e_second is None:
-        rho_e_second = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    rho_e_first = np.asarray(rho_e_first, dtype=complex)
+    rho_e_first = np.diag([1.0, 0.0]).astype(complex)
+    rho_e_second = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
     terms = (
         EnsembleTerm(p1, np.outer(plus, plus.conj()), rho_e_first),
         EnsembleTerm(1.0 - p1, np.outer(minus, minus.conj()), rho_e_second),
     )
-    return SeparableEnsemble(4, rho_e_first.shape[0], terms)
+    return SeparableEnsemble(4, 2, terms)
 
 
 def random_density(dim: int, rng) -> np.ndarray:
@@ -95,14 +89,15 @@ def random_vqd_ensemble(
     return SeparableEnsemble(dim_a, dim_e, terms)
 
 
-def random_coherent_block_ensemble(rng, dim_e: int = 2) -> SeparableEnsemble:
+def random_coherent_block_ensemble(rng) -> SeparableEnsemble:
     """Two-term d=4 ensemble with random coherent states on aligned blocks.
 
     Term 1 lives on computational block {0,1}, term 2 on {2,3}; each block
     factor is a full-rank random 2x2 density matrix (generically nonzero
     in every entry, hence internally coherent), and the weights stay away
-    from the boundary.  Both routes of the block-support condition hold
-    for these ensembles.
+    from the boundary; each term's environment factor is a random qubit
+    state.  Both routes of the block-support condition hold for these
+    ensembles.
     """
     rng = np.random.default_rng(rng)
     p1 = float(rng.uniform(0.3, 0.7))
@@ -111,7 +106,7 @@ def random_coherent_block_ensemble(rng, dim_e: int = 2) -> SeparableEnsemble:
     rho_a_2 = np.zeros((4, 4), dtype=complex)
     rho_a_2[2:, 2:] = random_density(2, rng)
     terms = (
-        EnsembleTerm(p1, rho_a_1, random_density(dim_e, rng)),
-        EnsembleTerm(1.0 - p1, rho_a_2, random_density(dim_e, rng)),
+        EnsembleTerm(p1, rho_a_1, random_density(2, rng)),
+        EnsembleTerm(1.0 - p1, rho_a_2, random_density(2, rng)),
     )
-    return SeparableEnsemble(4, dim_e, terms)
+    return SeparableEnsemble(4, 2, terms)

@@ -216,16 +216,11 @@ def _as_decomposition(source) -> SLDecomposition:
 
 
 def _reports(stack, unitaries, cfg: SearchConfig, seeds, trials) -> list:
-    """Classify the maps of a stack, probing map ``i`` with ``seeds[i]``.
-
-    A one-element stack, with its one unitary, stands for every trial.
-    """
+    """Classify the maps of a stack, probing map ``i`` with ``seeds[i]``."""
     verdicts = cp_verdicts(stack, cfg.cp_tol)
     probes = probe_stack(
         stack, seeds, budget=cfg.positivity_budget, tol=cfg.witness_tol
     )
-    if len(stack) < len(seeds):
-        verdicts, unitaries = verdicts * len(seeds), list(unitaries) * len(seeds)
     return [
         CandidateReport(
             unitary=u,
@@ -259,30 +254,28 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     sequences, one per trial, each split into a unitary and a probe
     seed), so the report list is deterministic and order-stable for a
     fixed configuration.  The trials run in stacks of ``TRIAL_GROUP``:
-    one QR decomposition, one unitarity check, one ``induce`` contraction
-    and one Choi diagonalisation per stack, plus one diagonalisation of
-    ``C + I ⊗ shift`` over the maps whose cheap floor is open, and each
-    probe stage on the whole stack.  Every trial keeps its own random
-    streams, so each report equals :func:`classify` of its unitary with
-    its probe seed.  A GENERATOR scan induces its one map and takes both
-    diagonalisations once; only the probe seeds differ between its trials.
+    one unitarity check, one ``induce`` contraction and one Choi
+    diagonalisation per stack (plus one QR for HAAR draws), one
+    diagonalisation of ``C + I ⊗ shift`` over the maps whose cheap floor
+    is open, and each probe stage on the whole stack.  A GENERATOR scan
+    computes its one unitary once and stacks it like a HAAR draw.  Every
+    trial keeps its own random streams, so each report equals
+    :func:`classify` of its unitary with its probe seed.
     """
     d = _as_decomposition(source)
     n = d.dim_a * d.dim_e
     seeds = [child.spawn(2) for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
     if cfg.family == GENERATOR:
-        fixed_u = generator_unitary(cfg.params, n)
-        fixed = induce(d, fixed_u).stack
+        fixed = generator_unitary(cfg.params, n)[None]
     reports = []
     for start in range(0, cfg.trials, TRIAL_GROUP):
         group = seeds[start : start + TRIAL_GROUP]
         if cfg.family == HAAR:
-            us = check_unitaries(haar_unitaries(n, [u_seed for u_seed, _ in group]))
-            stack = induce_stack(d, us)
+            us = haar_unitaries(n, [u_seed for u_seed, _ in group])
         else:
-            stack, us = fixed, [fixed_u]
+            us = fixed.repeat(len(group), axis=0)
         reports += _reports(
-            stack,
+            induce_stack(d, check_unitaries(us)),
             us,
             cfg,
             [probe_seed for _, probe_seed in group],
@@ -295,7 +288,9 @@ def filter_candidates(
     reports, threshold: float = 1e-6
 ) -> tuple[CandidateReport, ...]:
     """Keep POSITIVE_NOT_CP_CANDIDATE reports whose Choi eigenvalue is
-    below ``-threshold``, sorted most negative first."""
+    below ``-threshold`` (a finite number >= 0, else ValueError), sorted
+    most negative first."""
+    check_tolerance(threshold, "threshold")
     kept = [
         r
         for r in reports

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, JSON reports, file outputs."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from inducedmaps.cli import (
 from inducedmaps.jsonio import load_matrix, matrix_from_json, save_ensemble, save_matrix
 from inducedmaps.presets import bell_density, cnot, four_block_ensemble, random_density
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -685,3 +688,12 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "PASS"
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("inducedmaps ")]
+    assert lines
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])

@@ -189,6 +189,13 @@ def reference_probe(m, budget, seed, tol=1e-9, refine_iters=200):
     return status, min_eig, witness, min(floor, min_eig)
 
 
+def probe_refining(m, refine_iters, **kwargs):
+    """``probe_positivity`` with ``maps.REFINE_ITERS`` set to ``refine_iters``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "REFINE_ITERS", refine_iters)
+        return probe_positivity(m, **kwargs)
+
+
 def choi_floor(m):
     """λmin(Herm C) + λmin(Herm shift): no output eigenvalue lies below it."""
     c = choi_matrix(m)
@@ -344,7 +351,7 @@ def test_discordant_stacks_sample_and_refine_as_before(dims):
 
 def test_probe_without_refine_returns_sampled_minimum():
     m = discordant_qubit_map()
-    sampled = probe_positivity(m, budget=50, seed=4, refine_iters=0)
+    sampled = probe_refining(m, 0, budget=50, seed=4)
     refined = probe_positivity(m, budget=50, seed=4)
     exact = bloch_min_eig(m)
     assert sampled.status == refined.status == VIOLATED
@@ -359,7 +366,7 @@ def test_probe_without_refine_returns_sampled_minimum():
 def test_probe_runs_on_a_single_sample():
     m = bell_cnot_map()
     for seed in range(5):
-        probe = probe_positivity(m, budget=1, seed=seed, refine_iters=0)
+        probe = probe_refining(m, 0, budget=1, seed=seed)
         assert probe.min_eig >= BELL_CNOT_MIN_EIG - 1e-12
         refined = probe_positivity(m, budget=1, seed=seed)
         assert refined.min_eig <= probe.min_eig + 1e-12
@@ -370,7 +377,7 @@ def test_probe_runs_on_a_single_sample():
 def test_probe_refine_never_certifies_cp_maps():
     m = coherent_map(3)
     for refine_iters in (0, 200):
-        probe = probe_positivity(m, budget=1, seed=2, refine_iters=refine_iters)
+        probe = probe_refining(m, refine_iters, budget=1, seed=2)
         assert probe.status == NO_VIOLATION_FOUND
         assert probe.min_eig > -1e-12
 
@@ -384,7 +391,7 @@ def test_probe_skips_refine_once_choi_floor_clears_tol(make_map):
     m = make_map()
     assert choi_floor(m) >= -1e-9
     probe = probe_positivity(m)
-    sampled = probe_positivity(m, refine_iters=0)
+    sampled = probe_refining(m, 0)
     assert probe.status == sampled.status == NO_VIOLATION_FOUND
     # not a refined value driven towards the true minimum
     assert probe.min_eig == sampled.min_eig
@@ -459,7 +466,7 @@ def test_probe_never_reports_below_choi_floor():
     statuses = set()
     for m in maps:
         for refine_iters in (0, 200):
-            probe = probe_positivity(m, budget=100, seed=1, refine_iters=refine_iters)
+            probe = probe_refining(m, refine_iters, budget=100, seed=1)
             assert probe.min_eig >= choi_floor(m) - 1e-12
             assert probe.floor == pytest.approx(spectral_floor(m), abs=1e-15)
             assert probe.floor <= probe.min_eig
@@ -530,6 +537,7 @@ TOLERANCE_CALLS = {
     "check_condition.ortho_tol": lambda tol: check_condition(
         coherent_ensemble(), ortho_tol=tol
     ),
+    "filter_candidates": lambda tol: search.filter_candidates((), tol),
 }
 
 
@@ -663,7 +671,7 @@ def test_scan_runs_one_qr_and_one_choi_diagonalisation_per_stack(source, monkeyp
     assert choi["eigh"] == [(k, choi_dim, choi_dim) for k in stacks if k]
 
 
-def test_generator_scan_induces_and_diagonalises_its_map_once(monkeypatch):
+def test_generator_scan_induces_and_diagonalises_per_stack(monkeypatch):
     d = decompose_blocks(bell_density(), 2, 2)
     cfg = SearchConfig(
         family=GENERATOR,
@@ -683,20 +691,31 @@ def test_generator_scan_induces_and_diagonalises_its_map_once(monkeypatch):
             choi.append(np.shape(a))
         return _real(a)
 
-    monkeypatch.setattr(search, "induce_stack", counted_induce_stack)
-    monkeypatch.setattr(maps, "induce_stack", counted_induce_stack)
     def counted_eigh(a, _real=np.linalg.eigh):
         if np.shape(a)[-2:] == (4, 4):
             spectral.append(np.shape(a))
         return _real(a)
 
+    monkeypatch.setattr(search, "induce_stack", counted_induce_stack)
+    monkeypatch.setattr(maps, "induce_stack", counted_induce_stack)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     reports = scan(d, cfg)
-    # eigh serves exp(iH) of the 4x4 generator, and C_L once: the map's
-    # cheap floor is open, and its spectral stage is cached with its stack
-    assert induced == [1] and choi == [(1, 4, 4)] and spectral == [(4, 4), (1, 4, 4)]
+    # like a HAAR scan: one induce and one Choi pass per stack, and one eigh
+    # of C_L per stack (the map's cheap floor is open); eigh also serves
+    # exp(iH) of the 4x4 generator, once
+    sizes = [TRIAL_GROUP, TRIAL_GROUP, 1]
+    assert induced == sizes
+    assert choi == [(size, 4, 4) for size in sizes]
+    assert spectral == [(4, 4)] + [(size, 4, 4) for size in sizes]
     assert len({(r.unitary.tobytes(), r.choi_min_eig, r.positivity.floor) for r in reports}) == 1
+
+
+def test_probe_stack_takes_one_seed_per_map():
+    stack = bell_cnot_map().stack
+    for seeds in ([0, 1], []):
+        with pytest.raises(ValueError, match="one seed per map"):
+            maps.probe_stack(stack, seeds, 50, 1e-9)
 
 
 def test_scan_memory_does_not_grow_with_trials():
@@ -754,7 +773,8 @@ def weak_bell(coherence):
 @pytest.mark.parametrize(
     "budget, refine_iters", [(1, 200), (50, 0), (50, 3), (500, 200), (2500, 200)]
 )
-def test_probe_stack_matches_the_one_map_reference(budget, refine_iters):
+def test_probe_stack_matches_the_one_map_reference(budget, refine_iters, monkeypatch):
+    monkeypatch.setattr(maps, "REFINE_ITERS", refine_iters)
     rng = np.random.default_rng(13)
     # qubit maps, positive qubit maps, 3x3 maps whose refine can stop
     # early without a witness, and 8x4 maps that lose positivity
@@ -778,7 +798,7 @@ def test_probe_stack_matches_the_one_map_reference(budget, refine_iters):
                 np.stack([m.images for m in stacked]), np.stack([m.shift for m in stacked])
             )
             seeds = [int(rng.integers(1 << 30)) for _ in stacked]
-            probes = maps.probe_stack(stack, seeds, budget, 1e-9, refine_iters)
+            probes = maps.probe_stack(stack, seeds, budget, 1e-9)
             for m, seed, probe in zip(stacked, seeds, probes):
                 status, min_eig, witness, floor = reference_probe(
                     m, budget, seed, 1e-9, refine_iters

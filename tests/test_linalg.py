@@ -156,6 +156,14 @@ def test_one_matrix_spectrum_matches_a_stack_of_one_bit_for_bit():
         assert errors[0] == errors[1]
 
 
+def test_spectra_reject_a_non_finite_matrix_at_any_tolerance():
+    # one asymmetric inf entry deviates by inf, which tol = inf used to accept
+    bad = np.array([[1.0, np.inf], [0.0, 1.0]])
+    for call, a in ((hermitian_spectra, bad), (hermitian_spectra, bad[None]), (hermitian_eigen, bad)):
+        with pytest.raises(ValidationError, match="non-finite"):
+            call(a, tol=np.inf)
+
+
 def test_is_psd_on_reference_matrices():
     ok, lam = is_psd(np.eye(2))
     assert ok and abs(lam - 1.0) < 1e-12
