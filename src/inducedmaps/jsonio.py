@@ -11,7 +11,8 @@ import json
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeError, ValidationError
+from .linalg import MAX_TENSOR_ROWS
 from .states import EnsembleTerm, SeparableEnsemble
 
 
@@ -52,7 +53,11 @@ def _json_number(value, what: str) -> float:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse and validate a matrix payload into a complex array."""
+    """Parse and validate a matrix payload into a complex array.
+
+    A side above ``MAX_TENSOR_ROWS`` raises :class:`SizeError` before the
+    data is read or any array is allocated.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(f"matrix payload must be an object, got {type(obj).__name__}")
     try:
@@ -61,6 +66,10 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValidationError(f"matrix payload missing field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
+    if max(rows, cols) > MAX_TENSOR_ROWS:
+        raise SizeError(
+            f"matrix dimensions {rows}x{cols} exceed the ceiling {MAX_TENSOR_ROWS}"
+        )
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValidationError(
             f"matrix data length {len(data) if isinstance(data, list) else 'n/a'} "

@@ -6,6 +6,7 @@ used throughout and no sparse or structured paths exist.
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,21 @@ def check_tolerance(value, name: str = "tol") -> float:
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value}")
     return value
+
+
+def check_integer(value, name: str) -> int:
+    """Return ``value`` as an ``int`` if it is an integer, else raise ValueError.
+
+    numpy integers pass and ``bool`` does not.  A float or NaN count or
+    seed would pass a range test and fail later, inside ``range`` or
+    ``SeedSequence``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

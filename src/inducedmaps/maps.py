@@ -16,6 +16,7 @@ from .errors import HermiticityError, NotPsdError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_UNITARITY_TOL,  # re-exported: unitarity is checked in linalg
     as_square,
+    check_integer,
     check_tolerance,
     check_unitaries,
     frozen,
@@ -402,9 +403,13 @@ def probe_stack(s: MapStack, seeds, budget: int, tol: float) -> list[PositivityP
     each sampling batch of the maps whose bracket stays open, the refine
     steps (in lock-step over the maps still refining) and the witness
     checks.  Map ``t`` draws from its own stream exactly as it would
-    alone, so its probe is the same bit for bit.  ``seeds`` holds one
-    seed per map, else ValueError.
+    alone, so its probe is the same bit for bit.  ``seeds`` is a sequence
+    with one seed per map, else ValueError; only the seeds of the maps
+    that sample are read, so a sequence that builds each seed on read
+    builds none for a map the floor or the spectral stage closes.
+    ``budget`` must be an integer >= 1, else ValueError.
     """
+    budget = check_integer(budget, "budget")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if len(seeds) != len(s):
@@ -491,7 +496,7 @@ def probe_positivity(
     NO_VIOLATION_FOUND after sampling is an exhausted search, not a proof
     of positivity, with the best value found as ``min_eig``.  Every probe
     carries the floor, so ``floor <= true minimum <= min_eig``.
-    ``budget`` must be at least 1 and ``tol`` a finite number >= 0;
+    ``budget`` must be an integer >= 1 and ``tol`` a finite number >= 0;
     anything else raises ValueError.  This is the one-element case of
     :func:`probe_stack`, which :func:`~inducedmaps.search.scan` runs on
     stacks of trials with the same random streams.

@@ -22,6 +22,7 @@ The discord gate is deterministic and takes no seed; ``SearchConfig.seed``
 seeds the unitary draws and positivity probes of the search alone.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, discord_verdict
 from .linalg import (
+    check_integer,
     check_tolerance,
     check_unitaries,
     dagger,
@@ -77,7 +79,9 @@ class SearchConfig:
     ``params`` (steered searches vary ``params`` externally and call
     :func:`classify` directly); HAAR takes no ``params``, and each
     GENERATOR parameter must be a finite number of magnitude at most
-    ``MAX_GENERATOR_PARAM``.  ``candidate_threshold`` is the magnitude
+    ``MAX_GENERATOR_PARAM``.  ``trials``, ``positivity_budget`` and
+    ``seed`` must be integers (numpy integers pass, ``bool`` does not),
+    else ValueError.  ``candidate_threshold`` is the magnitude
     a negative Choi eigenvalue must exceed for a report to survive the
     candidate filter in :func:`hunt`.
     """
@@ -106,6 +110,8 @@ class SearchConfig:
                     f"params must be finite numbers of magnitude at most 2**52, got {bad[0]}"
                 )
             object.__setattr__(self, "params", params)
+        for name in ("trials", "positivity_budget", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(
                 f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}"
@@ -207,6 +213,24 @@ def classification_label(verdict, probe) -> str:
     return CLASS_CANDIDATE
 
 
+class _TrialSeeds(Sequence):
+    """Seed ``stream`` of each trial in ``trials``, built only when read.
+
+    Item ``k`` is ``SeedSequence(entropy, spawn_key=(trials[k], stream))``:
+    the seed that ``SeedSequence(entropy).spawn(n)[trials[k]].spawn(2)[stream]``
+    returns for any ``n > trials[k]``, so it yields the same stream.
+    """
+
+    def __init__(self, entropy: int, trials: range, stream: int):
+        self.entropy, self.trials, self.stream = entropy, trials, stream
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
+    def __getitem__(self, k: int):
+        return np.random.SeedSequence(self.entropy, spawn_key=(self.trials[k], self.stream))
+
+
 def _as_decomposition(source) -> SLDecomposition:
     if isinstance(source, SLDecomposition):
         return source
@@ -250,12 +274,16 @@ def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
 def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     """Classify ``cfg.trials`` unitaries from the configured family.
 
-    Trials are independently seeded from ``cfg.seed`` (spawned seed
-    sequences, one per trial, each split into a unitary and a probe
-    seed), so the report list is deterministic and order-stable for a
-    fixed configuration.  The trials run in stacks of ``TRIAL_GROUP``:
-    one unitarity check, one ``induce`` contraction and one Choi
-    diagonalisation per stack (plus one QR for HAAR draws), one
+    Trial ``i`` draws its unitary from ``SeedSequence(cfg.seed,
+    spawn_key=(i, 0))`` and its probe inputs from ``SeedSequence(cfg.seed,
+    spawn_key=(i, 1))``: the streams of the spawn tree
+    ``SeedSequence(cfg.seed).spawn(cfg.trials)[i].spawn(2)``, built per
+    stack and only when read.  A probe stream exists only for a map that
+    samples, so a map closed by its floor or by the spectral stage builds
+    neither seed nor generator.  The report list is deterministic and
+    order-stable for a fixed configuration.  The trials run in stacks of
+    ``TRIAL_GROUP``: one unitarity check, one ``induce`` contraction and
+    one Choi diagonalisation per stack (plus one QR for HAAR draws), one
     diagonalisation of ``C + I ⊗ shift`` over the maps whose cheap floor
     is open, and each probe stage on the whole stack.  A GENERATOR scan
     computes its one unitary once and stacks it like a HAAR draw.  Every
@@ -264,22 +292,21 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     """
     d = _as_decomposition(source)
     n = d.dim_a * d.dim_e
-    seeds = [child.spawn(2) for child in np.random.SeedSequence(cfg.seed).spawn(cfg.trials)]
     if cfg.family == GENERATOR:
         fixed = generator_unitary(cfg.params, n)[None]
     reports = []
     for start in range(0, cfg.trials, TRIAL_GROUP):
-        group = seeds[start : start + TRIAL_GROUP]
+        trials = range(start, min(start + TRIAL_GROUP, cfg.trials))
         if cfg.family == HAAR:
-            us = haar_unitaries(n, [u_seed for u_seed, _ in group])
+            us = haar_unitaries(n, _TrialSeeds(cfg.seed, trials, 0))
         else:
-            us = fixed.repeat(len(group), axis=0)
+            us = fixed.repeat(len(trials), axis=0)
         reports += _reports(
             induce_stack(d, check_unitaries(us)),
             us,
             cfg,
-            [probe_seed for _, probe_seed in group],
-            range(start, start + len(group)),
+            _TrialSeeds(cfg.seed, trials, 1),
+            trials,
         )
     return tuple(reports)
 

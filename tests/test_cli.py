@@ -31,6 +31,7 @@ from inducedmaps.cli import (
     main,
 )
 from inducedmaps.jsonio import load_matrix, matrix_from_json, save_ensemble, save_matrix
+from inducedmaps.linalg import MAX_TENSOR_ROWS
 from inducedmaps.presets import bell_density, cnot, four_block_ensemble, random_density
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -289,6 +290,15 @@ def test_induce_exit_dimension_on_indivisible_split(tmp_path, capsys):
         capsys, ["induce", str(state), str(unitary), str(inp), "--dim-a", "3"]
     )
     assert code == EXIT_DIMENSION
+
+
+def test_discord_exit_dimension_on_oversized_matrix_file(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"rows": MAX_TENSOR_ROWS + 1, "cols": 1, "data": []}))
+    code, payload, err = run(capsys, ["discord", str(path), "--dim-a", "2"])
+    assert code == EXIT_DIMENSION
+    assert payload is None
+    assert "ceiling" in err
 
 
 def test_discord_exit_ok_on_discord_free_ensembles(tmp_path, capsys):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from inducedmaps import SeparableEnsemble, ValidationError
+from inducedmaps import SeparableEnsemble, SizeError, ValidationError
 from inducedmaps.jsonio import (
     complex_to_json,
     ensemble_from_json,
@@ -20,6 +20,7 @@ from inducedmaps.jsonio import (
     save_json,
     save_matrix,
 )
+from inducedmaps.linalg import MAX_TENSOR_ROWS
 from inducedmaps.presets import four_block_ensemble
 
 AWKWARD = np.array(
@@ -90,6 +91,16 @@ def test_matrix_payload_rejects_non_finite_entries():
         matrix_from_json(
             {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]}
         )
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(MAX_TENSOR_ROWS + 1, 1), (1, MAX_TENSOR_ROWS + 1), (10**12, 10**12)]
+)
+def test_matrix_payload_rejects_oversized_dimensions_before_reading_data(rows, cols):
+    # The data is empty, so a length check would also fail, as a
+    # ValidationError; the size ceiling must be checked first.
+    with pytest.raises(SizeError, match="ceiling"):
+        matrix_from_json({"rows": rows, "cols": cols, "data": []})
 
 
 def test_ensemble_round_trip_preserves_terms(tmp_path):

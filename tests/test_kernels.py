@@ -711,6 +711,44 @@ def test_generator_scan_induces_and_diagonalises_per_stack(monkeypatch):
     assert len({(r.unitary.tobytes(), r.choi_min_eig, r.positivity.floor) for r in reports}) == 1
 
 
+@pytest.mark.parametrize("source", ["bell-2x2", "coherent-4x2", "mixture-8x4", "generator-bell"])
+def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypatch):
+    d = STACK_SOURCES[source]()
+    n = d.dim_a * d.dim_e
+    family = {}
+    if source.startswith("generator"):
+        family = {"family": GENERATOR, "params": np.random.default_rng(2).normal(size=n * n)}
+    keys, rngs, sampled = [], [], []
+
+    def counted_seed_sequence(*args, _real=np.random.SeedSequence, **kwargs):
+        keys.append(kwargs.get("spawn_key"))
+        return _real(*args, **kwargs)
+
+    def counted_rng(seed, _real=np.random.default_rng):
+        rngs.append(seed)
+        return _real(seed)
+
+    def spied_sample(s, seeds, budget, _real=maps._sample):
+        sampled.append(len(seeds))
+        return _real(s, seeds, budget)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(maps, "_sample", spied_sample)
+    trials = 2 * TRIAL_GROUP + 1
+    reports = scan(d, SearchConfig(trials=trials, positivity_budget=50, seed=3, **family))
+    draws = 0 if family else trials
+    # one seed and one generator per Haar draw and per map that samples
+    assert len(keys) == len(rngs) == draws + sum(sampled)
+    assert sorted(k for k in keys if k[1] == 0) == [(i, 0) for i in range(draws)]
+    # Bell maps close in the spectral stage and coherent-block maps on
+    # their floor; the discordant mixture's brackets stay open
+    probes = [r.positivity for r in reports]
+    opened = [i for i, p in enumerate(probes) if p.floor < -1e-9 and p.min_eig - p.floor > 1e-9]
+    assert sum(sampled) == (trials if source == "mixture-8x4" else 0) == len(opened)
+    assert sorted(k for k in keys if k[1] == 1) == [(i, 1) for i in opened]
+
+
 def test_probe_stack_takes_one_seed_per_map():
     stack = bell_cnot_map().stack
     for seeds in ([0, 1], []):

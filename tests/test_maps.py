@@ -321,6 +321,19 @@ def test_probe_rejects_empty_budget():
         probe_positivity(m, budget=0)
 
 
+@pytest.mark.parametrize("budget", [2.5, float("nan"), True, "50"])
+def test_probe_rejects_non_integer_budget(budget):
+    m = induce(decompose_blocks(bell_density(), 2, 2), cnot())
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        probe_positivity(m, budget=budget)
+
+
+def test_probe_accepts_numpy_integer_budget():
+    m = induce(decompose_blocks(bell_density(), 2, 2), cnot())
+    p, q = (probe_positivity(m, budget=b, seed=1) for b in (np.int64(50), 50))
+    assert (p.status, p.min_eig, p.floor) == (q.status, q.min_eig, q.floor)
+
+
 def test_kraus_of_identity_map_is_single_identity_operator():
     rng = np.random.default_rng(51)
     m = induce(product_source(rng), np.eye(4))

@@ -69,6 +69,38 @@ def test_search_config_validates_inputs():
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("seed", float("nan")),
+        ("seed", True),
+        ("seed", "7"),
+        ("trials", 2.5),
+        ("trials", True),
+        ("positivity_budget", 2.5),
+        ("positivity_budget", np.float64(50.0)),
+    ],
+)
+def test_search_config_rejects_non_integer_settings(field, value):
+    # Each of these used to construct and then fail inside scan, with a
+    # bare TypeError from SeedSequence or range.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_accepts_numpy_integers():
+    seed = np.random.default_rng(0).integers(2**32)
+    cfg = SearchConfig(seed=seed, trials=np.int64(3), positivity_budget=np.uint16(50))
+    assert (cfg.seed, cfg.trials, cfg.positivity_budget) == (int(seed), 3, 50)
+    assert all(type(v) is int for v in (cfg.seed, cfg.trials, cfg.positivity_budget))
+    d = decompose_blocks(bell_density(), 2, 2)
+    plain = SearchConfig(seed=int(seed), trials=3, positivity_budget=50)
+    assert [r.unitary.tobytes() for r in scan(d, cfg)] == [
+        r.unitary.tobytes() for r in scan(d, plain)
+    ]
+
+
+@pytest.mark.parametrize(
     "family, params, message",
     [
         (HAAR, [1.0, 2.0, 3.0], "no other family takes them"),
