@@ -15,14 +15,17 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError
 from .linalg import (
+    as_square,
     check_tolerance,
     check_unitaries,
     dagger,
-    hermitian_eigen,
+    frozen,
+    hermitian_deviation,
     hermitian_part,
     partial_trace,
+    share_on_deepcopy,
 )
 from .states import validate_density_matrix
 
@@ -38,14 +41,20 @@ DEGENERACY_GAP = 1e-8
 class DiscordVerdict:
     """Outcome of the vanishing-discord check.
 
-    ``basis`` holds the verified measurement basis (orthonormal columns)
-    for VQD and is None for NONZERO and INDETERMINATE.  ``residual`` is
-    the pinching defect of the best basis actually tested.
+    ``basis`` holds the verified measurement basis (orthonormal columns,
+    read-only) for VQD and is None for NONZERO and INDETERMINATE.  ``residual``
+    is the pinching defect of the best basis actually tested.
     """
 
     status: str
     basis: np.ndarray | None
     residual: float
+
+    def __post_init__(self):
+        if self.basis is not None:
+            object.__setattr__(self, "basis", frozen(self.basis))
+
+    __deepcopy__ = share_on_deepcopy
 
 
 def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
@@ -58,11 +67,9 @@ def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
     rotating back.
     """
     rho = validate_density_matrix(rho_ae, name="rho_ae")
-    basis = np.asarray(basis, dtype=complex)
+    basis = as_square(basis, "basis")
     if basis.shape != (dim_a, dim_a):
         raise ShapeError(f"basis shape {basis.shape}, expected {(dim_a, dim_a)}")
-    if not np.isfinite(basis).all():
-        raise ValidationError("basis contains non-finite entries")
     check_unitaries(basis[None])
     if rho.shape[0] != dim_a * dim_e:
         raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
@@ -105,7 +112,7 @@ def _max_commutator(stack: np.ndarray) -> float:
     worst = 0.0
     for i in range(len(stack) - 1):
         p = stack[i] @ stack[i + 1 :]
-        worst = max(worst, float(np.abs(p - np.conjugate(p).swapaxes(-1, -2)).max()))
+        worst = max(worst, float(hermitian_deviation(p).max()))
     return worst
 
 
@@ -140,7 +147,7 @@ def _refined_eigenbasis(mats) -> np.ndarray:
     Deterministic for fixed inputs.
     """
     mats = iter(mats)
-    w, v = hermitian_eigen(next(mats), tol=np.inf)
+    w, v = np.linalg.eigh(hermitian_part(next(mats)))
     blocks = _clusters(w, np.arange(len(w)))
     while len(blocks) < len(w) and (m := next(mats, None)) is not None:
         new_blocks = []
@@ -149,7 +156,7 @@ def _refined_eigenbasis(mats) -> np.ndarray:
                 new_blocks.append(idx)
                 continue
             sub = dagger(v[:, idx]) @ m @ v[:, idx]
-            w_sub, s = hermitian_eigen(sub, tol=np.inf)
+            w_sub, s = np.linalg.eigh(hermitian_part(sub))
             v[:, idx] = v[:, idx] @ s
             new_blocks += _clusters(w_sub, idx)
         blocks = new_blocks

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .linalg import MAX_TENSOR_ROWS
+from .linalg import MAX_TENSOR_ROWS, as_matrix
 from .states import EnsembleTerm, SeparableEnsemble
 
 
@@ -81,10 +81,7 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ValidationError(f"entry {idx} is not an [re, im] pair: {pair!r}")
         what = f"entry {idx}"
         flat[idx] = complex(_json_number(pair[0], what), _json_number(pair[1], what))
-    m = flat.reshape(rows, cols)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValidationError("matrix entries must all be finite")
-    return m
+    return as_matrix(flat.reshape(rows, cols))
 
 
 def ensemble_to_json(e: SeparableEnsemble) -> dict:

@@ -5,7 +5,6 @@ Matrices are small (dims well below 100), so dense LAPACK routines are
 used throughout and no sparse or structured paths exist.
 """
 
-import math
 import operator
 from typing import NamedTuple
 
@@ -21,6 +20,8 @@ DEFAULT_HERM_TOL = 1e-9
 
 # Tolerance for ``U†U = I`` in max-entry norm.
 DEFAULT_UNITARITY_TOL = 1e-10
+
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Spectrum(NamedTuple):
@@ -164,45 +165,42 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'E', got {side!r}")
 
 
-def _check_hermitian(m: np.ndarray, dev, tol: float) -> None:
-    """Raise for the matrix ``m`` whose deviation ``max|m - m†|`` is ``dev``."""
-    # A non-finite entry makes its deviation inf or NaN, which fails even
-    # at tol = inf.
-    if not (dev <= tol and math.isfinite(dev)):
-        if not np.isfinite(m).all():
-            raise ValidationError("m contains non-finite entries")
-        raise HermiticityError(f"hermiticity deviation {dev:.3e} exceeds tolerance {tol:.3e}")
+def hermitian_deviation(ms: np.ndarray) -> np.ndarray:
+    """Entrywise ``|m - m†|`` over the last two axes of ``ms``; inf or NaN where not finite."""
+    return np.abs(ms - np.conjugate(ms).swapaxes(-1, -2))
 
 
-def hermitian_spectra(ms: np.ndarray, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
-    """Eigendecompositions of a ``(d, d)`` matrix or of a ``(T, d, d)`` stack.
+def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """Hermitian parts of a ``(d, d)`` matrix or of a ``(T, d, d)`` stack.
 
-    Every matrix must be finite (else ValidationError) and within ``tol``
-    of Hermitian, ``max|m - m†| <= tol`` (else HermiticityError); the first
-    failing matrix is reported.  Each decomposition is taken of the
-    Hermitian part ``(m + m†)/2``, which keeps the result deterministic and
-    exactly reconstructible; one ``eigh`` call serves the stack, and
-    ``eigenvalues[t]`` is ascending for each ``t``.  A single matrix skips
-    the per-matrix reduction and gives the same bits as a stack of one.
+    Every matrix must be finite and within ``tol`` of Hermitian, ``max|m -
+    m†| <= tol``, at any ``tol`` up to ``inf``.  The first failing matrix
+    raises ValidationError if it has a non-finite entry, else
+    HermiticityError (also when a finite matrix's deviation overflows).
     """
-    if ms.ndim == 2:
-        _check_hermitian(ms, np.abs(ms - ms.conj().T).max(), tol)
-    else:
-        dev = np.abs(ms - ms.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = ~((dev <= tol) & np.isfinite(dev))
-        if bad.any():
-            i = int(np.argmax(bad))
-            _check_hermitian(ms[i], dev[i], tol)
-    return Spectrum(*np.linalg.eigh(hermitian_part(ms)))
+    dev = hermitian_deviation(ms)
+    # Capping tol at the largest float makes the one comparison fail on an
+    # infinite or NaN deviation too; an empty stack deviates by 0.
+    limit = min(tol, _FLOAT_MAX)
+    if not dev.max(initial=0.0) <= limit:
+        # Only a failure is traced back to its matrix.
+        stack = ms.reshape(-1, *ms.shape[-2:])
+        worst = dev.reshape(len(stack), -1).max(axis=1)
+        i = int(np.argmin(worst <= limit))
+        if not np.isfinite(stack[i]).all():
+            raise ValidationError(f"{name} contains non-finite entries")
+        raise HermiticityError(f"{name} deviates from Hermitian by {worst[i]:.3e}, above {tol:.3e}")
+    return hermitian_part(ms)
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    The one-matrix case of :func:`hermitian_spectra`, for a nonempty
-    square ``m`` (else ShapeError).
+    ``m`` is a nonempty square matrix (else ShapeError) that passes
+    :func:`check_hermitian` at ``tol``; the decomposition of its Hermitian
+    part is deterministic and exactly reconstructible.
     """
-    return hermitian_spectra(as_square(m, "m"), tol)
+    return Spectrum(*np.linalg.eigh(check_hermitian(as_square(m, "m"), tol, "m")))
 
 
 def is_psd(m, tol: float = DEFAULT_HERM_TOL) -> tuple[bool, float]:

@@ -12,10 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HermiticityError, NotPsdError, ShapeError, ValidationError
+from .errors import NotPsdError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_UNITARITY_TOL,  # re-exported: unitarity is checked in linalg
     as_square,
+    check_hermitian,
     check_integer,
     check_tolerance,
     check_unitaries,
@@ -65,17 +66,16 @@ class MapStack:
 
     @cached_property
     def choi(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(max|C - C†|, λmin((C + C†)/2))`` per map, ``C`` its Choi matrix.
+        """``(C, λmin((C + C†)/2))`` per map, ``C`` its Choi matrix.
 
-        One pass builds every Choi matrix (see :func:`choi_matrix`) and
-        serves both the Hermiticity check of :func:`cp_verdicts` and the
-        probe's floor.  Non-finite images or shifts raise ValidationError.
+        One pass builds every Choi matrix (see :func:`choi_matrix`) for
+        the Hermiticity check of :func:`cp_verdicts` and for the probe's
+        floor.  Non-finite images or shifts raise ValidationError.
         """
         if not (np.isfinite(self.images).all() and np.isfinite(self.shift).all()):
             raise ValidationError("induced map contains non-finite entries")
         choi = _choi_matrices(self.images)
-        dev = np.abs(choi - choi.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-        return dev, np.linalg.eigvalsh(hermitian_part(choi))[:, 0]
+        return choi, np.linalg.eigvalsh(hermitian_part(choi))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ class InducedMap:
     blocks.  For SL sources the images are unit-trace on the diagonal and
     traceless off it, so the map preserves trace; for non-SL sources the
     images absorb the source block coefficients and the shift is nonzero.
-    The map's one-element ``stack`` caches its Choi data, which serves
-    both :func:`is_cp` and the probe.
+    Shapes other than ``(d, d, d, d)`` and ``(d, d)``, ``d = dim_a >= 1``,
+    raise ShapeError.  The map's one-element ``stack`` caches its Choi
+    data, which serves both :func:`is_cp` and the probe.
     """
 
     dim_a: int
@@ -98,6 +99,9 @@ class InducedMap:
     def __post_init__(self):
         object.__setattr__(self, "images", frozen(self.images))
         object.__setattr__(self, "shift", frozen(self.shift))
+        d, shapes = self.dim_a, (self.images.shape, self.shift.shape)
+        if d < 1 or shapes != ((d,) * 4, (d, d)):
+            raise ShapeError(f"images and shift of shapes {shapes} do not fit dim_a {d}")
 
     __deepcopy__ = share_on_deepcopy
 
@@ -239,16 +243,11 @@ def choi_matrix(m: InducedMap) -> np.ndarray:
 def cp_verdicts(s: MapStack, tol: float) -> list[CpVerdict]:
     """:func:`is_cp` of every map in a stack; ``tol`` is checked by the caller.
 
-    Any Choi matrix further than ``max(tol, 1e-9)`` from Hermitian raises
-    HermiticityError.
+    A Choi matrix further than ``max(tol, 1e-9)`` from Hermitian raises
+    HermiticityError (:func:`check_hermitian`).
     """
-    dev, choi_min = s.choi
-    herm_tol = max(tol, 1e-9)
-    bad = dev > herm_tol
-    if bad.any():
-        raise HermiticityError(
-            f"hermiticity deviation {dev[bad][0]:.3e} exceeds tolerance {herm_tol:.3e}"
-        )
+    choi, choi_min = s.choi
+    check_hermitian(choi, max(tol, 1e-9), "Choi matrix")
     verdicts = []
     for lam, norm in zip(choi_min.tolist(), np.abs(s.shift).max(axis=(1, 2)).tolist()):
         if norm > tol:
@@ -267,9 +266,9 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
     CP requires the Choi matrix to have smallest eigenvalue >= ``-tol``
     and the shift to vanish within ``tol`` (max-entry norm).  A nonzero
     shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  The
-    Hermiticity check at ``max(tol, 1e-9)`` and ``choi_min_eig`` come from
-    the map's one cached Choi pass.  ``tol`` must be a finite number >= 0,
-    else ValueError.
+    Hermiticity check at ``max(tol, 1e-9)`` (HermiticityError) and
+    ``choi_min_eig`` read the map's one cached Choi pass.  ``tol`` must be
+    a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
     return cp_verdicts(m.stack, tol)[0]

@@ -17,11 +17,11 @@ import numpy as np
 from .errors import CancellationError, NonSLError, ShapeError, ValidationError
 from .linalg import (
     as_square,
+    check_hermitian,
     check_tolerance,
     frozen,
     hadamard,
     hermitian_part,
-    hermitian_spectra,
     share_on_deepcopy,
     tensor,
 )
@@ -63,7 +63,8 @@ def validate_density_matrix(rho, name: str = "rho"):
     """Check hermiticity, unit trace, and positivity; return the matrix.
 
     All three checks use ``DEFAULT_DENSITY_TOL`` (hermiticity in max-entry
-    norm).  This is the one-element case of :func:`check_densities`.
+    norm; its failure raises HermiticityError).  This is the one-element
+    case of :func:`check_densities`.
     """
     rho = as_square(rho, name)
     check_densities(rho[None], name)
@@ -71,22 +72,18 @@ def validate_density_matrix(rho, name: str = "rho"):
 
 
 def check_densities(rhos: np.ndarray, name: str) -> np.ndarray:
-    """:func:`validate_density_matrix` of every matrix in a finite ``(T, n, n)`` stack.
+    """:func:`validate_density_matrix` of every matrix in a ``(T, n, n)`` stack.
 
     Each check runs once on the whole stack, in the same order, and the
-    first matrix that fails it is reported.  Returns ``rhos``.
+    first matrix that fails it is reported (Hermiticity by
+    :func:`~inducedmaps.linalg.check_hermitian`).  Returns ``rhos``.
     """
-    dev = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(1, 2))
-    bad = dev > DEFAULT_DENSITY_TOL
-    if bad.any():
-        raise ValidationError(
-            f"{name} is not Hermitian: max deviation {dev[bad][0]:.3e} exceeds {DEFAULT_DENSITY_TOL:.3e}"
-        )
+    herm = check_hermitian(rhos, DEFAULT_DENSITY_TOL, name)
     tr = rhos.trace(axis1=1, axis2=2)
     bad = np.abs(tr - 1.0) > DEFAULT_DENSITY_TOL
     if bad.any():
         raise ValidationError(f"{name} has trace {complex(tr[bad][0]):.12g}, expected 1")
-    lam = np.linalg.eigvalsh(hermitian_part(rhos))[:, 0]
+    lam = np.linalg.eigvalsh(herm)[:, 0]
     bad = ~(lam >= -DEFAULT_DENSITY_TOL)
     if bad.any():
         raise ValidationError(f"{name} has negative eigenvalue {lam[bad][0]:.3e}")
@@ -395,7 +392,8 @@ def check_condition(
                 {"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}
             )
         else:
-            lam = hermitian_spectra(np.stack(rs.matrices), tol).eigenvalues[:, 0]
+            herm = check_hermitian(np.stack(rs.matrices), tol, "rescaled matrix")
+            lam = np.linalg.eigh(herm)[0][:, 0]
             failing = np.flatnonzero(~(lam >= -tol))
             rescaled_psd = not failing.size
             witnesses += (
@@ -407,8 +405,8 @@ def check_condition(
     if sl_class == NON_SL:
         witnesses.append({"route": ROUTE_BLOCK, "error": "NON_SL"})
     else:
-        # The factors passed validate_density_matrix, whose Hermiticity test
-        # is hermitian_eigen's at the same tolerance, so none is rechecked.
+        # The factors passed validate_density_matrix, whose Hermiticity gate
+        # is check_hermitian at the same tolerance, so none is rechecked.
         rho_as = np.stack([t.rho_a for t in e.terms])
         projectors = _support_projectors(rho_as, support_cutoff)
         residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))

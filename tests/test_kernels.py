@@ -671,6 +671,32 @@ def test_scan_runs_one_qr_and_one_choi_diagonalisation_per_stack(source, monkeyp
     assert choi["eigh"] == [(k, choi_dim, choi_dim) for k in stacks if k]
 
 
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+def test_classify_and_scan_build_one_choi_matrix_per_stack(source, monkeypatch):
+    d = source()
+    built, shifted = [], []
+
+    def counted_choi(images, _real=maps._choi_matrices):
+        built.append(len(images))
+        return _real(images)
+
+    def counted_shifted(images, shift, _real=maps._shifted):
+        shifted.append(len(images))
+        return _real(images, shift)
+
+    monkeypatch.setattr(maps, "_choi_matrices", counted_choi)
+    monkeypatch.setattr(maps, "_shifted", counted_shifted)
+    cfg = SearchConfig(trials=2 * TRIAL_GROUP + 1, positivity_budget=50)
+    # the Choi check of cp_verdicts and the probe's floor share one build;
+    # the spectral stage builds C + I ⊗ shift for the maps it runs on
+    classify(d, haar_unitary(d.dim_a * d.dim_e, np.random.default_rng(8)), cfg)
+    assert sorted(built) == sorted([1] + shifted)
+    built.clear()
+    shifted.clear()
+    scan(d, cfg)
+    assert sorted(built) == sorted([TRIAL_GROUP, TRIAL_GROUP, 1] + shifted)
+
+
 def test_generator_scan_induces_and_diagonalises_per_stack(monkeypatch):
     d = decompose_blocks(bell_density(), 2, 2)
     cfg = SearchConfig(

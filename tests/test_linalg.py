@@ -5,17 +5,20 @@ import pytest
 
 from inducedmaps import (
     HermiticityError,
+    InducedMap,
     ShapeError,
     SizeError,
     ValidationError,
     dagger,
     hadamard,
     hermitian_eigen,
+    is_cp,
     is_psd,
     partial_trace,
     tensor,
+    validate_density_matrix,
 )
-from inducedmaps.linalg import check_unitaries, hermitian_spectra
+from inducedmaps.linalg import check_hermitian, check_unitaries
 from inducedmaps.presets import bell_density, random_density
 
 
@@ -139,19 +142,35 @@ def test_hermitian_eigen_rejects_non_hermitian_input():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def choi_map_of(c):
+    # the map whose Choi block (k, l) is images[k, l] = c[k, l] * I/2
+    return InducedMap(2, np.einsum("kl,ab->klab", c, np.eye(2) / 2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [validate_density_matrix, hermitian_eigen, is_psd, lambda c: is_cp(choi_map_of(c))],
+    ids=["validate_density_matrix", "hermitian_eigen", "is_psd", "is_cp"],
+)
+def test_every_hermiticity_check_raises_hermiticity_error(call):
+    with pytest.raises(HermiticityError):
+        call(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+
 def test_one_matrix_spectrum_matches_a_stack_of_one_bit_for_bit():
     rng = np.random.default_rng(19)
     for dim in (2, 4, 16):
         # slightly non-Hermitian, so the Hermitian part is taken for real
         m = random_hermitian(dim, rng) + 1e-12j * rng.normal(size=(dim, dim))
-        one, stacked = hermitian_spectra(m), hermitian_spectra(m[None])
-        assert one.eigenvalues.tobytes() == stacked.eigenvalues[0].tobytes()
-        assert one.eigenvectors.tobytes() == stacked.eigenvectors[0].tobytes()
+        one = hermitian_eigen(m)
+        stacked = np.linalg.eigh(check_hermitian(m[None], 1e-9, "m"))
+        assert one.eigenvalues.tobytes() == stacked[0][0].tobytes()
+        assert one.eigenvectors.tobytes() == stacked[1][0].tobytes()
     for bad in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
         errors = []
         for a in (bad, bad[None]):
             with pytest.raises((HermiticityError, ValidationError)) as exc:
-                hermitian_spectra(a)
+                check_hermitian(a, 1e-9, "m")
             errors.append((type(exc.value), str(exc.value)))
         assert errors[0] == errors[1]
 
@@ -159,9 +178,11 @@ def test_one_matrix_spectrum_matches_a_stack_of_one_bit_for_bit():
 def test_spectra_reject_a_non_finite_matrix_at_any_tolerance():
     # one asymmetric inf entry deviates by inf, which tol = inf used to accept
     bad = np.array([[1.0, np.inf], [0.0, 1.0]])
-    for call, a in ((hermitian_spectra, bad), (hermitian_spectra, bad[None]), (hermitian_eigen, bad)):
+    for a in (bad, bad[None], np.stack([np.eye(2), bad])):
         with pytest.raises(ValidationError, match="non-finite"):
-            call(a, tol=np.inf)
+            check_hermitian(a, np.inf, "m")
+    with pytest.raises(ValidationError, match="non-finite"):
+        hermitian_eigen(bad, tol=np.inf)
 
 
 def test_is_psd_on_reference_matrices():

@@ -133,6 +133,18 @@ def test_apply_validates_input_shape():
         m.apply(np.eye(3))
 
 
+def test_map_arrays_must_fit_dim_a():
+    m = induce(decompose_blocks(bell_density(), 2, 2), cnot())
+    for dim_a, images, shift in (
+        (3, m.images, m.shift),
+        (2, m.images[0], m.shift),
+        (2, m.images, m.shift[0]),
+        (0, np.zeros((0,) * 4), np.zeros((0, 0))),
+    ):
+        with pytest.raises(ShapeError):
+            InducedMap(dim_a, images, shift)
+
+
 def test_map_arrays_are_immutable():
     m = induce(decompose_blocks(bell_density(), 2, 2), cnot())
     with pytest.raises(ValueError):

@@ -254,6 +254,7 @@ def test_deepcopy_keeps_frozen_records_and_their_read_only_arrays():
         "map": (m, ["images", "shift"]),
         "report": (report, ["unitary"]),
         "probe": (report.positivity, ["witness"]),
+        "discord": (has_vqd(np.eye(4) / 4, 2, 2), ["basis"]),
     }
     for name, (record, fields) in records.items():
         clone = copy.deepcopy(record)
