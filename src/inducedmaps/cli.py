@@ -119,10 +119,15 @@ def _state_with_dims(path, dim_a_flag):
     """Load a state file as ``(rho, dim_a, dim_e)`` with ``rho`` validated once.
 
     A matrix is validated as ``state`` and needs --dim-a to fix the tensor
-    split; an ensemble's assembled state is validated as ``rho_ae``.
+    split; an ensemble's assembled state is validated as ``rho_ae``, and a
+    --dim-a other than its ``dimA`` raises ShapeError.
     """
     kind, state = load_state(path)
     if kind == "ensemble":
+        if dim_a_flag not in (None, state.dim_a):
+            raise ShapeError(
+                f"--dim-a {dim_a_flag} does not match the ensemble's dimA {state.dim_a}"
+            )
         return validate_density_matrix(state.state, name="rho_ae"), state.dim_a, state.dim_e
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]

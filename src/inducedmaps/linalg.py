@@ -166,8 +166,10 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
 
 
 def hermitian_deviation(ms: np.ndarray) -> np.ndarray:
-    """Entrywise ``|m - m†|`` over the last two axes of ``ms``; inf or NaN where not finite."""
-    return np.abs(ms - np.conjugate(ms).swapaxes(-1, -2))
+    """Entrywise ``|m - m†|`` over the last two axes of ``ms``; inf or NaN where
+    not finite, and inf where a finite difference overflows (silently)."""
+    with np.errstate(over="ignore"):
+        return np.abs(ms - np.conjugate(ms).swapaxes(-1, -2))
 
 
 def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:

@@ -8,7 +8,6 @@ and a trace-preserving linear part.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,37 +47,6 @@ REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
-class MapStack:
-    """Induced maps stacked along a leading axis.
-
-    ``images`` has shape ``(T, da, da, da, da)`` and ``shift`` shape
-    ``(T, da, da)``; entry ``t`` is one :class:`InducedMap`.  The stacked
-    kernels (:func:`cp_verdicts`, :func:`probe_stack`) evaluate all ``T``
-    maps with one numpy call per step instead of one per map.  The arrays
-    are stored as given, not copied; ``choi`` is derived once.
-    """
-
-    images: np.ndarray
-    shift: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.images)
-
-    @cached_property
-    def choi(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(C, λmin((C + C†)/2))`` per map, ``C`` its Choi matrix.
-
-        One pass builds every Choi matrix (see :func:`choi_matrix`) for
-        the Hermiticity check of :func:`cp_verdicts` and for the probe's
-        floor.  Non-finite images or shifts raise ValidationError.
-        """
-        if not (np.isfinite(self.images).all() and np.isfinite(self.shift).all()):
-            raise ValidationError("induced map contains non-finite entries")
-        choi = _choi_matrices(self.images)
-        return choi, np.linalg.eigvalsh(hermitian_part(choi))[:, 0]
-
-
-@dataclass(frozen=True)
 class InducedMap:
     """Affine reduced dynamics: ``rho' -> sum_kl rho'[k,l] images[k,l] + shift``.
 
@@ -88,8 +56,8 @@ class InducedMap:
     traceless off it, so the map preserves trace; for non-SL sources the
     images absorb the source block coefficients and the shift is nonzero.
     Shapes other than ``(d, d, d, d)`` and ``(d, d)``, ``d = dim_a >= 1``,
-    raise ShapeError.  The map's one-element ``stack`` caches its Choi
-    data, which serves both :func:`is_cp` and the probe.
+    raise ShapeError.  The map keeps only these arrays: :func:`is_cp` and
+    :func:`probe_positivity` each build its Choi matrix for their call.
     """
 
     dim_a: int
@@ -114,16 +82,6 @@ class InducedMap:
             )
         return _apply(self.images, self.shift, rho_prime)
 
-    @cached_property
-    def stack(self) -> MapStack:
-        """This map as a one-element :class:`MapStack` (read-only views)."""
-        return MapStack(self.images[None], self.shift[None])
-
-    @property
-    def choi_min_eig(self) -> float:
-        """``λmin((C + C†)/2)`` with ``C = choi_matrix(self)``, computed once."""
-        return float(self.stack.choi[1][0])
-
 
 @dataclass(frozen=True)
 class CpVerdict:
@@ -131,7 +89,8 @@ class CpVerdict:
 
     ``status`` is CP, NOT_CP (negative Choi eigenvalue), or NOT_CP_AFFINE
     (nonzero shift, reported distinctly because the map is not even
-    linear).  ``choi_min_eig`` is the map's cached ``InducedMap.choi_min_eig``.
+    linear).  ``choi_min_eig`` is ``λmin((C + C†)/2)``, ``C =
+    choi_matrix(m)``.
     """
 
     status: str
@@ -184,11 +143,14 @@ def validate_unitary(u, dim: int | None = None):
     return u
 
 
-def induce_stack(d: SLDecomposition, us: np.ndarray) -> MapStack:
-    """The maps :func:`induce` builds, for a ``(T, n, n)`` stack of unitaries.
+def induce_stack(d: SLDecomposition, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(images, shift)`` of the maps :func:`induce` builds, for a ``(T, n,
+    n)`` stack of unitaries.
 
-    One stacked contraction per row block serves every unitary.  The
-    caller checks unitarity (:func:`check_unitaries`).
+    ``images`` has shape ``(T, da, da, da, da)`` and ``shift`` shape ``(T,
+    da, da)``; entry ``t`` is the map of ``us[t]``.  One stacked
+    contraction per row block serves every unitary.  The caller checks
+    unitarity (:func:`check_unitaries`).
     """
     da, de = d.dim_a, d.dim_e
     t, n = len(us), da * de
@@ -203,10 +165,10 @@ def induce_stack(d: SLDecomposition, us: np.ndarray) -> MapStack:
     resp = left @ u_conj
     unit = (d.pair_class == PairClass.UNIT_TRACE)[:, :, None, None]
     if d.is_sl:
-        return MapStack(np.where(unit, resp, 0), np.zeros((t, da, da), dtype=complex))
+        return np.where(unit, resp, 0), np.zeros((t, da, da), dtype=complex)
     weighted = d.coeffs[:, :, None, None] * resp
     shift = weighted[:, d.pair_class == PairClass.TRACELESS_NONZERO].sum(axis=1)
-    return MapStack(np.where(unit, weighted, 0), shift)
+    return np.where(unit, weighted, 0), shift
 
 
 def induce(d: SLDecomposition, u) -> InducedMap:
@@ -221,8 +183,8 @@ def induce(d: SLDecomposition, u) -> InducedMap:
     This is the one-element case of :func:`induce_stack`.
     """
     u = validate_unitary(u, dim=d.dim_a * d.dim_e)
-    s = induce_stack(d, u[None])
-    return InducedMap(d.dim_a, s.images[0], s.shift[0])
+    images, shift = induce_stack(d, u[None])
+    return InducedMap(d.dim_a, images[0], shift[0])
 
 
 def _choi_matrices(images: np.ndarray) -> np.ndarray:
@@ -240,16 +202,31 @@ def choi_matrix(m: InducedMap) -> np.ndarray:
     return _choi_matrices(m.images[None])[0]
 
 
-def cp_verdicts(s: MapStack, tol: float) -> list[CpVerdict]:
+def _choi_minima(images: np.ndarray, shift: np.ndarray, tol: float) -> np.ndarray:
+    """``λmin((C + C†)/2)`` of each map's Choi matrix ``C``, from one pass.
+
+    Non-finite maps raise ValidationError, and a ``C`` further than
+    ``tol`` from Hermitian HermiticityError.  ``tol = inf`` checks only
+    finiteness: a finite ``C`` whose deviation overflows still passes.
+    """
+    if not (np.isfinite(images).all() and np.isfinite(shift).all()):
+        raise ValidationError("induced map contains non-finite entries")
+    choi = _choi_matrices(images)
+    herm = hermitian_part(choi) if tol == np.inf else check_hermitian(choi, tol, "Choi matrix")
+    return np.linalg.eigvalsh(herm)[:, 0]
+
+
+def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVerdict]:
     """:func:`is_cp` of every map in a stack; ``tol`` is checked by the caller.
 
-    A Choi matrix further than ``max(tol, 1e-9)`` from Hermitian raises
-    HermiticityError (:func:`check_hermitian`).
+    ``images`` and ``shift`` are stacked as :func:`induce_stack` returns
+    them.  One Choi pass serves the stack: a Choi matrix further than
+    ``max(tol, 1e-9)`` from Hermitian raises HermiticityError
+    (:func:`check_hermitian`), and its Hermitian part is diagonalised.
     """
-    choi, choi_min = s.choi
-    check_hermitian(choi, max(tol, 1e-9), "Choi matrix")
+    choi_min = _choi_minima(images, shift, max(tol, 1e-9))
     verdicts = []
-    for lam, norm in zip(choi_min.tolist(), np.abs(s.shift).max(axis=(1, 2)).tolist()):
+    for lam, norm in zip(choi_min.tolist(), np.abs(shift).max(axis=(1, 2)).tolist()):
         if norm > tol:
             status = NOT_CP_AFFINE
         elif lam < -tol:
@@ -265,13 +242,13 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
 
     CP requires the Choi matrix to have smallest eigenvalue >= ``-tol``
     and the shift to vanish within ``tol`` (max-entry norm).  A nonzero
-    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  The
-    Hermiticity check at ``max(tol, 1e-9)`` (HermiticityError) and
-    ``choi_min_eig`` read the map's one cached Choi pass.  ``tol`` must be
-    a finite number >= 0, else ValueError.
+    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  One Choi
+    pass serves the Hermiticity check at ``max(tol, 1e-9)``
+    (HermiticityError) and ``choi_min_eig``; nothing is kept on the map.
+    ``tol`` must be a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
-    return cp_verdicts(m.stack, tol)[0]
+    return cp_verdicts(m.images[None], m.shift[None], tol)[0]
 
 
 def _apply(images: np.ndarray, shift: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -299,9 +276,9 @@ def min_eig_2x2(h: np.ndarray) -> np.ndarray:
     return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(h[..., 0, 1]))
 
 
-def _batch_minima(s: MapStack, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batch_minima(images, shift, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each map's smallest output eigenvalue over its batch of inputs, and where."""
-    outs = _outputs(s.images, s.shift, xs)
+    outs = _outputs(images, shift, xs)
     if outs.shape[-1] == 2:
         lams = min_eig_2x2(outs)
     else:
@@ -312,14 +289,14 @@ def _batch_minima(s: MapStack, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigvalsh(outs[np.arange(len(i)), i])[:, 0], i
 
 
-def _sample(s: MapStack, seeds, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _sample(images, shift, seeds, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """Best sampled value and input of each map, map ``t`` drawing from ``seeds[t]``.
 
     Each map draws ``budget`` Haar-random pure inputs from its own stream,
     in batches of ``PROBE_CHUNK``; every batch is evaluated for all maps
     at once.
     """
-    t, da = s.images.shape[:2]
+    t, da = images.shape[:2]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows = np.arange(t)
     best, best_x = np.full(t, np.inf), np.zeros((t, da), dtype=complex)
@@ -331,14 +308,14 @@ def _sample(s: MapStack, seeds, budget: int) -> tuple[np.ndarray, np.ndarray]:
             rng.standard_normal(out=im)
         xs = draws[0] + 1j * draws[1]
         xs /= np.linalg.norm(xs, axis=-1, keepdims=True)
-        lam, i = _batch_minima(s, xs)
+        lam, i = _batch_minima(images, shift, xs)
         better = lam < best
         best[better] = lam[better]
         best_x[better] = xs[rows, i][better]
     return best, best_x
 
 
-def _refine(s: MapStack, best, best_x, tol: float, iters: int) -> None:
+def _refine(images, shift, best, best_x, tol: float, iters: int) -> None:
     """Alternating minimisation from each map's best input, in lock-step.
 
     Updates ``best`` and ``best_x`` in place.  A map leaves the stack on a
@@ -347,9 +324,8 @@ def _refine(s: MapStack, best, best_x, tol: float, iters: int) -> None:
     """
     if iters < 1:
         return
-    da = s.images.shape[1]
-    active = np.arange(len(s))
-    images, shift = s.images, s.shift
+    da = images.shape[1]
+    active = np.arange(len(images))
     # Column 0 of each v is y, the lowest output eigenvector at the input.
     v = np.linalg.eigh(_outputs(images, shift, best_x[:, None]))[1][:, 0]
     for left in range(iters - 1, -1, -1):
@@ -393,33 +369,35 @@ def _shifted(images: np.ndarray, shift: np.ndarray):
     return w[:, 0], x, value
 
 
-def probe_stack(s: MapStack, seeds, budget: int, tol: float) -> list[PositivityProbe]:
-    """:func:`probe_positivity` of map ``t`` of ``s`` with seed ``seeds[t]``.
+def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list[PositivityProbe]:
+    """:func:`probe_positivity` of map ``t`` of a stack with seed ``seeds[t]``.
 
-    Every stage runs on the whole stack: the cheap floors, the spectral
-    stage (:func:`_shifted`) of the maps whose cheap floor is below
-    ``-tol``, the maximally mixed outputs of the floor-certified maps,
-    each sampling batch of the maps whose bracket stays open, the refine
-    steps (in lock-step over the maps still refining) and the witness
-    checks.  Map ``t`` draws from its own stream exactly as it would
-    alone, so its probe is the same bit for bit.  ``seeds`` is a sequence
-    with one seed per map, else ValueError; only the seeds of the maps
-    that sample are read, so a sequence that builds each seed on read
-    builds none for a map the floor or the spectral stage closes.
+    ``images`` and ``shift`` are stacked as :func:`induce_stack` returns
+    them, and ``choi_min[t]`` is ``λmin((C + C†)/2)`` of map ``t``'s Choi
+    matrix, from the caller's Choi pass.  Every stage runs on the whole
+    stack: the cheap floors, the spectral stage (:func:`_shifted`) of the
+    maps whose cheap floor is below ``-tol``, the maximally mixed outputs
+    of the floor-certified maps, each sampling batch of the maps whose
+    bracket stays open, the refine steps (in lock-step over the maps
+    still refining) and the witness checks.  Map ``t`` draws from its own
+    stream exactly as it would alone, so its probe is the same bit for
+    bit.  ``seeds`` is a sequence with one seed per map, else ValueError;
+    only the seeds of the maps that sample are read, so a sequence that
+    builds each seed on read builds none for a map the floor or the
+    spectral stage closes.
     ``budget`` must be an integer >= 1, else ValueError.
     """
     budget = check_integer(budget, "budget")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if len(seeds) != len(s):
-        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {len(s)} maps")
+    n, da = images.shape[:2]
+    if len(seeds) != n:
+        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")
     check_tolerance(tol)
-    n, da = len(s), s.images.shape[1]
-    images, shift = s.images, s.shift
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the cheap floor.
-    floors = s.choi[1] + np.linalg.eigvalsh(hermitian_part(shift))[:, 0]
+    floors = choi_min + np.linalg.eigvalsh(hermitian_part(shift))[:, 0]
     lam, x = np.zeros(n), np.zeros((n, da), dtype=complex)
     spectral = floors < -tol
     closed = np.zeros(n, dtype=bool)
@@ -435,9 +413,9 @@ def probe_stack(s: MapStack, seeds, budget: int, tol: float) -> list[PositivityP
         lam[done] = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
     rest = np.flatnonzero(~closed & ~done)
     if len(rest):
-        sub = MapStack(images[rest], shift[rest])
-        best, best_x = _sample(sub, [seeds[j] for j in rest.tolist()], budget)
-        _refine(sub, best, best_x, tol, REFINE_ITERS)
+        sub_images, sub_shift = images[rest], shift[rest]
+        best, best_x = _sample(sub_images, sub_shift, [seeds[j] for j in rest.tolist()], budget)
+        _refine(sub_images, sub_shift, best, best_x, tol, REFINE_ITERS)
         lam[rest], x[rest] = best, best_x
     # A value below -tol counts only once its input passes as a density
     # matrix and its recomputed output eigenvalue is still below -tol.
@@ -463,12 +441,13 @@ def probe_positivity(
     """Search for an input whose output loses positivity.
 
     First computes the cheap floor ``λmin(Herm C) + λmin(Herm shift)``,
-    ``C = choi_matrix(m)``, with ``λmin(Herm C)`` the cached
-    ``m.choi_min_eig``: no output eigenvalue lies below it, and the shift
-    is traceless, so it is at most ``λmin(C)``.  When the floor is at
-    least ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which
-    proves that no input reaches ``-tol``; it draws no samples, and
-    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.
+    ``C = choi_matrix(m)``: no output eigenvalue lies below it, and the
+    shift is traceless, so it is at most ``λmin(C)``.  Its Choi pass
+    checks that the map is finite (ValidationError), not that ``C`` is
+    Hermitian.  When the floor is at least ``-tol`` the probe returns
+    NO_VIOLATION_FOUND at once, which proves that no input reaches
+    ``-tol``; it draws no samples, and ``min_eig`` is the smallest output
+    eigenvalue on ``I/dim_a``.
 
     Otherwise a spectral stage raises the floor to ``λmin(C_L)``,
     ``C_L = Herm C + I ⊗ Herm shift``, and evaluates the output at the
@@ -495,12 +474,19 @@ def probe_positivity(
     NO_VIOLATION_FOUND after sampling is an exhausted search, not a proof
     of positivity, with the best value found as ``min_eig``.  Every probe
     carries the floor, so ``floor <= true minimum <= min_eig``.
-    ``budget`` must be an integer >= 1 and ``tol`` a finite number >= 0;
-    anything else raises ValueError.  This is the one-element case of
-    :func:`probe_stack`, which :func:`~inducedmaps.search.scan` runs on
-    stacks of trials with the same random streams.
+    ``budget`` and ``seed`` must be integers (numpy integers pass, ``bool``
+    does not), ``budget >= 1`` and ``seed >= 0``, and ``tol`` a finite
+    number >= 0; anything else raises ValueError, whether or not the map
+    samples.  This is the one-element case of :func:`probe_stack`, which
+    :func:`~inducedmaps.search.scan` runs on stacks of trials with the
+    same random streams.
     """
-    return probe_stack(m.stack, [seed], budget, tol)[0]
+    seed = check_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    images, shift = m.images[None], m.shift[None]
+    choi_min = _choi_minima(images, shift, np.inf)
+    return probe_stack(images, shift, choi_min, [seed], budget, tol)[0]
 
 
 def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:

@@ -239,11 +239,12 @@ def _as_decomposition(source) -> SLDecomposition:
     raise TypeError(f"source must be a decomposition or ensemble, got {type(source)}")
 
 
-def _reports(stack, unitaries, cfg: SearchConfig, seeds, trials) -> list:
+def _reports(images, shift, unitaries, cfg: SearchConfig, seeds, trials) -> list:
     """Classify the maps of a stack, probing map ``i`` with ``seeds[i]``."""
-    verdicts = cp_verdicts(stack, cfg.cp_tol)
+    verdicts = cp_verdicts(images, shift, cfg.cp_tol)
+    choi_min = np.array([verdict.choi_min_eig for verdict in verdicts])
     probes = probe_stack(
-        stack, seeds, budget=cfg.positivity_budget, tol=cfg.witness_tol
+        images, shift, choi_min, seeds, budget=cfg.positivity_budget, tol=cfg.witness_tol
     )
     return [
         CandidateReport(
@@ -268,7 +269,7 @@ def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
     """
     m = induce(_as_decomposition(source), u)
     seed = cfg.seed if probe_seed is None else probe_seed
-    return _reports(m.stack, [u], cfg, [seed], [None])[0]
+    return _reports(m.images[None], m.shift[None], [u], cfg, [seed], [None])[0]
 
 
 def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
@@ -283,9 +284,11 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     neither seed nor generator.  The report list is deterministic and
     order-stable for a fixed configuration.  The trials run in stacks of
     ``TRIAL_GROUP``: one unitarity check, one ``induce`` contraction and
-    one Choi diagonalisation per stack (plus one QR for HAAR draws), one
-    diagonalisation of ``C + I ⊗ shift`` over the maps whose cheap floor
-    is open, and each probe stage on the whole stack.  A GENERATOR scan
+    one Choi pass per stack (plus one QR for HAAR draws); that pass's one
+    Choi matrix and one diagonalisation serve both the CP verdicts and the
+    probe floors.  Then one diagonalisation of ``C + I ⊗ shift`` over the
+    maps whose cheap floor is open, and each probe stage on the whole
+    stack.  A GENERATOR scan
     computes its one unitary once and stacks it like a HAAR draw.  Every
     trial keeps its own random streams, so each report equals
     :func:`classify` of its unitary with its probe seed.
@@ -302,7 +305,7 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
         else:
             us = fixed.repeat(len(trials), axis=0)
         reports += _reports(
-            induce_stack(d, check_unitaries(us)),
+            *induce_stack(d, check_unitaries(us)),
             us,
             cfg,
             _TrialSeeds(cfg.seed, trials, 1),

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,31 @@ def test_discord_exit_ok_on_discord_free_ensembles(tmp_path, capsys):
     assert payload["status"] == "VQD"
     assert payload["basis"] is not None
     assert payload["config"]["dim_a"] == 4
+
+
+@pytest.mark.parametrize("command", ["discord", "induce"])
+def test_ensemble_states_reject_a_conflicting_dim_a(tmp_path, capsys, command):
+    argv = [command, write_ensemble(tmp_path, "e.json", overlapping_ensemble())]
+    if command == "induce":
+        for name, matrix in (("u.json", cnot()), ("in.json", ZERO)):
+            save_matrix(tmp_path / name, matrix)
+            argv.append(str(tmp_path / name))
+    code, payload, err = run(capsys, [*argv, "--dim-a", "3"])
+    assert (code, payload) == (EXIT_DIMENSION, None)
+    assert err == "error: --dim-a 3 does not match the ensemble's dimA 2\n"
+    # the file's own dimA reads as no flag at all
+    assert run(capsys, [*argv, "--dim-a", "2"]) == run(capsys, argv)
+
+
+def test_discord_reports_an_overflowing_deviation_on_one_stderr_line(tmp_path, capsys):
+    # finite entries whose m - m† overflows: the error line, no numpy warning
+    path = tmp_path / "huge.json"
+    save_matrix(path, np.array([[1e308, -1e308], [1e308, 1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run(capsys, ["discord", str(path), "--dim-a", "1"])
+    assert (code, payload) == (EXIT_USAGE, None)
+    assert err == "error: state deviates from Hermitian by inf, above 1.000e-09\n"
 
 
 def recorded_validations(monkeypatch):

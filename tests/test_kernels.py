@@ -334,10 +334,12 @@ def test_discordant_stacks_sample_and_refine_as_before(dims):
     d = discordant(*dims, 5)
     rng = np.random.default_rng(37)
     group = [induce(d, haar_unitary(d.dim_a * d.dim_e, rng)) for _ in range(8)]
-    stack = maps.MapStack(np.stack([m.images for m in group]), np.stack([m.shift for m in group]))
+    images, shift = np.stack([m.images for m in group]), np.stack([m.shift for m in group])
+    choi_min = np.array([is_cp(m).choi_min_eig for m in group])
     seeds = list(range(len(group)))
     searched = 0
-    for m, seed, probe in zip(group, seeds, maps.probe_stack(stack, seeds, 200, 1e-9)):
+    probes = maps.probe_stack(images, shift, choi_min, seeds, 200, 1e-9)
+    for m, seed, probe in zip(group, seeds, probes):
         if probe.floor < -1e-9 and probe.min_eig - probe.floor > 1e-9:
             searched += 1
             status, min_eig, witness = sampled_reference(m, 200, seed)
@@ -754,9 +756,9 @@ def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypa
         rngs.append(seed)
         return _real(seed)
 
-    def spied_sample(s, seeds, budget, _real=maps._sample):
+    def spied_sample(images, shift, seeds, budget, _real=maps._sample):
         sampled.append(len(seeds))
-        return _real(s, seeds, budget)
+        return _real(images, shift, seeds, budget)
 
     monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
     monkeypatch.setattr(np.random, "default_rng", counted_rng)
@@ -776,10 +778,35 @@ def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypa
 
 
 def test_probe_stack_takes_one_seed_per_map():
-    stack = bell_cnot_map().stack
+    m = bell_cnot_map()
+    choi_min = np.array([is_cp(m).choi_min_eig])
     for seeds in ([0, 1], []):
         with pytest.raises(ValueError, match="one seed per map"):
-            maps.probe_stack(stack, seeds, 50, 1e-9)
+            maps.probe_stack(m.images[None], m.shift[None], choi_min, seeds, 50, 1e-9)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
+@pytest.mark.parametrize(
+    "make_map", [bell_cnot_map, discordant_qubit_map], ids=["closes", "samples"]
+)
+def test_probe_positivity_validates_its_seed_whether_or_not_it_samples(make_map, seed):
+    # Bell+CNOT closes in the spectral stage and never reads its seed
+    with pytest.raises(ValueError, match="seed must be"):
+        probe_positivity(make_map(), budget=50, seed=seed)
+
+
+def test_probe_positivity_takes_a_numpy_integer_seed():
+    m = discordant_qubit_map()
+    p, q = (probe_positivity(m, budget=50, seed=s) for s in (np.int64(4), 4))
+    assert p.floor < -1e-9 and p.min_eig - p.floor > 1e-9  # the probe sampled
+    assert (p.status, p.min_eig, p.floor) == (q.status, q.min_eig, q.floor)
+
+
+def test_choi_passes_leave_nothing_on_the_map():
+    m = discordant_qubit_map()
+    is_cp(m)
+    probe_positivity(m, budget=50)
+    assert set(vars(m)) == {"dim_a", "images", "shift"}
 
 
 def test_scan_memory_does_not_grow_with_trials():
@@ -858,11 +885,11 @@ def test_probe_stack_matches_the_one_map_reference(budget, refine_iters, monkeyp
     statuses = set()
     for group in groups:
         for stacked in (group[:2], group[2:], group):
-            stack = maps.MapStack(
-                np.stack([m.images for m in stacked]), np.stack([m.shift for m in stacked])
-            )
+            images = np.stack([m.images for m in stacked])
+            shift = np.stack([m.shift for m in stacked])
+            choi_min = np.array([is_cp(m).choi_min_eig for m in stacked])
             seeds = [int(rng.integers(1 << 30)) for _ in stacked]
-            probes = maps.probe_stack(stack, seeds, budget, 1e-9)
+            probes = maps.probe_stack(images, shift, choi_min, seeds, budget, 1e-9)
             for m, seed, probe in zip(stacked, seeds, probes):
                 status, min_eig, witness, floor = reference_probe(
                     m, budget, seed, 1e-9, refine_iters

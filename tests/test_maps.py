@@ -290,6 +290,19 @@ def test_is_cp_rejects_non_hermitian_and_non_finite_images():
         is_cp(InducedMap(2, images, np.full((2, 2), np.nan)))
 
 
+def test_probe_accepts_a_finite_map_whose_choi_deviation_overflows():
+    # the probe checks only finiteness: Herm C is diag(1/2) although C - C†
+    # overflows, which is_cp rejects
+    images = np.zeros((2, 2, 2, 2), dtype=complex)
+    images[0, 0] = images[1, 1] = np.eye(2) / 2.0
+    images[0, 1, 0, 1], images[1, 0, 1, 0] = 1e308, -1e308
+    m = InducedMap(2, images, np.zeros((2, 2)))
+    with pytest.raises(HermiticityError, match="by inf"):
+        is_cp(m)
+    probe = probe_positivity(m)
+    assert (probe.status, probe.min_eig, probe.floor) == (NO_VIOLATION_FOUND, 0.5, 0.5)
+
+
 def test_probe_certifies_violation_for_flipped_bell_blocks():
     m = induce(decompose_blocks(bell_density(), 2, 2), cnot())
     probe = probe_positivity(m, budget=500, seed=0)
