@@ -8,12 +8,19 @@ bit-exact for every finite double.
 """
 
 import json
+import os
 
 import numpy as np
 
 from .errors import SizeError, ValidationError
 from .linalg import MAX_TENSOR_ROWS, as_matrix
 from .states import EnsembleTerm, SeparableEnsemble
+
+# Ceiling on the size of a JSON input, in bytes (a pipe's is counted in
+# characters, which are bytes for the ASCII that save_json writes).  It
+# holds a 512x512 matrix as save_json writes it (16.3 MiB), and bounds the
+# parse, which holds several times the text.
+MAX_JSON_BYTES = 32 * 2**20
 
 
 def complex_to_json(z) -> list[float]:
@@ -130,11 +137,32 @@ def save_json(path, obj) -> None:
 
 
 def load_json(path):
+    """Parse a JSON file of at most ``MAX_JSON_BYTES``, else raise SizeError.
+
+    A regular file above the ceiling is refused by its size, unread.  An
+    input whose size reads 0, such as a pipe, is read at most one
+    character past the ceiling, so it is never held whole either.  Text
+    that is not UTF-8 or not JSON raises ValidationError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # read(n) reserves n bytes up front, so only an input of unknown
+        # size is read with the cap.
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+            if size > MAX_JSON_BYTES:
+                text = ""
+            elif size:
+                text = fh.read()
+            else:
+                text = fh.read(MAX_JSON_BYTES + 1)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+    if max(size, len(text)) > MAX_JSON_BYTES:
+        raise SizeError(f"{path}: JSON input exceeds the ceiling of {MAX_JSON_BYTES} bytes")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def save_matrix(path, m) -> None:

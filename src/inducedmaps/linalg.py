@@ -108,7 +108,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     """
     h = np.conjugate(a).swapaxes(-1, -2)
     h += a
-    h /= 2.0
+    h *= 0.5
     return h
 
 
@@ -180,7 +180,11 @@ def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
     raises ValidationError if it has a non-finite entry, else
     HermiticityError (also when a finite matrix's deviation overflows).
     """
-    dev = hermitian_deviation(ms)
+    # One conjugate transpose serves the deviation and then, in place, the
+    # Hermitian part, with the arithmetic of hermitian_part.
+    ct = np.conjugate(ms).swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        dev = np.abs(ms - ct)
     # Capping tol at the largest float makes the one comparison fail on an
     # infinite or NaN deviation too; an empty stack deviates by 0.
     limit = min(tol, _FLOAT_MAX)
@@ -192,7 +196,9 @@ def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
         if not np.isfinite(stack[i]).all():
             raise ValidationError(f"{name} contains non-finite entries")
         raise HermiticityError(f"{name} deviates from Hermitian by {worst[i]:.3e}, above {tol:.3e}")
-    return hermitian_part(ms)
+    ct += ms
+    ct *= 0.5
+    return ct
 
 
 def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:

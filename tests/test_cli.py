@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -31,7 +32,13 @@ from inducedmaps.cli import (
     EXIT_USAGE,
     main,
 )
-from inducedmaps.jsonio import load_matrix, matrix_from_json, save_ensemble, save_matrix
+from inducedmaps.jsonio import (
+    MAX_JSON_BYTES,
+    load_matrix,
+    matrix_from_json,
+    save_ensemble,
+    save_matrix,
+)
 from inducedmaps.linalg import MAX_TENSOR_ROWS
 from inducedmaps.presets import bell_density, cnot, four_block_ensemble, random_density
 
@@ -300,6 +307,23 @@ def test_discord_exit_dimension_on_oversized_matrix_file(tmp_path, capsys):
     assert code == EXIT_DIMENSION
     assert payload is None
     assert "ceiling" in err
+
+
+def test_discord_exit_dimension_on_an_oversized_file_without_parsing_it(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_JSON_BYTES + 1)
+    tracemalloc.start()
+    try:
+        code, payload, err = run(capsys, ["discord", str(path), "--dim-a", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_DIMENSION
+    assert payload is None
+    assert "ceiling" in err
+    # refused by its size: nothing near the file's size was read or parsed
+    assert peak < MAX_JSON_BYTES // 100
 
 
 def test_discord_exit_ok_on_discord_free_ensembles(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """JSON wire formats: bit-exact round trips and validation."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+
+import inducedmaps.jsonio as jsonio
 
 from inducedmaps import SeparableEnsemble, SizeError, ValidationError
 from inducedmaps.jsonio import (
@@ -155,4 +158,44 @@ def test_load_json_rejects_malformed_text(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ValidationError):
+        load_json(path)
+
+
+def test_load_json_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValidationError, match="UTF-8"):
+        load_json(path)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 40_000])
+def test_load_json_caps_what_it_reads_from_a_pipe(monkeypatch, extra):
+    # a pipe reports size 0, so only the capped read can refuse it; the
+    # text fits in the pipe's buffer, so nothing blocks
+    monkeypatch.setattr(jsonio, "MAX_JSON_BYTES", 64)
+    text = "[" + " " * (62 + extra) + "]"
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        if extra:
+            with pytest.raises(SizeError, match="ceiling"):
+                load_json(path)
+            if extra > 1000:
+                # it stopped reading near the ceiling: the pipe was not drained
+                assert len(os.read(r, len(text))) > extra // 2
+        else:
+            assert load_json(path) == []
+    finally:
+        os.close(r)
+
+
+def test_load_json_takes_a_file_at_the_ceiling(tmp_path, monkeypatch):
+    monkeypatch.setattr(jsonio, "MAX_JSON_BYTES", 64)
+    path = tmp_path / "edge.json"
+    path.write_text("[" + " " * 62 + "]")
+    assert load_json(path) == []
+    path.write_text("[" + " " * 63 + "]")
+    with pytest.raises(SizeError, match="ceiling"):
         load_json(path)

@@ -4,6 +4,7 @@ gates (``check_condition``, ``has_vqd``, ``split_blocks``, ``kraus_from_choi``).
 
 import tracemalloc
 from functools import partial
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from inducedmaps import (
 from inducedmaps import discord, maps, search, states
 from inducedmaps.cli import EXIT_USAGE, main
 from inducedmaps.jsonio import save_ensemble, save_matrix
+from inducedmaps.linalg import hermitian_part
 from inducedmaps.maps import min_eig_2x2
 from inducedmaps.search import MAX_TRIALS, TRIAL_GROUP
 from inducedmaps.presets import (
@@ -997,10 +999,45 @@ def reference_condition(e, tol=1e-9, support_cutoff=1e-9, ortho_tol=1e-9):
     )
 
 
+def coherence_components(herm):
+    """States of each coherence component, in order of their lowest state,
+    by a search over the pairs whose Choi block is nonzero either way."""
+    da = isqrt(len(herm))
+    blocks = herm.reshape(da, da, da, da)
+    seen, components = set(), []
+    for k in range(da):
+        if k in seen:
+            continue
+        seen.add(k)
+        todo, component = [k], []
+        while todo:
+            j = todo.pop()
+            component.append(j)
+            for l in range(da):
+                if l not in seen and (blocks[j, :, l].any() or blocks[l, :, j].any()):
+                    seen.add(l)
+                    todo.append(l)
+        components.append(sorted(component))
+    return components
+
+
 def reference_kraus(choi):
-    """One operator per kept eigenvalue (before vectorising)."""
-    w, v = hermitian_eigen(choi)
-    da = int(round(np.sqrt(len(choi))))
+    """One operator per kept eigenvalue (before vectorising); from side
+    ``SPLIT_MIN_SIDE`` on, one ``eigh`` per coherence component in a loop."""
+    herm = hermitian_part(choi)
+    da = isqrt(len(choi))
+    components = coherence_components(herm)
+    if len(choi) < maps.SPLIT_MIN_SIDE or len(components) == 1:
+        w, v = hermitian_eigen(choi)
+    else:
+        w, v = np.empty(len(choi)), np.zeros_like(herm)
+        for component in components:
+            rows = [k * da + a for k in component for a in range(da)]
+            w[rows], v[np.ix_(rows, rows)] = np.linalg.eigh(herm[np.ix_(rows, rows)])
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], v[:, order]
+        # the union of the component spectra is the whole spectrum
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(herm), rtol=0, atol=1e-12)
     return [
         np.sqrt(lam) * vec.reshape(da, da).T
         for lam, vec in zip(w, v.T)

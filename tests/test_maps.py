@@ -32,6 +32,7 @@ from inducedmaps import (
     validate_density_matrix,
     validate_unitary,
 )
+from inducedmaps import maps
 from inducedmaps.presets import (
     bell_density,
     cnot,
@@ -443,3 +444,92 @@ def test_kraus_rejects_negative_choi():
         kraus_from_choi(choi_matrix(m))
     with pytest.raises(ShapeError):
         kraus_from_choi(np.eye(3))
+
+
+# Kraus supports of a dim_a = 7 map.  Its coherence components are
+# uneven and interleaved: {0, 3}, {1}, {2, 4, 6} and {5}, where 2 and 6
+# are linked only through 4 (block (2, 6) is zero).
+UNEVEN_SUPPORTS = ((0, 3), (1,), (2, 4), (4, 6), (5,))
+
+
+def component_map(rng, supports, dim_a=7, sign=None):
+    """Map whose Kraus operators each act on the input states of one support.
+
+    Block ``(k, l)`` of its Choi matrix is zero unless ``k`` and ``l``
+    share a support.  ``sign[i]`` scales support ``i``'s blocks; a
+    negative one makes the map NOT_CP.
+    """
+    images = np.zeros((dim_a,) * 4, dtype=complex)
+    for i, states in enumerate(supports):
+        for _ in range(len(states) + 1):
+            a = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
+            for k in states:
+                for l in states:
+                    images[k, l] += np.outer(a[:, k], a[:, l].conj()) * (1 if sign is None else sign[i])
+    return InducedMap(dim_a, images, np.zeros((dim_a, dim_a), dtype=complex))
+
+
+def test_split_choi_spectrum_and_kraus_forms_match_the_whole_matrix():
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        m = component_map(rng, UNEVEN_SUPPORTS)
+        whole = np.linalg.eigvalsh(choi_matrix(m))
+        verdict = is_cp(m)
+        assert verdict.status == CP
+        assert abs(verdict.choi_min_eig - whole[0]) <= 1e-12
+        ops = kraus_from_choi(choi_matrix(m))
+        assert len(ops) == np.count_nonzero(whole > maps.KRAUS_KEEP_TOL)
+        for _ in range(3):
+            rho = random_density(7, rng)
+            rebuilt = sum(k @ rho @ dagger(k) for k in ops)
+            assert np.abs(rebuilt - m.apply(rho)).max() < 1e-9
+
+
+def test_split_choi_keeps_the_not_cp_and_hermiticity_verdicts():
+    rng = np.random.default_rng(62)
+    m = component_map(rng, UNEVEN_SUPPORTS, sign=(1, -1, 1, 1, 1))
+    whole = np.linalg.eigvalsh(choi_matrix(m))
+    verdict = is_cp(m)
+    assert verdict.status == NOT_CP
+    assert abs(verdict.choi_min_eig - whole[0]) <= 1e-12
+    with pytest.raises(NotPsdError):
+        kraus_from_choi(choi_matrix(m))
+    m = component_map(rng, UNEVEN_SUPPORTS)
+    # a non-Hermitian block inside a component, and one between two
+    # components that is zero the other way round
+    for k, l in ((0, 3), (0, 1)):
+        images = np.array(m.images)
+        images[k, l, 0, 0] += 1e-6
+        bad = InducedMap(7, images, m.shift)
+        with pytest.raises(HermiticityError):
+            is_cp(bad)
+        with pytest.raises(HermiticityError):
+            kraus_from_choi(choi_matrix(bad))
+
+
+@pytest.mark.parametrize(
+    "supports, calls",
+    [
+        # below SPLIT_MIN_SIDE (side 25): one whole-matrix call
+        (((0, 1), (2,), (3, 4)), [(1, 25, 25)]),
+        # at it (side 36) and above (side 49): one call per component size
+        (((0,), (1, 2), (3,), (4, 5)), [(1, 2, 6, 6), (1, 2, 12, 12)]),
+        (UNEVEN_SUPPORTS, [(1, 2, 7, 7), (1, 1, 14, 14), (1, 1, 21, 21)]),
+        # a chain of pairs is one component: nothing to split
+        (tuple((k, k + 1) for k in range(6)), [(1, 49, 49)]),
+    ],
+)
+def test_choi_spectra_split_from_the_constant_on(supports, calls, monkeypatch):
+    assert 25 < maps.SPLIT_MIN_SIDE == 36
+    m = component_map(np.random.default_rng(63), supports, dim_a=1 + max(map(max, supports)))
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, seen in shapes.items():
+
+        def counted(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    is_cp(m)
+    kraus_from_choi(choi_matrix(m))
+    assert shapes == {"eigvalsh": calls, "eigh": calls}
