@@ -31,7 +31,7 @@ from .errors import (
 )
 from .jsonio import load_ensemble, load_matrix, load_state, matrix_to_json, save_matrix
 from .linalg import check_tolerance, hermitian_eigen, is_psd
-from .maps import choi_matrix, induce, is_cp, probe_positivity
+from .maps import check_budget, choi_matrix, induce, is_cp, probe_stack
 from .presets import bell_density, cnot, four_block_ensemble
 from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
 from .states import (
@@ -172,8 +172,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    if args.budget < 1:
-        raise _UsageError(f"budget must be >= 1, got {args.budget}")
+    try:
+        check_budget(args.budget, "budget")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
     d = split_blocks(rho, dim_a, dim_e)
     m = induce(d, load_matrix(args.unitary))
@@ -184,9 +186,11 @@ def _cmd_induce(args) -> int:
         )
     out = m.apply(rho_prime)
     verdict = is_cp(m, args.cp_tol)
-    probe = probe_positivity(
-        m, budget=args.budget, seed=args.seed, tol=args.witness_tol
-    )
+    # The probe's floor reuses the verdict's Choi pass.
+    choi_min = np.array([verdict.choi_min_eig])
+    probe = probe_stack(
+        m.images[None], m.shift[None], choi_min, [args.seed], args.budget, args.witness_tol
+    )[0]
     out_eigs = hermitian_eigen(out, tol=1e-8).eigenvalues
     if args.out:
         save_matrix(args.out, out)

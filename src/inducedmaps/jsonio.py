@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import SizeError, ValidationError
 from .linalg import MAX_TENSOR_ROWS, as_matrix
-from .states import EnsembleTerm, SeparableEnsemble
+from .states import MAX_TERMS, EnsembleTerm, SeparableEnsemble
 
 # Ceiling on the size of a JSON input, in bytes (a pipe's is counted in
 # characters, which are bytes for the ASCII that save_json writes).  It
@@ -108,7 +108,8 @@ def ensemble_to_json(e: SeparableEnsemble) -> dict:
 
 
 def ensemble_from_json(obj) -> SeparableEnsemble:
-    """Parse an ensemble payload; construction re-validates every invariant."""
+    """Parse an ensemble payload; construction re-validates every invariant.
+    More than ``MAX_TERMS`` terms raise SizeError before any term is read."""
     if not isinstance(obj, dict):
         raise ValidationError(f"ensemble payload must be an object, got {type(obj).__name__}")
     try:
@@ -118,6 +119,8 @@ def ensemble_from_json(obj) -> SeparableEnsemble:
         raise ValidationError(f"ensemble payload missing field: {exc}") from exc
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValidationError("ensemble payload needs a non-empty terms list")
+    if len(raw_terms) > MAX_TERMS:
+        raise SizeError(f"ensemble has {len(raw_terms)} terms, above the ceiling {MAX_TERMS}")
     terms = []
     for idx, t in enumerate(raw_terms):
         try:

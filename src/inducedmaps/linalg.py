@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small bipartite operator problems.
 
-Everything here is a pure function over 2-D complex128 numpy arrays.
-Matrices are small (dims well below 100), so dense LAPACK routines are
-used throughout and no sparse or structured paths exist.
+Pure functions over complex128 numpy arrays: 2-D matrices, and for
+:func:`hermitian_part`, :func:`hermitian_deviation`, :func:`check_hermitian`
+and :func:`check_unitaries` also ``(T, d, d)`` stacks.  Matrices are small
+(dims well below 100), so dense LAPACK routines are used throughout.
 """
 
 import operator

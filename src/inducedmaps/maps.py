@@ -49,6 +49,10 @@ SPLIT_MIN_SIDE = 36
 # memory independently of its sampling budget.
 PROBE_CHUNK = 1024
 
+# Largest sampling budget of one probe: a PROBE_CHUNK batch takes 0.5 ms at
+# 2x2 and 12 ms at 8x4 (one BLAS thread, x86-64), so a probe takes seconds.
+MAX_BUDGET = 10**6
+
 # Most alternating-minimisation steps the probe takes from its best sample.
 REFINE_ITERS = 200
 
@@ -63,8 +67,8 @@ class InducedMap:
     traceless off it, so the map preserves trace; for non-SL sources the
     images absorb the source block coefficients and the shift is nonzero.
     Shapes other than ``(d, d, d, d)`` and ``(d, d)``, ``d = dim_a >= 1``,
-    raise ShapeError.  The map keeps only these arrays: :func:`is_cp` and
-    :func:`probe_positivity` each build its Choi matrix for their call.
+    raise ShapeError.  The map keeps only these arrays: :func:`is_cp`
+    builds its Choi matrix per call, and :func:`probe_positivity` calls it.
     """
 
     dim_a: int
@@ -139,6 +143,17 @@ class PositivityProbe:
             object.__setattr__(self, "witness", frozen(self.witness))
 
     __deepcopy__ = share_on_deepcopy
+
+
+def check_budget(budget, name: str) -> int:
+    """Return ``budget`` as an ``int`` if it is an integer between 1 and
+    ``MAX_BUDGET``, else raise ValueError (see :func:`check_integer`)."""
+    budget = check_integer(budget, name)
+    if budget < 1:
+        raise ValueError(f"{name} must be >= 1, got {budget}")
+    if budget > MAX_BUDGET:
+        raise ValueError(f"{name} must be at most {MAX_BUDGET}, got {budget}")
+    return budget
 
 
 def validate_unitary(u, dim: int | None = None):
@@ -253,35 +268,21 @@ def _component_spectra(herm: np.ndarray, vectors: bool = False):
     return (w, v) if vectors else w
 
 
-def _choi_minima(images: np.ndarray, shift: np.ndarray, tol: float) -> np.ndarray:
-    """``λmin((C + C†)/2)`` of each map's Choi matrix ``C``, from one pass.
-
-    Non-finite maps raise ValidationError, and a ``C`` further than
-    ``tol`` from Hermitian HermiticityError; both are checked on the whole
-    matrix.  ``tol = inf`` checks only finiteness: a finite ``C`` whose
-    deviation overflows still passes.  The minimum is taken over the
-    union of the coherence components' spectra
-    (:func:`_component_spectra`).
-    """
-    if not (np.isfinite(images).all() and np.isfinite(shift).all()):
-        raise ValidationError("induced map contains non-finite entries")
-    choi = _choi_matrices(images)
-    herm = hermitian_part(choi) if tol == np.inf else check_hermitian(choi, tol, "Choi matrix")
-    return _component_spectra(herm).min(axis=1)
-
-
 def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVerdict]:
     """:func:`is_cp` of every map in a stack; ``tol`` is checked by the caller.
 
     ``images`` and ``shift`` are stacked as :func:`induce_stack` returns
-    them.  One Choi pass serves the stack: a Choi matrix further than
-    ``max(tol, 1e-9)`` from Hermitian raises HermiticityError
-    (:func:`check_hermitian`, on the whole matrix), and its Hermitian part
-    is diagonalised one coherence component at a time
-    (:func:`_component_spectra`): its spectrum is the union of the
-    components' spectra.
+    them.  This is the package's one Choi pass: a non-finite map raises
+    ValidationError, a Choi matrix further than ``max(tol, 1e-9)`` from
+    Hermitian HermiticityError (:func:`check_hermitian`, on the whole
+    matrix), and ``choi_min_eig`` is the least eigenvalue of its Hermitian
+    part, diagonalised one coherence component at a time
+    (:func:`_component_spectra`).
     """
-    choi_min = _choi_minima(images, shift, max(tol, 1e-9))
+    if not (np.isfinite(images).all() and np.isfinite(shift).all()):
+        raise ValidationError("induced map contains non-finite entries")
+    herm = check_hermitian(_choi_matrices(images), max(tol, 1e-9), "Choi matrix")
+    choi_min = _component_spectra(herm).min(axis=1)
     verdicts = []
     for lam, norm in zip(choi_min.tolist(), np.abs(shift).max(axis=(1, 2)).tolist()):
         if norm > tol:
@@ -298,15 +299,12 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
     """Classify complete positivity of the map's linear part.
 
     CP requires the Choi matrix to have smallest eigenvalue >= ``-tol``
-    and the shift to vanish within ``tol`` (max-entry norm).  A nonzero
-    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  One Choi
-    pass serves the Hermiticity check at ``max(tol, 1e-9)``
-    (HermiticityError) and ``choi_min_eig``; nothing is kept on the map.
-    ``choi_min_eig`` is the least eigenvalue over the Choi matrix's
-    coherence components, whose spectra make up its spectrum (from side
-    ``SPLIT_MIN_SIDE`` on, it may differ from a whole-matrix
-    ``eigvalsh`` by rounding).  ``tol`` must be a finite number >= 0, else
-    ValueError.
+    and the shift to vanish within ``tol`` (max-entry norm); a nonzero
+    shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  This is
+    the one-element case of :func:`cp_verdicts`, whose Choi pass keeps
+    nothing on the map; from side ``SPLIT_MIN_SIDE`` on, ``choi_min_eig``
+    may differ from a whole-matrix ``eigvalsh`` by rounding.  ``tol``
+    must be a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
     return cp_verdicts(m.images[None], m.shift[None], tol)[0]
@@ -446,11 +444,10 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
     only the seeds of the maps that sample are read, so a sequence that
     builds each seed on read builds none for a map the floor or the
     spectral stage closes.
-    ``budget`` must be an integer >= 1, else ValueError.
+    ``budget`` must be an integer from 1 to ``MAX_BUDGET``, else
+    ValueError.
     """
-    budget = check_integer(budget, "budget")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    budget = check_budget(budget, "budget")
     n, da = images.shape[:2]
     if len(seeds) != n:
         raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")
@@ -501,54 +498,48 @@ def probe_positivity(
 ) -> PositivityProbe:
     """Search for an input whose output loses positivity.
 
-    First computes the cheap floor ``λmin(Herm C) + λmin(Herm shift)``,
-    ``C = choi_matrix(m)``: no output eigenvalue lies below it, and the
-    shift is traceless, so it is at most ``λmin(C)``.  Its Choi pass
-    checks that the map is finite (ValidationError), not that ``C`` is
-    Hermitian, and takes ``λmin(Herm C)`` over the union of the coherence
-    components' spectra, as :func:`is_cp` does.  When the floor is at
-    least ``-tol`` the probe returns NO_VIOLATION_FOUND at once, which
-    proves that no input reaches ``-tol``; it draws no samples, and
-    ``min_eig`` is the smallest output eigenvalue on ``I/dim_a``.
+    The probe shares the one Choi pass of :func:`is_cp` at ``tol``: a
+    non-finite map raises ValidationError, and a ``C = choi_matrix(m)``
+    further than ``max(tol, 1e-9)`` from Hermitian HermiticityError,
+    before any stage runs.  Each stage ends the probe once it decides:
 
-    Otherwise a spectral stage raises the floor to ``λmin(C_L)``,
-    ``C_L = Herm C + I ⊗ Herm shift``, and evaluates the output at the
-    candidate input read off its bottom eigenvector.  When that value is
-    within ``tol`` of the floor the bracket is closed and the candidate
-    is the result, with no sampling; when the raised floor is at least
-    ``-tol`` without closing, the result is the maximally mixed output as
-    above.
+    - The cheap floor ``λmin(Herm C) + λmin(Herm shift)``, with
+      ``λmin(Herm C)`` the verdict's ``choi_min_eig``: no output
+      eigenvalue lies below it, and as the shift is traceless it is at
+      most ``λmin(C)``.  At least ``-tol``, it proves that no input
+      reaches ``-tol``: NO_VIOLATION_FOUND, with no samples drawn and
+      ``min_eig`` the smallest output eigenvalue on ``I/dim_a``.
+    - The spectral stage raises the floor to ``λmin(C_L)``, ``C_L = Herm
+      C + I ⊗ Herm shift``, and evaluates the output at the input read off
+      its bottom eigenvector.  Within ``tol`` of the floor, that input is
+      the result (a closed bracket); a raised floor of at least ``-tol``
+      ends as above.
+    - ``budget`` Haar-random pure inputs in batches of ``PROBE_CHUNK``
+      (one stacked eigenvalue call per batch, or :func:`min_eig_2x2` when
+      ``dim_a == 2``), then alternating minimisation of ``<y|Φ(xx†)|y>``
+      from the best one: ``y`` is the lowest output eigenvector at ``x``,
+      and ``x`` the conjugated lowest eigenvector of ``Q[k,l] =
+      <y|images[k,l]|y> + <y|shift|y> δ_kl``.  Both half-steps are exact,
+      so the value never rises.  Refining stops after ``REFINE_ITERS``
+      steps, on a step that gains nothing, or once the remaining steps at
+      the last gain could not reach ``-tol``.  NO_VIOLATION_FOUND here is
+      an exhausted search, not a proof, with the best value as ``min_eig``.
 
-    Every other map samples ``budget`` Haar-random pure inputs in
-    batches of ``PROBE_CHUNK`` (one stacked eigenvalue call per batch,
-    or the closed form :func:`min_eig_2x2` when ``dim_a == 2``), then
-    refines the worst sample by alternating minimisation of
-    ``<y|Φ(xx†)|y>``: ``y`` is the lowest output eigenvector at ``x``,
-    and ``x`` the conjugated lowest eigenvector of
-    ``Q[k,l] = <y|images[k,l]|y> + <y|shift|y> δ_kl``.
-    Both half-steps are exact, so the value never rises.  Refining stops
-    after ``REFINE_ITERS`` steps, on a step that gains nothing, or once
-    the remaining steps at the last gain could not reach ``-tol``.
-
-    VIOLATED is reported only with a certified witness (a valid density
-    matrix whose recomputed output eigenvalue is below ``-tol``), whether
-    the input came from the spectral stage or from the search;
-    NO_VIOLATION_FOUND after sampling is an exhausted search, not a proof
-    of positivity, with the best value found as ``min_eig``.  Every probe
-    carries the floor, so ``floor <= true minimum <= min_eig``.
-    ``budget`` and ``seed`` must be integers (numpy integers pass, ``bool``
-    does not), ``budget >= 1`` and ``seed >= 0``, and ``tol`` a finite
-    number >= 0; anything else raises ValueError, whether or not the map
-    samples.  This is the one-element case of :func:`probe_stack`, which
-    :func:`~inducedmaps.search.scan` runs on stacks of trials with the
-    same random streams.
+    VIOLATED comes only with a certified witness (a valid density matrix
+    whose recomputed output eigenvalue is below ``-tol``), and every probe
+    carries its floor: ``floor <= true minimum <= min_eig``
+    (:class:`PositivityProbe`).  ``budget`` and ``seed`` must be integers
+    (numpy integers pass, ``bool`` does not), ``1 <= budget <=
+    MAX_BUDGET``, ``seed >= 0`` and ``tol`` a finite number >= 0, else
+    ValueError, whether or not the map samples.  This is the one-element
+    case of :func:`probe_stack`, which :func:`~inducedmaps.search.scan`
+    runs on stacks of trials with the same random streams.
     """
     seed = check_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    images, shift = m.images[None], m.shift[None]
-    choi_min = _choi_minima(images, shift, np.inf)
-    return probe_stack(images, shift, choi_min, [seed], budget, tol)[0]
+    choi_min = np.array([is_cp(m, tol).choi_min_eig])
+    return probe_stack(m.images[None], m.shift[None], choi_min, [seed], budget, tol)[0]
 
 
 def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:

@@ -42,6 +42,7 @@ from .maps import (
     CP,
     NOT_CP_AFFINE,
     VIOLATED,
+    check_budget,
     cp_verdicts,
     induce,
     induce_stack,
@@ -81,9 +82,10 @@ class SearchConfig:
     GENERATOR parameter must be a finite number of magnitude at most
     ``MAX_GENERATOR_PARAM``.  ``trials``, ``positivity_budget`` and
     ``seed`` must be integers (numpy integers pass, ``bool`` does not),
-    else ValueError.  ``candidate_threshold`` is the magnitude
-    a negative Choi eigenvalue must exceed for a report to survive the
-    candidate filter in :func:`hunt`.
+    and ``positivity_budget`` at most ``MAX_BUDGET``, else ValueError.
+    ``candidate_threshold`` is the magnitude a negative Choi eigenvalue
+    must exceed for a report to survive the candidate filter in
+    :func:`hunt`.
     """
 
     family: str = HAAR
@@ -110,16 +112,14 @@ class SearchConfig:
                     f"params must be finite numbers of magnitude at most 2**52, got {bad[0]}"
                 )
             object.__setattr__(self, "params", params)
-        for name in ("trials", "positivity_budget", "seed"):
+        for name in ("trials", "seed"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(
                 f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}"
             )
-        if self.positivity_budget < 1:
-            raise ValueError(
-                f"positivity_budget must be >= 1, got {self.positivity_budget}"
-            )
+        budget = check_budget(self.positivity_budget, "positivity_budget")
+        object.__setattr__(self, "positivity_budget", budget)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("cp_tol", "witness_tol", "condition_tol", "vqd_tol", "candidate_threshold"):

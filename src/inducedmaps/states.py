@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CancellationError, NonSLError, ShapeError, ValidationError
+from .errors import CancellationError, NonSLError, ShapeError, SizeError, ValidationError
 from .linalg import (
     as_square,
     check_hermitian,
@@ -40,6 +40,11 @@ SUPPORT_CUTOFF = 1e-9
 
 # Operator-norm tolerance for pairwise orthogonality of support projectors.
 ORTHO_TOL = 1e-9
+
+# Ceiling on the terms of an ensemble.  check_condition compares every pair
+# of terms and keeps a witness per overlapping pair, and full-rank factors
+# overlap in every pair, so the term count bounds its time and memory.
+MAX_TERMS = 256
 
 SL = "SL"
 NON_SL = "NON_SL"
@@ -115,8 +120,9 @@ class EnsembleTerm:
 class SeparableEnsemble:
     """Finite mixture of product states on A ⊗ E.
 
-    Terms are validated on construction: weights are nonnegative and sum
-    to 1 within 1e-9, and every factor is a valid density matrix of the
+    Terms are validated on construction: there are 1 to ``MAX_TERMS`` of
+    them (more raise SizeError), weights are nonnegative and sum to 1
+    within 1e-9, and every factor is a valid density matrix of the
     declared dimension.  The assembled ``state`` and its coherence-block
     ``decomposition`` are derived on first use and cached; both are
     read-only and the terms are immutable, so the cache cannot go stale.
@@ -130,6 +136,8 @@ class SeparableEnsemble:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValidationError("ensemble needs at least one term")
+        if len(self.terms) > MAX_TERMS:
+            raise SizeError(f"ensemble has {len(self.terms)} terms, above the ceiling {MAX_TERMS}")
         for t in self.terms:
             if t.rho_a.shape != (self.dim_a, self.dim_a):
                 raise ShapeError(
@@ -366,11 +374,10 @@ def check_condition(
     projector route is still evaluated.  Every tolerance must be a finite
     number >= 0, else ValueError.
 
-    Each step runs once on the stacked terms, whatever their number: one
-    Hermiticity check and one ``eigh`` of the rescaled matrices, one
-    ``eigh`` of the ``rho_a`` factors for their support projectors, and
-    one singular-value call over the products of all pairs ``i < j``.
-    Witnesses list failing terms, then failing pairs, in index order.
+    One Hermiticity check and one ``eigh`` serve the rescaled matrices, one
+    ``eigh`` the support projectors of the ``rho_a`` factors, and one
+    singular-value call per term ``i`` its products with all terms ``j >
+    i``.  Witnesses list failing terms, then failing pairs, in index order.
     """
     check_tolerance(tol)
     check_tolerance(support_cutoff, "support_cutoff")
@@ -410,27 +417,20 @@ def check_condition(
         rho_as = np.stack([t.rho_a for t in e.terms])
         projectors = _support_projectors(rho_as, support_cutoff)
         residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
-        failing = np.flatnonzero(residual > tol)
+        start = len(witnesses)
         witnesses += (
             {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
-            for i in failing
+            for i in np.flatnonzero(residual > tol)
         )
-        index = np.arange(len(rho_as))
-        first, second = np.nonzero(index[:, None] < index)
-        overlapping = ()
-        if first.size:  # a single term has no pairs
-            products = projectors[first] @ projectors[second]
+        for i in range(len(projectors) - 1):
+            products = projectors[i] @ projectors[i + 1 :]
             overlap = np.linalg.svd(products, compute_uv=False).max(axis=-1)
-            overlapping = np.flatnonzero(overlap > ortho_tol)
             witnesses += (
-                {
-                    "route": ROUTE_BLOCK,
-                    "pair": [int(first[k]), int(second[k])],
-                    "overlap": float(overlap[k]),
-                }
-                for k in overlapping
+                {"route": ROUTE_BLOCK, "pair": [i, i + 1 + int(k)], "overlap": float(overlap[k])}
+                for k in np.flatnonzero(overlap > ortho_tol)
             )
-        block_projector = not (failing.size or len(overlapping))
+        # The route holds when it adds no witness.
+        block_projector = len(witnesses) == start
 
     routes = tuple(
         name

@@ -326,6 +326,38 @@ def test_discord_exit_dimension_on_an_oversized_file_without_parsing_it(tmp_path
     assert peak < MAX_JSON_BYTES // 100
 
 
+@pytest.mark.parametrize("command", ["check", "hunt"])
+def test_ensemble_commands_exit_dimension_above_the_term_ceiling(tmp_path, capsys, command):
+    n = states.MAX_TERMS + 1
+    one = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+    path = tmp_path / "many.json"
+    terms = [{"p": 1 / n, "rhoA": one, "rhoE": one}] * n
+    path.write_text(json.dumps({"dimA": 1, "dimE": 1, "terms": terms}))
+    code, payload, err = run(capsys, [command, str(path)])
+    assert code == EXIT_DIMENSION
+    assert payload is None
+    assert f"{n} terms, above the ceiling" in err
+
+
+def test_induce_diagonalises_the_choi_matrix_once(tmp_path, capsys, monkeypatch):
+    # a 2x3 source: its 6x6 state check is not Choi-shaped (4x4)
+    rng = np.random.default_rng(3)
+    paths = [tmp_path / name for name in ("rho.json", "u.json", "in.json")]
+    rho = np.kron(random_density(2, rng), random_density(3, rng))
+    for path, matrix in zip(paths, [rho, haar_unitary(6, rng), random_density(2, rng)]):
+        save_matrix(path, matrix)
+    shapes = []
+
+    def counted(a, *args, _real=np.linalg.eigvalsh, **kwargs):
+        shapes.append(np.shape(a))
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, _, _ = run(capsys, ["induce", *map(str, paths), "--dim-a", "2"])
+    assert code == EXIT_OK
+    assert [s for s in shapes if s[-2:] == (4, 4)] == [(1, 4, 4)]
+
+
 def test_discord_exit_ok_on_discord_free_ensembles(tmp_path, capsys):
     path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
     code, payload, _ = run(capsys, ["discord", path])

@@ -24,6 +24,7 @@ from inducedmaps.jsonio import (
     save_matrix,
 )
 from inducedmaps.linalg import MAX_TENSOR_ROWS
+from inducedmaps.states import MAX_TERMS
 from inducedmaps.presets import four_block_ensemble
 
 AWKWARD = np.array(
@@ -141,6 +142,14 @@ def test_ensemble_payload_validation_errors():
     bad_weights["terms"][0]["p"] = 0.9
     with pytest.raises(ValidationError):
         ensemble_from_json(bad_weights)
+
+
+def test_ensemble_payload_rejects_too_many_terms_before_reading_them():
+    # The terms are empty objects, which would raise ValidationError; the
+    # term ceiling must be checked first.
+    payload = {"dimA": 1, "dimE": 1, "terms": [{}] * (MAX_TERMS + 1)}
+    with pytest.raises(SizeError, match="above the ceiling"):
+        ensemble_from_json(payload)
 
 
 def test_load_state_distinguishes_payload_kinds(tmp_path):

@@ -560,14 +560,23 @@ def test_probe_rejects_invalid_tolerance(call, tol):
         TOLERANCE_CALLS[call](tol)
 
 
-def test_probe_memory_does_not_grow_with_budget():
-    m = coherent_map(1)
+def test_probe_memory_does_not_grow_with_budget(monkeypatch):
+    # a discordant 4x2 map: its bracket stays open, so it samples the budget
+    m = induce(discordant(4, 2, 1), haar_unitary(8, np.random.default_rng(1)))
+    sampled = []
+
+    def spied_sample(images, shift, seeds, budget, _real=maps._sample):
+        sampled.append(budget)
+        return _real(images, shift, seeds, budget)
+
+    monkeypatch.setattr(maps, "_sample", spied_sample)
     tracemalloc.start()
     try:
         probe_positivity(m, budget=200_000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert sampled == [200_000]
     # 200k fully batched 4x4 outputs alone would take about 50 MiB
     assert peak < 4 * 2**20
 
@@ -575,6 +584,38 @@ def test_probe_memory_does_not_grow_with_budget():
 def test_search_config_rejects_empty_probe_budget():
     with pytest.raises(ValueError, match="positivity_budget"):
         SearchConfig(positivity_budget=0)
+
+
+def test_probe_budget_has_a_ceiling():
+    m = bell_cnot_map()
+    choi_min = np.array([is_cp(m).choi_min_eig])
+    assert SearchConfig(positivity_budget=maps.MAX_BUDGET).positivity_budget == maps.MAX_BUDGET
+    with pytest.raises(ValueError, match=f"positivity_budget must be at most {maps.MAX_BUDGET}"):
+        SearchConfig(positivity_budget=maps.MAX_BUDGET + 1)
+    with pytest.raises(ValueError, match=f"budget must be at most {maps.MAX_BUDGET}"):
+        probe_positivity(m, budget=maps.MAX_BUDGET + 1)
+    with pytest.raises(ValueError, match=f"budget must be at most {maps.MAX_BUDGET}"):
+        maps.probe_stack(m.images[None], m.shift[None], choi_min, [0], maps.MAX_BUDGET + 1, 1e-9)
+
+
+def test_induce_cli_rejects_a_budget_above_the_ceiling_before_reading_files(tmp_path, capsys):
+    # the files do not exist: the budget is refused before any is opened
+    paths = [str(tmp_path / name) for name in ("rho.json", "u.json", "in.json")]
+    argv = ["induce", *paths, "--dim-a", "2", "--budget", str(maps.MAX_BUDGET + 1)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"budget must be at most {maps.MAX_BUDGET}" in captured.err
+    assert "No such file" not in captured.err
+
+
+def test_hunt_cli_rejects_a_budget_above_the_ceiling(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    save_ensemble(path, four_block_ensemble())
+    assert main(["hunt", str(path), "--budget", str(maps.MAX_BUDGET + 1)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"positivity_budget must be at most {maps.MAX_BUDGET}" in captured.err
 
 
 def test_induce_cli_rejects_empty_budget_as_usage_error(tmp_path, capsys):
@@ -1253,5 +1294,22 @@ def test_check_condition_makes_a_fixed_number_of_spectral_calls(make, monkeypatc
 
         monkeypatch.setattr(np.linalg, name, counted)
     check_condition(e)
-    # rescaled matrices, support projectors, all pair products
-    assert sorted(calls) == ["eigh", "eigh", "svd"]
+    # rescaled matrices, support projectors, and one svd per term over its
+    # products with all later terms: the count is fixed by the term count
+    assert sorted(calls) == ["eigh", "eigh"] + ["svd"] * (len(e.terms) - 1)
+
+
+def test_check_condition_memory_stays_near_the_projector_stack():
+    # 64 full-rank 16x16 factors: every one of the 2016 pairs overlaps.
+    # Stacking all pair products held about 25 MiB; one term's products
+    # with the later terms hold at most 63 of them.
+    e = mixture(16, 2, 64, np.random.default_rng(29))
+    e.decomposition
+    tracemalloc.start()
+    try:
+        report = check_condition(e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum("pair" in w for w in report.witnesses) == 64 * 63 // 2
+    assert peak < 4 * 2**20

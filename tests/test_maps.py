@@ -292,16 +292,30 @@ def test_is_cp_rejects_non_hermitian_and_non_finite_images():
 
 
 def test_probe_accepts_a_finite_map_whose_choi_deviation_overflows():
-    # the probe checks only finiteness: Herm C is diag(1/2) although C - C†
-    # overflows, which is_cp rejects
+    # The probe once checked only finiteness and proved this map positive
+    # from Herm C = diag(1/2); it now shares is_cp's Hermiticity check, so
+    # both reject the overflowing deviation.
     images = np.zeros((2, 2, 2, 2), dtype=complex)
     images[0, 0] = images[1, 1] = np.eye(2) / 2.0
     images[0, 1, 0, 1], images[1, 0, 1, 0] = 1e308, -1e308
     m = InducedMap(2, images, np.zeros((2, 2)))
-    with pytest.raises(HermiticityError, match="by inf"):
-        is_cp(m)
-    probe = probe_positivity(m)
-    assert (probe.status, probe.min_eig, probe.floor) == (NO_VIOLATION_FOUND, 0.5, 0.5)
+    for call in (is_cp, probe_positivity):
+        with pytest.raises(HermiticityError, match="by inf"):
+            call(m)
+
+
+def test_probe_rejects_a_map_that_does_not_preserve_hermiticity():
+    # On |+><+| this map outputs [[.5, .5], [-.5, .5]], with eigenvalues
+    # 0.5 ± 0.5i; an unchecked Choi pass read Herm C = diag(1/2) and
+    # returned NO_VIOLATION_FOUND with floor 0.5.
+    images = np.zeros((2, 2, 2, 2), dtype=complex)
+    images[0, 0] = images[1, 1] = np.eye(2) / 2.0
+    images[0, 1, 0, 1], images[1, 0, 1, 0] = 1.0, -1.0
+    m = InducedMap(2, images, np.zeros((2, 2)))
+    np.testing.assert_allclose(m.apply(np.full((2, 2), 0.5)), [[0.5, 0.5], [-0.5, 0.5]])
+    for call in (is_cp, probe_positivity):
+        with pytest.raises(HermiticityError, match="by 2.000e"):
+            call(m)
 
 
 def test_probe_certifies_violation_for_flipped_bell_blocks():

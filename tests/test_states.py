@@ -20,6 +20,7 @@ from inducedmaps import (
     SearchConfig,
     SeparableEnsemble,
     ShapeError,
+    SizeError,
     ValidationError,
     assemble,
     check_condition,
@@ -126,6 +127,13 @@ def test_ensemble_validates_weights_and_shapes():
         SeparableEnsemble(2, 2, ())
     with pytest.raises(ValidationError):
         EnsembleTerm(-0.5, ZERO, RHO_E_1)
+
+
+def test_ensemble_term_count_has_a_ceiling():
+    one, n = np.ones((1, 1)), states.MAX_TERMS
+    assert len(SeparableEnsemble(1, 1, (EnsembleTerm(1.0 / n, one, one),) * n).terms) == n
+    with pytest.raises(SizeError, match=f"{n + 1} terms, above the ceiling"):
+        SeparableEnsemble(1, 1, (EnsembleTerm(1.0 / (n + 1), one, one),) * (n + 1))
 
 
 def test_assemble_single_product_term():
