@@ -184,7 +184,7 @@ def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
     # One conjugate transpose serves the deviation and then, in place, the
     # Hermitian part, with the arithmetic of hermitian_part.
     ct = np.conjugate(ms).swapaxes(-1, -2)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs(ms - ct)
     # Capping tol at the largest float makes the one comparison fail on an
     # infinite or NaN deviation too; an empty stack deviates by 0.

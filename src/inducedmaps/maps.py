@@ -7,6 +7,7 @@ from the traceless coherence blocks.  SL-class sources have zero shift
 and a trace-preserving linear part.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .linalg import (
     hermitian_part,
     share_on_deepcopy,
 )
-from .states import PairClass, SLDecomposition, check_densities
+from .states import SLDecomposition, check_densities
 
 CP = "CP"
 NOT_CP = "NOT_CP"
@@ -44,6 +45,9 @@ KRAUS_KEEP_TOL = 1e-12
 # split costs about 2x at sides 9 and 16 and 1.5x at 25, and saves about
 # 12 % at 36 and 35-40 % at 64.
 SPLIT_MIN_SIDE = 36
+
+# Block patterns whose coherence components are memoised.
+LAYOUT_MEMO = 64
 
 # Pure inputs per batched pass of the positivity probe; caps the probe's
 # memory independently of its sampling budget.
@@ -170,27 +174,42 @@ def induce_stack(d: SLDecomposition, us: np.ndarray) -> tuple[np.ndarray, np.nda
     n)`` stack of unitaries.
 
     ``images`` has shape ``(T, da, da, da, da)`` and ``shift`` shape ``(T,
-    da, da)``; entry ``t`` is the map of ``us[t]``.  One stacked
-    contraction per row block serves every unitary.  The caller checks
-    unitarity (:func:`check_unitaries`).
+    da, da)``; entry ``t`` is the map of ``us[t]``.  Two stacked matmuls
+    serve every unitary, over the decomposition's nonzero pairs only
+    (``SLDecomposition.nonzero_pairs``), whose responses are scattered
+    into zeroed images; a source with no zero pair broadcasts over all
+    pairs instead of gathering them.  The shift sums the traceless pairs
+    in row-major order.  The caller checks unitarity
+    (:func:`check_unitaries`).
     """
     da, de = d.dim_a, d.dim_e
     t, n = len(us), da * de
+    pairs = d.nonzero_pairs
     # Block (k, l) of the source sits in columns k and l of U, so its
     # response is Tr_E(U_k B_kl U_l†) with U_k = U[:, k-block].  Contract
     # the environment trace straight into U_l†: no temporary exceeds
-    # dim_a x n x n entries per unitary.
+    # n x n entries per nonzero pair and unitary.
     u_cols = us.reshape(t, n, da, de).transpose(0, 2, 1, 3)
     u_conj = us.conj().reshape(t, da, de, da, de).transpose(0, 3, 2, 4, 1)
-    u_conj = u_conj.reshape(t, 1, da, de * de, da)
-    left = (u_cols[:, :, None] @ d.blocks).reshape(t, da, da, da, de * de)
-    resp = left @ u_conj
-    unit = (d.pair_class == PairClass.UNIT_TRACE)[:, :, None, None]
+    u_conj = u_conj.reshape(t, da, de * de, da)
+    dense = len(pairs.k) == da * da
+    if dense:
+        # No zero pair: broadcasting over all pairs beats gathering them.
+        left = (u_cols[:, :, None] @ d.blocks).reshape(t, da, da, da, de * de)
+        resp = (left @ u_conj[:, None]).reshape(t, da * da, da, da)
+    else:
+        left = (u_cols[:, pairs.k] @ pairs.blocks).reshape(t, -1, da, de * de)
+        resp = left @ u_conj[:, pairs.l]
     if d.is_sl:
-        return np.where(unit, resp, 0), np.zeros((t, da, da), dtype=complex)
-    weighted = d.coeffs[:, :, None, None] * resp
-    shift = weighted[:, d.pair_class == PairClass.TRACELESS_NONZERO].sum(axis=1)
-    return np.where(unit, weighted, 0), shift
+        shift = np.zeros((t, da, da), dtype=complex)
+    else:
+        resp = pairs.coeffs[:, None, None] * resp
+        shift = resp[:, ~pairs.unit].sum(axis=1)
+    images = np.where(pairs.unit[:, None, None], resp, 0)
+    if not dense:
+        images, kept = np.zeros((t, da * da, da, da), dtype=complex), images
+        images[:, pairs.k * da + pairs.l] = kept
+    return images.reshape(t, da, da, da, da), shift
 
 
 def induce(d: SLDecomposition, u) -> InducedMap:
@@ -224,6 +243,42 @@ def choi_matrix(m: InducedMap) -> np.ndarray:
     return _choi_matrices(m.images[None])[0]
 
 
+@functools.lru_cache(maxsize=LAYOUT_MEMO)
+def _component_layout(da: int, pattern: bytes):
+    """Coherence components of a ``(da, da)`` block pattern, or None when
+    there is one; see :func:`_component_spectra`.
+
+    ``pattern`` holds the bytes of a bool array, True where block ``(k,
+    l)`` is nonzero.  The components come in groups of equal size, in
+    the order they are diagonalised; each group is ``(rows, cells)``.
+    ``rows[j]`` lists the Choi rows of the group's ``j``-th component,
+    and ``cells[j, a, b]`` is the flat index of entry ``(rows[j, b],
+    rows[j, a])`` of a ``da² x da²`` matrix: it gathers the component
+    from the matrix's transpose.  The arrays are read-only, as the memo
+    hands the same ones to every call.
+    """
+    linked = np.frombuffer(pattern, dtype=bool).reshape(da, da)
+    reach = linked | linked.T | np.eye(da, dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    # Each state's component is named by its lowest state; all 0 is one.
+    label = reach.argmax(axis=1)
+    if not label.any():
+        return None
+    size = np.bincount(label)[label]
+    # States by component size, then by component, ascending within each.
+    order = np.lexsort((label, size))
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    groups = []
+    for members in np.split(order, cuts):
+        c = size[members[0]]
+        rows = (members.reshape(-1, c, 1) * da + np.arange(da)).reshape(-1, c * da)
+        cells = rows[:, None, :] * (da * da) + rows[:, :, None]
+        rows.flags.writeable = cells.flags.writeable = False
+        groups.append((rows, cells))
+    return tuple(groups)
+
+
 def _component_spectra(herm: np.ndarray, vectors: bool = False):
     """Eigenvalues (and, with ``vectors``, eigenvectors) of a ``(T, d², d²)``
     Hermitian Choi stack, one coherence component at a time.
@@ -236,36 +291,34 @@ def _component_spectra(herm: np.ndarray, vectors: bool = False):
     and columns ``R`` of ``v`` (zero elsewhere); components with the same
     number of states share one LAPACK call.  A side below
     ``SPLIT_MIN_SIDE``, or a stack with one component, is diagonalised
-    whole, so ``w`` is sorted.
+    whole, so ``w`` is sorted.  Each call reads the stack's block pattern
+    (an ``any`` over a float view of the contiguous transpose); the
+    components of a pattern are found once and memoised for the last
+    ``LAYOUT_MEMO`` patterns (:func:`_component_layout`).
     """
     t, side = herm.shape[:2]
     whole = np.linalg.eigh if vectors else np.linalg.eigvalsh
     if side < SPLIT_MIN_SIDE:
         return whole(herm)
     da = math.isqrt(side)
-    linked = herm.reshape(t, da, da, da, da).any(axis=(0, 2, 4))
-    reach = linked | linked.T | np.eye(da, dtype=bool)
-    while not np.array_equal(grown := reach @ reach, reach):
-        reach = grown
-    # Each state's component is named by its lowest state; all 0 is one.
-    label = reach.argmax(axis=1)
-    if not label.any():
+    # check_hermitian returns the transpose of a contiguous array, and
+    # components do not change under transposition: read that array.
+    flipped = np.ascontiguousarray(herm.swapaxes(1, 2))
+    blocks = flipped.view(np.float64).reshape(t, da, da, da, 2 * da).transpose(1, 3, 0, 2, 4)
+    pattern = np.ascontiguousarray(blocks).reshape(da * da, -1).any(axis=1)
+    layout = _component_layout(da, pattern.tobytes())
+    if layout is None:
         return whole(herm)
-    size = np.bincount(label)[label]
-    # States by component size, then by component, ascending within each.
-    order = np.lexsort((label, size))
-    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    flipped = flipped.reshape(t, side * side)
     w = np.empty((t, side))
-    v = np.zeros((t, side, side), dtype=complex) if vectors else None
-    for members in np.split(order, cuts):
-        c = size[members[0]]
-        rows = (members.reshape(-1, c, 1) * da + np.arange(da)).reshape(-1, c * da)
-        sub = herm[:, rows[:, :, None], rows[:, None, :]]
+    v = np.zeros((t, side * side), dtype=complex) if vectors else None
+    for rows, cells in layout:
+        sub = flipped[:, cells]
         if vectors:
-            w[:, rows], v[:, rows[:, :, None], rows[:, None, :]] = np.linalg.eigh(sub)
+            w[:, rows], v[:, cells.swapaxes(1, 2)] = np.linalg.eigh(sub)
         else:
             w[:, rows] = np.linalg.eigvalsh(sub)
-    return (w, v) if vectors else w
+    return (w, v.reshape(t, side, side)) if vectors else w
 
 
 def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVerdict]:
@@ -279,7 +332,9 @@ def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVer
     part, diagonalised one coherence component at a time
     (:func:`_component_spectra`).
     """
-    if not (np.isfinite(images).all() and np.isfinite(shift).all()):
+    # check_hermitian rejects non-finite images; a NaN shift norm would
+    # compare false against tol and read as CP.
+    if not np.isfinite(shift).all():
         raise ValidationError("induced map contains non-finite entries")
     herm = check_hermitian(_choi_matrices(images), max(tol, 1e-9), "Choi matrix")
     choi_min = _component_spectra(herm).min(axis=1)

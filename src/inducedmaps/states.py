@@ -11,6 +11,7 @@ entrywise rescaling and are tracked as a class of their own.
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +63,21 @@ class PairClass(IntEnum):
     ZERO_BLOCK = 0
     UNIT_TRACE = 1
     TRACELESS_NONZERO = 2
+
+
+class NonzeroPairs(NamedTuple):
+    """Read-only index of the nonzero coherence blocks of a decomposition.
+
+    Pair ``p`` is block ``(k[p], l[p])``, in row-major order; ``blocks``
+    and ``coeffs`` are gathered from the decomposition, and ``unit`` is
+    True for UNIT_TRACE pairs and False for TRACELESS_NONZERO ones.
+    """
+
+    k: np.ndarray
+    l: np.ndarray
+    blocks: np.ndarray
+    coeffs: np.ndarray
+    unit: np.ndarray
 
 
 def validate_density_matrix(rho, name: str = "rho"):
@@ -200,6 +216,16 @@ class SLDecomposition:
     def is_sl(self) -> bool:
         """True when no block is traceless yet nonzero (computed once)."""
         return not bool(np.any(self.pair_class == PairClass.TRACELESS_NONZERO))
+
+    @cached_property
+    def nonzero_pairs(self) -> NonzeroPairs:
+        """The pairs whose block is not ZERO_BLOCK (computed once)."""
+        k, l = np.nonzero(self.pair_class != PairClass.ZERO_BLOCK)
+        unit = self.pair_class[k, l] == PairClass.UNIT_TRACE
+        pairs = NonzeroPairs(k, l, self.blocks[k, l], self.coeffs[k, l], unit)
+        for a in pairs:
+            a.flags.writeable = False
+        return pairs
 
 
 @dataclass(frozen=True)
@@ -374,10 +400,15 @@ def check_condition(
     projector route is still evaluated.  Every tolerance must be a finite
     number >= 0, else ValueError.
 
-    One Hermiticity check and one ``eigh`` serve the rescaled matrices, one
-    ``eigh`` the support projectors of the ``rho_a`` factors, and one
-    singular-value call per term ``i`` its products with all terms ``j >
-    i``.  Witnesses list failing terms, then failing pairs, in index order.
+    One Hermiticity check and one ``eigh`` serve the rescaled matrices, and
+    one ``eigh`` the support projectors of the ``rho_a`` factors.  The
+    products of term ``i``'s projector with those of all terms ``j > i``
+    are screened first: as ``‖P_i P_j‖₂ <= ‖P_i P_j‖_F <= dim_a
+    max|(P_i P_j)_kl|``, a product whose bound is at most ``ortho_tol /
+    2`` is never a witness.  One singular-value call per term takes the
+    exact norms of the rest, so orthogonal supports take none and every
+    reported overlap is that of the unscreened product.  Witnesses list
+    failing terms, then failing pairs, in index order.
     """
     check_tolerance(tol)
     check_tolerance(support_cutoff, "support_cutoff")
@@ -424,10 +455,16 @@ def check_condition(
         )
         for i in range(len(projectors) - 1):
             products = projectors[i] @ projectors[i + 1 :]
-            overlap = np.linalg.svd(products, compute_uv=False).max(axis=-1)
+            # Bounding the Frobenius norm by the largest entry, not by a sum
+            # of squares, cannot underflow and drop a tiny overlap.
+            near = np.flatnonzero(np.abs(products).max(axis=(1, 2)) * e.dim_a > ortho_tol / 2)
+            if not len(near):
+                continue
+            overlap = np.linalg.svd(products[near], compute_uv=False).max(axis=-1)
             witnesses += (
-                {"route": ROUTE_BLOCK, "pair": [i, i + 1 + int(k)], "overlap": float(overlap[k])}
-                for k in np.flatnonzero(overlap > ortho_tol)
+                {"route": ROUTE_BLOCK, "pair": [i, i + 1 + k], "overlap": float(value)}
+                for k, value in zip(near.tolist(), overlap.tolist())
+                if value > ortho_tol
             )
         # The route holds when it adds no witness.
         block_projector = len(witnesses) == start

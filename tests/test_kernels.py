@@ -2,6 +2,7 @@
 the trial stacks ``scan`` runs them on, and the loop-free certification
 gates (``check_condition``, ``has_vqd``, ``split_blocks``, ``kraus_from_choi``)."""
 
+import time
 import tracemalloc
 from functools import partial
 from math import isqrt
@@ -48,7 +49,7 @@ from inducedmaps import (
 from inducedmaps import discord, maps, search, states
 from inducedmaps.cli import EXIT_USAGE, main
 from inducedmaps.jsonio import save_ensemble, save_matrix
-from inducedmaps.linalg import hermitian_part
+from inducedmaps.linalg import check_hermitian, hermitian_part
 from inducedmaps.maps import min_eig_2x2
 from inducedmaps.search import MAX_TRIALS, TRIAL_GROUP
 from inducedmaps.presets import (
@@ -272,6 +273,183 @@ def test_induce_matches_per_pair_reference(source):
         m = induce(d, u)
         assert np.abs(m.images - images).max() < 1e-12
         assert np.abs(m.shift - shift).max() < 1e-12
+
+
+def dense_induce_stack(d, us):
+    """All dim_a² pairs in one broadcast contraction, then a mask (the
+    stacked induce before it skipped zero pairs)."""
+    da, de = d.dim_a, d.dim_e
+    t, n = len(us), da * de
+    u_cols = us.reshape(t, n, da, de).transpose(0, 2, 1, 3)
+    u_conj = us.conj().reshape(t, da, de, da, de).transpose(0, 3, 2, 4, 1)
+    u_conj = u_conj.reshape(t, 1, da, de * de, da)
+    resp = (u_cols[:, :, None] @ d.blocks).reshape(t, da, da, da, de * de) @ u_conj
+    unit = (d.pair_class == PairClass.UNIT_TRACE)[:, :, None, None]
+    if d.is_sl:
+        return np.where(unit, resp, 0), np.zeros((t, da, da), dtype=complex)
+    weighted = d.coeffs[:, :, None, None] * resp
+    shift = weighted[:, d.pair_class == PairClass.TRACELESS_NONZERO].sum(axis=1)
+    return np.where(unit, weighted, 0), shift
+
+
+def two_qubit_blocks_non_sl(rng):
+    """|±><±| on A levels 0 and 1 and |±i><±i| on levels 2 and 3, each
+    with its own environment: four traceless pairs, zero pairs between the
+    two qubits, and a unit diagonal."""
+    terms = []
+    for p, low, phase in ((0.2, 0, 1.0), (0.2, 0, -1.0), (0.3, 2, 1j), (0.3, 2, -1j)):
+        rho_a = np.zeros((4, 4), dtype=complex)
+        rho_a[low : low + 2, low : low + 2] = [[0.5, 0.5 * phase], [0.5 * np.conj(phase), 0.5]]
+        terms.append(EnsembleTerm(p, rho_a, random_density(2, rng)))
+    return SeparableEnsemble(4, 2, tuple(terms)).decomposition
+
+
+INDUCE_SOURCES = {
+    "non-sl-zero-traceless-unit": two_qubit_blocks_non_sl,
+    "aligned-3x2": lambda rng: random_vqd_ensemble(3, 2, rng).decomposition,
+    "aligned-8x4": lambda rng: random_vqd_ensemble(8, 4, rng).decomposition,
+    "coherent-4x2": lambda rng: random_coherent_block_ensemble(rng).decomposition,
+    "bell": lambda rng: decompose_blocks(bell_density(), 2, 2),
+    "discordant-3x2": lambda rng: mixture(3, 2, 3, rng).decomposition,
+}
+
+
+@pytest.mark.parametrize("kind", INDUCE_SOURCES)
+def test_induce_stack_matches_the_dense_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(13)
+    d = INDUCE_SOURCES[kind](rng)
+    classes = set(d.pair_class.ravel().tolist())
+    if kind == "non-sl-zero-traceless-unit":
+        assert classes == set(PairClass)
+    if kind in ("bell", "discordant-3x2"):
+        assert PairClass.ZERO_BLOCK not in classes
+    for trials in (1, 5):
+        us = np.stack([haar_unitary(d.dim_a * d.dim_e, rng) for _ in range(trials)])
+        got, want = maps.induce_stack(d, us), dense_induce_stack(d, us)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_nonzero_pair_index_is_read_only_and_row_major():
+    d = two_qubit_blocks_non_sl(np.random.default_rng(14))
+    pairs = d.nonzero_pairs
+    assert d.nonzero_pairs is pairs
+    assert list(zip(pairs.k.tolist(), pairs.l.tolist())) == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)
+    ]
+    assert pairs.unit.tolist() == [True, False, False, True] * 2
+    assert pairs.blocks.tobytes() == d.blocks[pairs.k, pairs.l].tobytes()
+    assert pairs.coeffs.tobytes() == d.coeffs[pairs.k, pairs.l].tobytes()
+    for a in pairs:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@pytest.mark.parametrize("kind", ["bell", "discordant-3x2"])
+def test_induce_without_zero_pairs_is_no_slower_than_the_dense_reference(kind):
+    # A source with no zero pair takes the broadcast contraction; gathering
+    # its pairs would cost a copy of every column block per pair.
+    rng = np.random.default_rng(15)
+    d = INDUCE_SOURCES[kind](rng)
+    us = np.stack([haar_unitary(d.dim_a * d.dim_e, rng) for _ in range(4)])
+
+    def best(f, calls=50):
+        start = time.perf_counter()
+        for _ in range(calls):
+            f(d, us)
+        return time.perf_counter() - start
+
+    got, want = np.inf, np.inf
+    for _ in range(7):
+        got = min(got, best(maps.induce_stack))
+        want = min(want, best(dense_induce_stack))
+    assert got <= 1.1 * want
+
+
+def unmemoised_spectra(herm, vectors=False):
+    """Component spectra with the components searched on every call (the
+    split before its layouts were memoised)."""
+    t, side = herm.shape[:2]
+    whole = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    if side < maps.SPLIT_MIN_SIDE:
+        return whole(herm)
+    da = isqrt(side)
+    linked = herm.reshape(t, da, da, da, da).any(axis=(0, 2, 4))
+    reach = linked | linked.T | np.eye(da, dtype=bool)
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    label = reach.argmax(axis=1)
+    if not label.any():
+        return whole(herm)
+    size = np.bincount(label)[label]
+    order = np.lexsort((label, size))
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    w = np.empty((t, side))
+    v = np.zeros((t, side, side), dtype=complex) if vectors else None
+    for members in np.split(order, cuts):
+        c = size[members[0]]
+        rows = (members.reshape(-1, c, 1) * da + np.arange(da)).reshape(-1, c * da)
+        sub = herm[:, rows[:, :, None], rows[:, None, :]]
+        if vectors:
+            w[:, rows], v[:, rows[:, :, None], rows[:, None, :]] = np.linalg.eigh(sub)
+        else:
+            w[:, rows] = np.linalg.eigvalsh(sub)
+    return (w, v) if vectors else w
+
+
+def labelled_choi(rng, labels, t=2):
+    """Hermitian ``(t, d², d²)`` Choi stack whose block ``(k, l)`` is nonzero
+    exactly when ``labels[k] == labels[l]``, as ``check_hermitian`` returns it."""
+    da = len(labels)
+    side = da * da
+    g = rng.normal(size=(t, side, side)) + 1j * rng.normal(size=(t, side, side))
+    linked = np.equal.outer(labels, labels)
+    g.reshape(t, da, da, da, da)[...] *= linked[None, :, None, :, None]
+    return check_hermitian(g + g.conj().swapaxes(1, 2), 1e-9, "Choi matrix")
+
+
+def test_memoised_choi_layouts_match_the_unmemoised_split():
+    rng = np.random.default_rng(16)
+    for da in (6, 7, 8):
+        for _ in range(4):
+            herm = labelled_choi(rng, rng.integers(0, 3, size=da))
+            for _ in range(2):  # the second call reads the memo
+                for stack in (herm, np.ascontiguousarray(herm)):
+                    want = unmemoised_spectra(stack, vectors=True)
+                    got = maps._component_spectra(stack, vectors=True)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                    got = maps._component_spectra(stack)
+                    assert got.tobytes() == unmemoised_spectra(stack).tobytes()
+
+
+def test_memoised_kraus_forms_match_the_unmemoised_split(monkeypatch):
+    rng = np.random.default_rng(17)
+    chois = [
+        choi_matrix(induce(decomposed(random_vqd_ensemble(da, 2, rng)), haar_unitary(2 * da, rng)))
+        for da in (6, 7, 8)
+    ]
+    got = [kraus_from_choi(c) for c in chois + chois]
+    monkeypatch.setattr(maps, "_component_spectra", unmemoised_spectra)
+    want = [kraus_from_choi(c) for c in chois + chois]
+    for g, w in zip(got, want):
+        assert [k.tobytes() for k in g] == [k.tobytes() for k in w]
+
+
+def test_choi_layout_memo_is_bounded_and_read_only():
+    rng = np.random.default_rng(18)
+    layout = maps._component_layout
+    assert layout.cache_info().maxsize == maps.LAYOUT_MEMO
+    patterns = set()
+    while len(patterns) < maps.LAYOUT_MEMO + 16:
+        labels = rng.integers(0, 4, size=6)
+        maps._component_spectra(labelled_choi(rng, labels, t=1))
+        patterns.add(np.equal.outer(labels, labels).tobytes())
+        assert layout.cache_info().currsize <= maps.LAYOUT_MEMO
+    groups = layout(6, np.equal.outer(np.arange(6) % 2, np.arange(6) % 2).tobytes())
+    assert [rows.shape for rows, _ in groups] == [(2, 18)]
+    for rows, cells in groups:
+        for a in (rows, cells):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 def test_probe_reaches_exact_bell_cnot_minimum():
@@ -1273,16 +1451,16 @@ def test_discord_skips_blocks_that_refine_nothing(eps, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, overlapping",
     [
-        lambda rng: random_vqd_ensemble(2, 2, rng),
-        lambda rng: mixture(3, 2, 3, rng),
-        lambda rng: random_vqd_ensemble(8, 4, rng),
-        lambda rng: mixture(4, 2, 8, rng),
+        (lambda rng: random_vqd_ensemble(2, 2, rng), False),
+        (lambda rng: mixture(3, 2, 3, rng), True),
+        (lambda rng: random_vqd_ensemble(8, 4, rng), False),
+        (lambda rng: mixture(4, 2, 8, rng), True),
     ],
     ids=["2-terms", "3-terms", "8-terms", "8-terms-discordant"],
 )
-def test_check_condition_makes_a_fixed_number_of_spectral_calls(make, monkeypatch):
+def test_check_condition_makes_a_fixed_number_of_spectral_calls(make, overlapping, monkeypatch):
     e = make(np.random.default_rng(23))
     e.decomposition  # the state's validation is not part of the condition
     calls = []
@@ -1294,9 +1472,41 @@ def test_check_condition_makes_a_fixed_number_of_spectral_calls(make, monkeypatc
 
         monkeypatch.setattr(np.linalg, name, counted)
     check_condition(e)
-    # rescaled matrices, support projectors, and one svd per term over its
-    # products with all later terms: the count is fixed by the term count
-    assert sorted(calls) == ["eigh", "eigh"] + ["svd"] * (len(e.terms) - 1)
+    # rescaled matrices and support projectors; then one svd per term over
+    # its products with the later terms that pass the screen: none when the
+    # supports are orthogonal, every row when full-rank factors overlap
+    svds = len(e.terms) - 1 if overlapping else 0
+    assert sorted(calls) == ["eigh", "eigh"] + ["svd"] * svds
+
+
+def pure(psi):
+    return np.outer(psi, psi.conj())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_condition_reports_a_pair_just_above_ortho_tol(seed):
+    # Pure factors ψ_0 = b_0, ψ_j ∝ b_j + s_j b_0 with s_j 1.001, 0.999 and
+    # 0.6 times ortho_tol, and ψ_4 = b_4.  ‖P_0 P_j‖₂ = s_j, so only pair
+    # (0, 1) is a witness, and it keeps the value of the unscreened svd.
+    # One environment factor keeps the state SL class.
+    rng = np.random.default_rng(seed)
+    ortho_tol = 1e-9
+    basis = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+    psis = [basis[:, 0]]
+    for j, ratio in enumerate((1.001, 0.999, 0.6), start=1):
+        s = ratio * ortho_tol
+        psis.append(np.sqrt(1 - s * s) * basis[:, j] + s * basis[:, 0])
+    psis.append(basis[:, 4])
+    rho_e = random_density(2, rng)
+    e = SeparableEnsemble(5, 2, tuple(EnsembleTerm(0.2, pure(psi), rho_e) for psi in psis))
+    report = check_condition(e, ortho_tol=ortho_tol)
+    assert report.sl_class == "SL"
+    rho_as = np.stack([t.rho_a for t in e.terms])
+    projectors = states._support_projectors(rho_as, states.SUPPORT_CUTOFF)
+    unscreened = np.linalg.svd(projectors[0] @ projectors[1], compute_uv=False).max()
+    pairs = [w for w in report.witnesses if "pair" in w]
+    assert pairs == [{"route": ROUTE_BLOCK, "pair": [0, 1], "overlap": float(unscreened)}]
+    assert repr(report) == repr(reference_condition(e, ortho_tol=ortho_tol))
 
 
 def test_check_condition_memory_stays_near_the_projector_stack():

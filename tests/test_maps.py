@@ -1,5 +1,7 @@
 """Induced affine maps: construction, Choi analysis, positivity, Kraus forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,32 @@ def test_is_cp_rejects_non_hermitian_and_non_finite_images():
     # a NaN shift norm compares false against tol, which read as CP
     with pytest.raises(ValidationError, match="non-finite"):
         is_cp(InducedMap(2, images, np.full((2, 2), np.nan)))
+
+
+@pytest.mark.parametrize(
+    "value", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)], ids=["inf", "-inf", "nan", "inf*1j"]
+)
+@pytest.mark.parametrize("entry", [(0, 0, 1, 1), (1, 0, 0, 1)], ids=["choi-diagonal", "off"])
+def test_every_choi_pass_rejects_one_non_finite_image_entry(value, entry):
+    # The Choi pass checks Hermiticity only; its failing matrix is traced
+    # back and reported as non-finite, so no separate scan of the images
+    # is needed
+    images = np.zeros((2, 2, 2, 2), dtype=complex)
+    images[0, 0] = images[1, 1] = np.eye(2) / 2.0
+    images[entry] = value
+    shift = np.zeros((2, 2), dtype=complex)
+    m = InducedMap(2, images, shift)
+    calls = [
+        lambda: is_cp(m),
+        lambda: maps.cp_verdicts(images[None], shift[None], 1e-9),
+        lambda: probe_positivity(m),
+    ]
+    for call in calls:
+        # and without a RuntimeWarning from the deviation's inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite"):
+                call()
 
 
 def test_probe_accepts_a_finite_map_whose_choi_deviation_overflows():
