@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .jsonio import load_ensemble, load_matrix, load_state, matrix_to_json, save_matrix
-from .linalg import check_tolerance, hermitian_eigen, is_psd
+from .linalg import check_seed, check_tolerance, hermitian_eigen, is_psd
 from .maps import check_budget, choi_matrix, induce, is_cp, probe_stack
 from .presets import bell_density, cnot, four_block_ensemble
 from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
@@ -80,9 +80,10 @@ def _seed(text: str) -> int:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+    try:
+        return check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _plain(value):

@@ -62,6 +62,15 @@ def check_integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(value) -> int:
+    """Return ``value`` as an ``int`` if it is an integer >= 0, as numpy
+    seeds must be, else raise ValueError (see :func:`check_integer`)."""
+    seed = check_integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T

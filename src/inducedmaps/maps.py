@@ -19,6 +19,7 @@ from .linalg import (
     as_square,
     check_hermitian,
     check_integer,
+    check_seed,
     check_tolerance,
     check_unitaries,
     frozen,
@@ -246,16 +247,14 @@ def choi_matrix(m: InducedMap) -> np.ndarray:
 @functools.lru_cache(maxsize=LAYOUT_MEMO)
 def _component_layout(da: int, pattern: bytes):
     """Coherence components of a ``(da, da)`` block pattern, or None when
-    there is one; see :func:`_component_spectra`.
+    there is one; see :func:`_choi_spectra`.
 
     ``pattern`` holds the bytes of a bool array, True where block ``(k,
-    l)`` is nonzero.  The components come in groups of equal size, in
-    the order they are diagonalised; each group is ``(rows, cells)``.
-    ``rows[j]`` lists the Choi rows of the group's ``j``-th component,
-    and ``cells[j, a, b]`` is the flat index of entry ``(rows[j, b],
-    rows[j, a])`` of a ``da² x da²`` matrix: it gathers the component
-    from the matrix's transpose.  The arrays are read-only, as the memo
-    hands the same ones to every call.
+    l)`` is nonzero; it is symmetrised here, so a block that is nonzero
+    one way only links its two states.  The components come in groups of
+    equal size, in the order they are diagonalised; ``rows[j]`` of a
+    group lists the Choi rows of its ``j``-th component.  The arrays are
+    read-only, as the memo hands the same ones to every call.
     """
     linked = np.frombuffer(pattern, dtype=bool).reshape(da, da)
     reach = linked | linked.T | np.eye(da, dtype=bool)
@@ -273,71 +272,68 @@ def _component_layout(da: int, pattern: bytes):
     for members in np.split(order, cuts):
         c = size[members[0]]
         rows = (members.reshape(-1, c, 1) * da + np.arange(da)).reshape(-1, c * da)
-        cells = rows[:, None, :] * (da * da) + rows[:, :, None]
-        rows.flags.writeable = cells.flags.writeable = False
-        groups.append((rows, cells))
+        rows.flags.writeable = False
+        groups.append(rows)
     return tuple(groups)
 
 
-def _component_spectra(herm: np.ndarray, vectors: bool = False):
-    """Eigenvalues (and, with ``vectors``, eigenvectors) of a ``(T, d², d²)``
-    Hermitian Choi stack, one coherence component at a time.
+def _choi_spectra(images: np.ndarray, tol: float, vectors: bool = False):
+    """Eigenvalues (and, with ``vectors``, eigenvectors) of the Hermitian
+    parts of the Choi matrices of a ``(T, d, d, d, d)`` stack of images.
 
-    Input states ``k`` and ``l`` share a component when block ``(k, l)`` or
-    ``(l, k)`` is nonzero in some map of the stack.  Blocks between
-    components are exactly zero, so each map's spectrum is the union of
-    its components' spectra.  The component on rows ``R`` puts its
+    This is the package's one Choi pass.  The stack is built with
+    :func:`_choi_matrices` and checked on whole matrices: a non-finite one
+    raises ValidationError, one further than ``max(tol, 1e-9)`` from
+    Hermitian HermiticityError (:func:`check_hermitian`).  From side
+    ``SPLIT_MIN_SIDE`` on, the Hermitian parts are then diagonalised one
+    coherence component at a time: input states ``k`` and ``l`` share a
+    component when ``images[k, l]`` or ``images[l, k]`` is nonzero in some
+    map of the stack.  Blocks between components are exactly zero in
+    ``C`` and so in ``(C + C†)/2``, and each map's spectrum is the union
+    of its components' spectra.  The component on rows ``R`` puts its
     eigenvalues, ascending, at ``w[:, R]`` and its eigenvectors at rows
     and columns ``R`` of ``v`` (zero elsewhere); components with the same
     number of states share one LAPACK call.  A side below
     ``SPLIT_MIN_SIDE``, or a stack with one component, is diagonalised
-    whole, so ``w`` is sorted.  Each call reads the stack's block pattern
-    (an ``any`` over a float view of the contiguous transpose); the
-    components of a pattern are found once and memoised for the last
-    ``LAYOUT_MEMO`` patterns (:func:`_component_layout`).
+    whole, so ``w`` is sorted.  Each call reads the block pattern from
+    the images (one ``any``); the components of a pattern are found once
+    and memoised for the last ``LAYOUT_MEMO`` patterns
+    (:func:`_component_layout`).
     """
+    herm = check_hermitian(_choi_matrices(images), max(tol, 1e-9), "Choi matrix")
     t, side = herm.shape[:2]
-    whole = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    if side < SPLIT_MIN_SIDE:
-        return whole(herm)
-    da = math.isqrt(side)
-    # check_hermitian returns the transpose of a contiguous array, and
-    # components do not change under transposition: read that array.
-    flipped = np.ascontiguousarray(herm.swapaxes(1, 2))
-    blocks = flipped.view(np.float64).reshape(t, da, da, da, 2 * da).transpose(1, 3, 0, 2, 4)
-    pattern = np.ascontiguousarray(blocks).reshape(da * da, -1).any(axis=1)
-    layout = _component_layout(da, pattern.tobytes())
+    layout = None
+    if side >= SPLIT_MIN_SIDE:
+        layout = _component_layout(images.shape[1], np.any(images, axis=(0, 3, 4)).tobytes())
     if layout is None:
-        return whole(herm)
-    flipped = flipped.reshape(t, side * side)
+        return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
     w = np.empty((t, side))
-    v = np.zeros((t, side * side), dtype=complex) if vectors else None
-    for rows, cells in layout:
-        sub = flipped[:, cells]
+    v = np.zeros((t, side, side), dtype=complex) if vectors else None
+    for rows in layout:
+        block = (slice(None), rows[:, :, None], rows[:, None, :])
         if vectors:
-            w[:, rows], v[:, cells.swapaxes(1, 2)] = np.linalg.eigh(sub)
+            w[:, rows], v[block] = np.linalg.eigh(herm[block])
         else:
-            w[:, rows] = np.linalg.eigvalsh(sub)
-    return (w, v.reshape(t, side, side)) if vectors else w
+            w[:, rows] = np.linalg.eigvalsh(herm[block])
+    return (w, v) if vectors else w
 
 
 def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVerdict]:
     """:func:`is_cp` of every map in a stack; ``tol`` is checked by the caller.
 
     ``images`` and ``shift`` are stacked as :func:`induce_stack` returns
-    them.  This is the package's one Choi pass: a non-finite map raises
-    ValidationError, a Choi matrix further than ``max(tol, 1e-9)`` from
-    Hermitian HermiticityError (:func:`check_hermitian`, on the whole
-    matrix), and ``choi_min_eig`` is the least eigenvalue of its Hermitian
-    part, diagonalised one coherence component at a time
-    (:func:`_component_spectra`).
+    them.  ``choi_min_eig`` is the least eigenvalue from the Choi pass
+    (:func:`_choi_spectra`), which raises ValidationError for a
+    non-finite Choi matrix and HermiticityError for one further than
+    ``max(tol, 1e-9)`` from Hermitian.  A non-finite shift raises
+    ValidationError; a non-Hermitian one is not checked here, as any
+    shift above ``tol`` already makes the verdict NOT_CP_AFFINE.
     """
-    # check_hermitian rejects non-finite images; a NaN shift norm would
+    # _choi_spectra rejects non-finite images; a NaN shift norm would
     # compare false against tol and read as CP.
     if not np.isfinite(shift).all():
         raise ValidationError("induced map contains non-finite entries")
-    herm = check_hermitian(_choi_matrices(images), max(tol, 1e-9), "Choi matrix")
-    choi_min = _component_spectra(herm).min(axis=1)
+    choi_min = _choi_spectra(images, tol).min(axis=1)
     verdicts = []
     for lam, norm in zip(choi_min.tolist(), np.abs(shift).max(axis=(1, 2)).tolist()):
         if norm > tol:
@@ -498,9 +494,10 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
     bit.  ``seeds`` is a sequence with one seed per map, else ValueError;
     only the seeds of the maps that sample are read, so a sequence that
     builds each seed on read builds none for a map the floor or the
-    spectral stage closes.
-    ``budget`` must be an integer from 1 to ``MAX_BUDGET``, else
-    ValueError.
+    spectral stage closes.  A shift further than ``max(tol, 1e-9)`` from
+    Hermitian raises HermiticityError (:func:`check_hermitian`): the
+    floors bound the outputs' Hermitian parts only.  ``budget`` must be an
+    integer from 1 to ``MAX_BUDGET``, else ValueError.
     """
     budget = check_budget(budget, "budget")
     n, da = images.shape[:2]
@@ -510,7 +507,7 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the cheap floor.
-    floors = choi_min + np.linalg.eigvalsh(hermitian_part(shift))[:, 0]
+    floors = choi_min + np.linalg.eigvalsh(check_hermitian(shift, max(tol, 1e-9), "shift"))[:, 0]
     lam, x = np.zeros(n), np.zeros((n, da), dtype=complex)
     spectral = floors < -tol
     closed = np.zeros(n, dtype=bool)
@@ -554,9 +551,11 @@ def probe_positivity(
     """Search for an input whose output loses positivity.
 
     The probe shares the one Choi pass of :func:`is_cp` at ``tol``: a
-    non-finite map raises ValidationError, and a ``C = choi_matrix(m)``
-    further than ``max(tol, 1e-9)`` from Hermitian HermiticityError,
-    before any stage runs.  Each stage ends the probe once it decides:
+    non-finite map raises ValidationError, and a ``C = choi_matrix(m)`` or
+    a ``shift`` further than ``max(tol, 1e-9)`` from Hermitian
+    HermiticityError, before any stage runs: such a map has non-Hermitian
+    outputs, whose eigenvalues no floor bounds.  Each stage ends the probe
+    once it decides:
 
     - The cheap floor ``λmin(Herm C) + λmin(Herm shift)``, with
       ``λmin(Herm C)`` the verdict's ``choi_min_eig``: no output
@@ -585,14 +584,13 @@ def probe_positivity(
     carries its floor: ``floor <= true minimum <= min_eig``
     (:class:`PositivityProbe`).  ``budget`` and ``seed`` must be integers
     (numpy integers pass, ``bool`` does not), ``1 <= budget <=
-    MAX_BUDGET``, ``seed >= 0`` and ``tol`` a finite number >= 0, else
-    ValueError, whether or not the map samples.  This is the one-element
-    case of :func:`probe_stack`, which :func:`~inducedmaps.search.scan`
-    runs on stacks of trials with the same random streams.
+    MAX_BUDGET``, ``seed >= 0`` (:func:`~inducedmaps.linalg.check_seed`)
+    and ``tol`` a finite number >= 0, else ValueError, whether or not the
+    map samples.  This is the one-element case of :func:`probe_stack`,
+    which :func:`~inducedmaps.search.scan` runs on stacks of trials with
+    the same random streams.
     """
-    seed = check_integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = check_seed(seed)
     choi_min = np.array([is_cp(m, tol).choi_min_eig])
     return probe_stack(m.images[None], m.shift[None], choi_min, [seed], budget, tol)[0]
 
@@ -603,23 +601,25 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     Eigenvectors of the Choi matrix, scaled by the square roots of their
     eigenvalues, reshaped so that ``sum_j K_j rho K_j†`` reproduces the
     map's linear action.  ``choi`` must be a finite square matrix of
-    perfect-square side (else ValidationError or ShapeError) within
-    ``max(tol, 1e-9)`` of Hermitian (else HermiticityError), checked on the
-    whole matrix.  Its Hermitian part is diagonalised one coherence
-    component at a time (:func:`_component_spectra`), so the spectrum is
-    the union over components.  A Choi eigenvalue below ``-tol`` raises
-    :class:`NotPsdError`; eigenvalues up to ``KRAUS_KEEP_TOL`` are
-    discarded.  The kept eigenvectors are scaled and reshaped as one
-    array, and the operators come in ascending eigenvalue order across
-    components (a stable sort, so ties keep their row order).  ``tol``
-    must be a finite number >= 0, else ValueError.
+    perfect-square side (else ValidationError or ShapeError); it goes
+    through the Choi pass of :func:`is_cp` (:func:`_choi_spectra`, on the
+    images read back from its blocks), so it must be within ``max(tol,
+    1e-9)`` of Hermitian on the whole matrix (else HermiticityError), and
+    its Hermitian part is diagonalised one coherence component at a time,
+    the spectrum being the union over components.  A Choi eigenvalue
+    below ``-tol`` raises :class:`NotPsdError`; eigenvalues up to
+    ``KRAUS_KEEP_TOL`` are discarded.  The kept eigenvectors are scaled
+    and reshaped as one array, and the operators come in ascending
+    eigenvalue order across components (a stable sort, so ties keep their
+    row order).  ``tol`` must be a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
     choi = as_square(choi, "choi")
     da = math.isqrt(choi.shape[0])
     if da * da != choi.shape[0]:
         raise ShapeError(f"Choi dimension {choi.shape[0]} is not a perfect square")
-    w, v = _component_spectra(check_hermitian(choi, max(tol, 1e-9), "choi")[None], vectors=True)
+    images = choi.reshape(da, da, da, da).swapaxes(1, 2)[None]
+    w, v = _choi_spectra(images, tol, vectors=True)
     order = np.argsort(w[0], kind="stable")
     w, v = w[0, order], v[0][:, order]
     if float(w[0]) < -tol:

@@ -31,6 +31,7 @@ from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, discord_verdict
 from .linalg import (
     check_integer,
+    check_seed,
     check_tolerance,
     check_unitaries,
     dagger,
@@ -82,7 +83,8 @@ class SearchConfig:
     GENERATOR parameter must be a finite number of magnitude at most
     ``MAX_GENERATOR_PARAM``.  ``trials``, ``positivity_budget`` and
     ``seed`` must be integers (numpy integers pass, ``bool`` does not),
-    and ``positivity_budget`` at most ``MAX_BUDGET``, else ValueError.
+    ``seed >= 0`` (:func:`~inducedmaps.linalg.check_seed`) and
+    ``positivity_budget`` at most ``MAX_BUDGET``, else ValueError.
     ``candidate_threshold`` is the magnitude a negative Choi eigenvalue
     must exceed for a report to survive the candidate filter in
     :func:`hunt`.
@@ -112,16 +114,14 @@ class SearchConfig:
                     f"params must be finite numbers of magnitude at most 2**52, got {bad[0]}"
                 )
             object.__setattr__(self, "params", params)
-        for name in ("trials", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(
                 f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}"
             )
         budget = check_budget(self.positivity_budget, "positivity_budget")
         object.__setattr__(self, "positivity_budget", budget)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("cp_tol", "witness_tol", "condition_tol", "vqd_tol", "candidate_threshold"):
             check_tolerance(getattr(self, name), name)
 

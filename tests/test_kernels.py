@@ -396,29 +396,61 @@ def unmemoised_spectra(herm, vectors=False):
     return (w, v) if vectors else w
 
 
-def labelled_choi(rng, labels, t=2):
-    """Hermitian ``(t, d², d²)`` Choi stack whose block ``(k, l)`` is nonzero
-    exactly when ``labels[k] == labels[l]``, as ``check_hermitian`` returns it."""
+def unmemoised_choi_spectra(images, tol, vectors=False):
+    """The Choi pass with the components read from the Hermitian part and
+    searched on every call."""
+    herm = check_hermitian(maps._choi_matrices(images), max(tol, 1e-9), "Choi matrix")
+    return unmemoised_spectra(herm, vectors)
+
+
+def labelled_images(rng, labels, t=2):
+    """``(t, d, d, d, d)`` images of Hermitian Choi matrices whose block
+    ``(k, l)`` is nonzero exactly when ``labels[k] == labels[l]``."""
     da = len(labels)
     side = da * da
     g = rng.normal(size=(t, side, side)) + 1j * rng.normal(size=(t, side, side))
     linked = np.equal.outer(labels, labels)
     g.reshape(t, da, da, da, da)[...] *= linked[None, :, None, :, None]
-    return check_hermitian(g + g.conj().swapaxes(1, 2), 1e-9, "Choi matrix")
+    choi = g + g.conj().swapaxes(1, 2)
+    return choi.reshape(t, da, da, da, da).swapaxes(2, 3)
 
 
 def test_memoised_choi_layouts_match_the_unmemoised_split():
     rng = np.random.default_rng(16)
     for da in (6, 7, 8):
         for _ in range(4):
-            herm = labelled_choi(rng, rng.integers(0, 3, size=da))
+            images = labelled_images(rng, rng.integers(0, 3, size=da))
             for _ in range(2):  # the second call reads the memo
-                for stack in (herm, np.ascontiguousarray(herm)):
-                    want = unmemoised_spectra(stack, vectors=True)
-                    got = maps._component_spectra(stack, vectors=True)
+                for stack in (images, np.ascontiguousarray(images)):
+                    want = unmemoised_choi_spectra(stack, 1e-9, vectors=True)
+                    got = maps._choi_spectra(stack, 1e-9, vectors=True)
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-                    got = maps._component_spectra(stack)
-                    assert got.tobytes() == unmemoised_spectra(stack).tobytes()
+                    got = maps._choi_spectra(stack, 1e-9)
+                    assert got.tobytes() == unmemoised_choi_spectra(stack, 1e-9).tobytes()
+
+
+def test_one_sided_image_blocks_link_their_components():
+    # Blocks (0, 1) and (4, 2) are set one way only, within the Hermiticity
+    # tolerance: the Hermitian part is nonzero both ways, so the images'
+    # pattern must link the same states as the Hermitian part's.
+    rng = np.random.default_rng(19)
+    images = labelled_images(rng, np.array([0, 1, 2, 0, 1, 2]))
+    images[0, 0, 1] = 4e-10 * rng.uniform(0.5, 1.0, size=(6, 6))
+    images[1, 4, 2] = 4e-10j * rng.uniform(0.5, 1.0, size=(6, 6))
+    assert not images[:, 1, 0].any() and not images[:, 2, 4].any()
+    want = unmemoised_choi_spectra(images, 1e-9, vectors=True)
+    got = maps._choi_spectra(images, 1e-9, vectors=True)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    # one component: everything is diagonalised whole
+    assert maps._component_layout(6, np.any(images, axis=(0, 3, 4)).tobytes()) is None
+    images[1, 4, 2] = 0
+    want = unmemoised_choi_spectra(images, 1e-9)
+    assert maps._choi_spectra(images, 1e-9).tobytes() == want.tobytes()
+    groups = maps._component_layout(6, np.any(images, axis=(0, 3, 4)).tobytes())
+    assert [rows.tolist() for rows in groups] == [
+        [list(range(12, 18)) + list(range(30, 36))],
+        [list(range(0, 12)) + list(range(18, 30))],
+    ]
 
 
 def test_memoised_kraus_forms_match_the_unmemoised_split(monkeypatch):
@@ -428,7 +460,7 @@ def test_memoised_kraus_forms_match_the_unmemoised_split(monkeypatch):
         for da in (6, 7, 8)
     ]
     got = [kraus_from_choi(c) for c in chois + chois]
-    monkeypatch.setattr(maps, "_component_spectra", unmemoised_spectra)
+    monkeypatch.setattr(maps, "_choi_spectra", unmemoised_choi_spectra)
     want = [kraus_from_choi(c) for c in chois + chois]
     for g, w in zip(got, want):
         assert [k.tobytes() for k in g] == [k.tobytes() for k in w]
@@ -441,15 +473,14 @@ def test_choi_layout_memo_is_bounded_and_read_only():
     patterns = set()
     while len(patterns) < maps.LAYOUT_MEMO + 16:
         labels = rng.integers(0, 4, size=6)
-        maps._component_spectra(labelled_choi(rng, labels, t=1))
+        maps._choi_spectra(labelled_images(rng, labels, t=1), 1e-9)
         patterns.add(np.equal.outer(labels, labels).tobytes())
         assert layout.cache_info().currsize <= maps.LAYOUT_MEMO
     groups = layout(6, np.equal.outer(np.arange(6) % 2, np.arange(6) % 2).tobytes())
-    assert [rows.shape for rows, _ in groups] == [(2, 18)]
-    for rows, cells in groups:
-        for a in (rows, cells):
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+    assert [rows.shape for rows in groups] == [(2, 18)]
+    for rows in groups:
+        with pytest.raises(ValueError, match="read-only"):
+            rows[...] = 0
 
 
 def test_probe_reaches_exact_bell_cnot_minimum():

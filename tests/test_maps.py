@@ -346,6 +346,23 @@ def test_probe_rejects_a_map_that_does_not_preserve_hermiticity():
             call(m)
 
 
+def test_probe_rejects_a_shift_that_is_not_hermitian():
+    # The identity channel plus an anti-Hermitian shift outputs [[1, .3],
+    # [-.3, 0]] on |0><0|; a floor taken from Herm shift = 0 returned
+    # NO_VIOLATION_FOUND with floor 0, a proof of positivity.
+    images = np.zeros((2, 2, 2, 2), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            images[k, l, k, l] = 1.0
+    m = InducedMap(2, images, np.array([[0.0, 0.3], [-0.3, 0.0]]))
+    out = m.apply(np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(np.abs(out - dagger(out)).max(), 0.6)
+    with pytest.raises(HermiticityError, match="shift deviates from Hermitian by 6.000e-01"):
+        probe_positivity(m)
+    verdict = is_cp(m)
+    assert (verdict.status, verdict.shift_norm) == (NOT_CP_AFFINE, 0.3)
+
+
 def test_probe_certifies_violation_for_flipped_bell_blocks():
     m = induce(decompose_blocks(bell_density(), 2, 2), cnot())
     probe = probe_positivity(m, budget=500, seed=0)
