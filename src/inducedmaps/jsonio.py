@@ -9,6 +9,7 @@ bit-exact for every finite double.
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def matrix_to_json(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [complex_to_json(z) for z in m.reshape(-1)],
+        "data": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
     }
 
 
@@ -82,6 +83,20 @@ def matrix_from_json(obj) -> np.ndarray:
             f"matrix data length {len(data) if isinstance(data, list) else 'n/a'} "
             f"does not equal rows*cols = {rows * cols}"
         )
+    # Pairs of plain JSON numbers are converted in one call; anything else
+    # (or a number out of range) goes through the loop below, which names
+    # the first bad entry.
+    if (
+        set(map(type, data)) <= {list, tuple}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        try:
+            parts = np.array(data, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            return as_matrix(parts.view(complex).reshape(rows, cols))
     flat = np.empty(rows * cols, dtype=complex)
     for idx, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:

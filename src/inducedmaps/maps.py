@@ -281,40 +281,57 @@ def _choi_spectra(images: np.ndarray, tol: float, vectors: bool = False):
     """Eigenvalues (and, with ``vectors``, eigenvectors) of the Hermitian
     parts of the Choi matrices of a ``(T, d, d, d, d)`` stack of images.
 
-    This is the package's one Choi pass.  The stack is built with
-    :func:`_choi_matrices` and checked on whole matrices: a non-finite one
-    raises ValidationError, one further than ``max(tol, 1e-9)`` from
-    Hermitian HermiticityError (:func:`check_hermitian`).  From side
-    ``SPLIT_MIN_SIDE`` on, the Hermitian parts are then diagonalised one
-    coherence component at a time: input states ``k`` and ``l`` share a
-    component when ``images[k, l]`` or ``images[l, k]`` is nonzero in some
-    map of the stack.  Blocks between components are exactly zero in
-    ``C`` and so in ``(C + C†)/2``, and each map's spectrum is the union
-    of its components' spectra.  The component on rows ``R`` puts its
+    This is the package's one Choi pass.  A non-finite Choi matrix raises
+    ValidationError, one further than ``max(tol, 1e-9)`` from Hermitian
+    HermiticityError (:func:`check_hermitian`).  From side
+    ``SPLIT_MIN_SIDE`` on, the Choi matrices are checked and diagonalised
+    one coherence component at a time: input states ``k`` and ``l`` share
+    a component when ``images[k, l]`` or ``images[l, k]`` is nonzero in
+    some map of the stack.  ``any`` counts NaN and inf as nonzero, so
+    every block between components is exactly zero both ways round: it
+    deviates from Hermitian by 0, is 0 in ``(C + C†)/2``, and each map's
+    spectrum is the union of its components' spectra.  Components with
+    the same number of states are gathered straight from the images,
+    checked and diagonalised together, so a stack that passes never
+    builds a whole Choi matrix.  If a component fails its check, the
+    whole stack is built with :func:`_choi_matrices` and checked again,
+    so the error names the same first failing map and worst deviation as
+    a whole-matrix check.  The component on rows ``R`` puts its
     eigenvalues, ascending, at ``w[:, R]`` and its eigenvectors at rows
-    and columns ``R`` of ``v`` (zero elsewhere); components with the same
-    number of states share one LAPACK call.  A side below
-    ``SPLIT_MIN_SIDE``, or a stack with one component, is diagonalised
-    whole, so ``w`` is sorted.  Each call reads the block pattern from
-    the images (one ``any``); the components of a pattern are found once
-    and memoised for the last ``LAYOUT_MEMO`` patterns
-    (:func:`_component_layout`).
+    and columns ``R`` of ``v`` (zero elsewhere).  A side below
+    ``SPLIT_MIN_SIDE``, or a stack with one component, is built, checked
+    and diagonalised whole, so ``w`` is sorted.  Each call from side
+    ``SPLIT_MIN_SIDE`` on reads the block pattern from the images (one
+    ``any``); the components of a pattern are found once and memoised
+    for the last ``LAYOUT_MEMO`` patterns (:func:`_component_layout`).
     """
-    herm = check_hermitian(_choi_matrices(images), max(tol, 1e-9), "Choi matrix")
-    t, side = herm.shape[:2]
+    t, da = images.shape[:2]
+    side, tol = da * da, max(tol, 1e-9)
     layout = None
     if side >= SPLIT_MIN_SIDE:
-        layout = _component_layout(images.shape[1], np.any(images, axis=(0, 3, 4)).tobytes())
+        layout = _component_layout(da, np.any(images, axis=(0, 3, 4)).tobytes())
     if layout is None:
+        herm = check_hermitian(_choi_matrices(images), tol, "Choi matrix")
         return np.linalg.eigh(herm) if vectors else np.linalg.eigvalsh(herm)
     w = np.empty((t, side))
     v = np.zeros((t, side, side), dtype=complex) if vectors else None
     for rows in layout:
-        block = (slice(None), rows[:, :, None], rows[:, None, :])
+        g, width = rows.shape
+        # Row a*da + i of a component is Choi row states[a]*da + i.
+        states = rows[:, ::da] // da
+        gathered = images[:, states[:, :, None], states[:, None, :]]
+        gathered = gathered.transpose(0, 1, 2, 4, 3, 5).reshape(t, g, width, width)
+        try:
+            herm = check_hermitian(gathered, tol, "Choi matrix")
+        except ValidationError:
+            # A later group may hold an earlier map's failure, or a worse
+            # deviation: the whole check names the error a whole pass gives.
+            check_hermitian(_choi_matrices(images), tol, "Choi matrix")
+            raise
         if vectors:
-            w[:, rows], v[block] = np.linalg.eigh(herm[block])
+            w[:, rows], v[:, rows[:, :, None], rows[:, None, :]] = np.linalg.eigh(herm)
         else:
-            w[:, rows] = np.linalg.eigvalsh(herm[block])
+            w[:, rows] = np.linalg.eigvalsh(herm)
     return (w, v) if vectors else w
 
 
@@ -325,7 +342,10 @@ def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVer
     them.  ``choi_min_eig`` is the least eigenvalue from the Choi pass
     (:func:`_choi_spectra`), which raises ValidationError for a
     non-finite Choi matrix and HermiticityError for one further than
-    ``max(tol, 1e-9)`` from Hermitian.  A non-finite shift raises
+    ``max(tol, 1e-9)`` from Hermitian.  From side ``SPLIT_MIN_SIDE`` on
+    the stack is checked one coherence component at a time, and checked
+    whole again on a failure, so the error names the first failing map
+    of the stack, as a whole-matrix check does.  A non-finite shift raises
     ValidationError; a non-Hermitian one is not checked here, as any
     shift above ``tol`` already makes the verdict NOT_CP_AFFINE.
     """
@@ -353,9 +373,11 @@ def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
     and the shift to vanish within ``tol`` (max-entry norm); a nonzero
     shift yields NOT_CP_AFFINE regardless of the Choi spectrum.  This is
     the one-element case of :func:`cp_verdicts`, whose Choi pass keeps
-    nothing on the map; from side ``SPLIT_MIN_SIDE`` on, ``choi_min_eig``
-    may differ from a whole-matrix ``eigvalsh`` by rounding.  ``tol``
-    must be a finite number >= 0, else ValueError.
+    nothing on the map.  From side ``SPLIT_MIN_SIDE`` on, that pass
+    checks and diagonalises the Choi matrix one coherence component at a
+    time (checking it whole again only to report a failure), and
+    ``choi_min_eig`` may differ from a whole-matrix ``eigvalsh`` by
+    rounding.  ``tol`` must be a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
     return cp_verdicts(m.images[None], m.shift[None], tol)[0]
@@ -604,14 +626,16 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     perfect-square side (else ValidationError or ShapeError); it goes
     through the Choi pass of :func:`is_cp` (:func:`_choi_spectra`, on the
     images read back from its blocks), so it must be within ``max(tol,
-    1e-9)`` of Hermitian on the whole matrix (else HermiticityError), and
-    its Hermitian part is diagonalised one coherence component at a time,
-    the spectrum being the union over components.  A Choi eigenvalue
-    below ``-tol`` raises :class:`NotPsdError`; eigenvalues up to
-    ``KRAUS_KEEP_TOL`` are discarded.  The kept eigenvectors are scaled
-    and reshaped as one array, and the operators come in ascending
-    eigenvalue order across components (a stable sort, so ties keep their
-    row order).  ``tol`` must be a finite number >= 0, else ValueError.
+    1e-9)`` of Hermitian (else HermiticityError, with the worst deviation
+    of the whole matrix).  From side ``SPLIT_MIN_SIDE`` on it is checked
+    and diagonalised one coherence component at a time, and checked
+    whole again only on a failure; the spectrum is the union over
+    components.  A Choi eigenvalue below ``-tol`` raises
+    :class:`NotPsdError`; eigenvalues up to ``KRAUS_KEEP_TOL`` are
+    discarded.  The kept eigenvectors are scaled and reshaped as one
+    array, and the operators come in ascending eigenvalue order across
+    components (a stable sort, so ties keep their row order).  ``tol``
+    must be a finite number >= 0, else ValueError.
     """
     check_tolerance(tol)
     choi = as_square(choi, "choi")

@@ -86,6 +86,50 @@ def test_matrix_payload_validation_errors():
             matrix_from_json(broken)
 
 
+def large_matrix(rng, side=64):
+    m = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    m.reshape(-1)[: AWKWARD.size] = AWKWARD.reshape(-1)
+    return m
+
+
+def test_large_matrix_payload_matches_the_per_entry_form_bit_for_bit():
+    m = large_matrix(np.random.default_rng(21))
+    payload = matrix_to_json(m)
+    per_entry = {**payload, "data": [complex_to_json(z) for z in m.reshape(-1)]}
+    # the text tells -0.0 from 0.0, which list equality does not
+    assert json.dumps(payload) == json.dumps(per_entry)
+    assert matrix_from_json(json.loads(json.dumps(payload))).tobytes() == m.tobytes()
+    # integers, tuples and huge integers convert as float() does
+    ints = [(k, -k) for k in range(4095)] + [[2**64 + 1, 10**308]]
+    want = np.array([complex(float(a), float(b)) for a, b in ints]).reshape(64, 64)
+    got = matrix_from_json({"rows": 64, "cols": 64, "data": ints})
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "last",
+    [
+        [1.0],
+        [1.0, 0.0, 0.0],
+        "x",
+        [True, False],
+        [1.0, True],
+        ["1e-3", 0],
+        [None, 0],
+        [10**400, 0],
+        [0, 10**400],
+    ],
+)
+def test_large_matrix_payload_names_its_bad_last_entry(last):
+    payload = matrix_to_json(large_matrix(np.random.default_rng(22)))
+    payload["data"][-1] = last
+    with pytest.raises(ValidationError, match="^entry 4095 "):
+        matrix_from_json(payload)
+    payload["data"][-1] = [float("nan"), 0.0]
+    with pytest.raises(ValidationError, match="non-finite"):
+        matrix_from_json(payload)
+
+
 def test_matrix_payload_rejects_non_finite_entries():
     with pytest.raises(ValidationError):
         matrix_from_json(

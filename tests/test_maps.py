@@ -35,6 +35,7 @@ from inducedmaps import (
     validate_unitary,
 )
 from inducedmaps import maps
+from inducedmaps.linalg import check_hermitian
 from inducedmaps.presets import (
     bell_density,
     cnot,
@@ -564,6 +565,52 @@ def test_split_choi_keeps_the_not_cp_and_hermiticity_verdicts():
             is_cp(bad)
         with pytest.raises(HermiticityError):
             kraus_from_choi(choi_matrix(bad))
+
+
+def raised(f, *args):
+    """Class and message of the ValidationError that ``f(*args)`` raises."""
+    with pytest.raises(ValidationError) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+# Defects at images[k, l, i, j] of a UNEVEN_SUPPORTS map.  State 1 is in
+# the first component group checked, states 2 and 4 in the last, so a
+# check that stopped at the first failing group would report 1e-6.
+SPLIT_DEFECTS = {
+    "deviation-then-nan": {(1, 1, 0, 1): 1e-6, (2, 2, 0, 0): np.nan},
+    "small-then-large": {(1, 1, 0, 1): 1e-6, (2, 4, 0, 1): 3e-6},
+}
+
+
+@pytest.mark.parametrize("defects", SPLIT_DEFECTS.values(), ids=SPLIT_DEFECTS)
+def test_split_choi_errors_match_the_whole_matrix_check(defects):
+    images = np.array(component_map(np.random.default_rng(62), UNEVEN_SUPPORTS).images)
+    for at, defect in defects.items():
+        images[at] += defect
+    bad = InducedMap(7, images, np.zeros((7, 7), dtype=complex))
+    want = raised(check_hermitian, maps._choi_matrices(images[None]), 1e-9, "Choi matrix")
+    assert raised(is_cp, bad) == want
+    if np.isfinite(images).all():
+        assert raised(kraus_from_choi, choi_matrix(bad)) == want
+    else:
+        assert want[0] is ValidationError
+        assert raised(kraus_from_choi, choi_matrix(bad)) == (
+            ValidationError,
+            "choi contains non-finite entries",
+        )
+
+
+def test_split_choi_error_names_the_first_failing_map_of_a_stack():
+    m = component_map(np.random.default_rng(62), UNEVEN_SUPPORTS)
+    images = np.stack([m.images, m.images])
+    # map 1 fails in the first component group, map 0 only in the last
+    images[1, 1, 1, 0, 1] += 5e-6
+    images[0, 2, 2, 0, 1] += 2e-6
+    shift = np.zeros((2, 7, 7), dtype=complex)
+    error = raised(maps.cp_verdicts, images, shift, 1e-9)
+    assert error == raised(check_hermitian, maps._choi_matrices(images), 1e-9, "Choi matrix")
+    assert error[1].startswith("Choi matrix deviates from Hermitian by 2.000e-06")
 
 
 @pytest.mark.parametrize(
