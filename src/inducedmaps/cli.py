@@ -30,12 +30,14 @@ from .errors import (
     ValidationError,
 )
 from .jsonio import load_ensemble, load_matrix, load_state, matrix_to_json, save_matrix
-from .linalg import check_seed, check_tolerance, hermitian_eigen, is_psd
-from .maps import check_budget, choi_matrix, induce, is_cp, probe_stack
+from .linalg import DEFAULT_TOL, check_seed, check_tolerance, hermitian_eigen, is_psd
+from .maps import DEFAULT_BUDGET, check_budget, choi_matrix, induce, is_cp, probe_stack
 from .presets import bell_density, cnot, four_block_ensemble
 from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
 from .states import (
     CANCELLATION,
+    ORTHO_TOL,
+    SUPPORT_CUTOFF,
     check_condition,
     classify_sl,
     decompose_blocks,
@@ -333,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="evaluate the block-support condition")
     pc.add_argument("ensemble", help="ensemble JSON file")
-    pc.add_argument("--tol", type=_tolerance, default=1e-9)
-    pc.add_argument("--support-cutoff", type=_tolerance, default=1e-9)
-    pc.add_argument("--ortho-tol", type=_tolerance, default=1e-9)
-    pc.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
+    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    pc.add_argument("--support-cutoff", type=_tolerance, default=SUPPORT_CUTOFF)
+    pc.add_argument("--ortho-tol", type=_tolerance, default=ORTHO_TOL)
+    pc.add_argument("--vqd-tol", type=_tolerance, default=DEFAULT_TOL)
     pc.add_argument("--seed", type=_seed, default=0, help="echoed; the verdicts take no seed")
     pc.set_defaults(func=_cmd_check)
 
@@ -347,35 +349,34 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
     pi.add_argument("--out", default=None, help="write the output matrix here")
     pi.add_argument("--choi", default=None, help="write the Choi matrix here")
-    pi.add_argument("--budget", type=int, default=500)
+    pi.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pi.add_argument("--seed", type=_seed, default=0)
-    pi.add_argument("--cp-tol", type=_tolerance, default=1e-9)
-    pi.add_argument("--witness-tol", type=_tolerance, default=1e-9)
+    pi.add_argument("--cp-tol", type=_tolerance, default=DEFAULT_TOL)
+    pi.add_argument("--witness-tol", type=_tolerance, default=DEFAULT_TOL)
     pi.set_defaults(func=_cmd_induce)
 
     pd = sub.add_parser("discord", help="vanishing-discord verdict for a state")
     pd.add_argument("state", help="ensemble or matrix JSON file")
     pd.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
-    pd.add_argument("--tol", type=_tolerance, default=1e-9)
+    pd.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     pd.add_argument("--seed", type=_seed, default=0, help="echoed; the verdict takes no seed")
     pd.set_defaults(func=_cmd_discord)
 
     ph = sub.add_parser("hunt", help="search unitaries for positive-not-CP candidates")
     ph.add_argument("ensemble", help="ensemble JSON file")
-    ph.add_argument("--family", choices=[HAAR, GENERATOR], default=HAAR)
-    ph.add_argument("--params", type=float, nargs="+", default=None,
+    ph.add_argument("--family", choices=[HAAR, GENERATOR])
+    ph.add_argument("--params", type=float, nargs="+",
                     help="generator parameters (length dim**2) for the GENERATOR family")
-    ph.add_argument("--trials", type=int, default=100)
-    ph.add_argument(
-        "--budget", dest="positivity_budget", metavar="BUDGET", type=int, default=500
-    )
-    ph.add_argument("--seed", type=_seed, default=0)
-    ph.add_argument("--cp-tol", type=_tolerance, default=1e-9)
-    ph.add_argument("--witness-tol", type=_tolerance, default=1e-9)
-    ph.add_argument("--condition-tol", type=_tolerance, default=1e-9)
-    ph.add_argument("--vqd-tol", type=_tolerance, default=1e-9)
-    ph.add_argument("--candidate-threshold", type=_tolerance, default=1e-6)
-    ph.set_defaults(func=_cmd_hunt)
+    ph.add_argument("--trials", type=int)
+    ph.add_argument("--budget", dest="positivity_budget", metavar="BUDGET", type=int)
+    ph.add_argument("--seed", type=_seed)
+    ph.add_argument("--cp-tol", type=_tolerance)
+    ph.add_argument("--witness-tol", type=_tolerance)
+    ph.add_argument("--condition-tol", type=_tolerance)
+    ph.add_argument("--vqd-tol", type=_tolerance)
+    ph.add_argument("--candidate-threshold", type=_tolerance)
+    # Every flag defaults to its SearchConfig field.
+    ph.set_defaults(func=_cmd_hunt, **dataclasses.asdict(SearchConfig()))
 
     pr = sub.add_parser("repro", help="regenerate a reference fixture and assert its values")
     pr.add_argument("name", choices=["example-4xf", "bell-cnot"])

@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import (
+    DEFAULT_TOL,
     as_square,
     check_tolerance,
     check_unitaries,
     dagger,
     frozen,
-    hermitian_deviation,
     hermitian_part,
     partial_trace,
     share_on_deepcopy,
@@ -107,12 +107,14 @@ def _max_commutator(stack: np.ndarray) -> float:
 
     For Hermitian ``X`` and ``Y``, ``[X, Y] = XY - (XY)†``, so one product
     per pair suffices.  Each matrix meets all later ones as one stacked
-    product, so the memory in use never exceeds the stack's own.
+    product, so the memory in use never exceeds the stack's own.  The
+    stack holds Hermitian parts of blocks of a validated density matrix,
+    so every entry, and every product's, is bounded and nothing overflows.
     """
     worst = 0.0
     for i in range(len(stack) - 1):
         p = stack[i] @ stack[i + 1 :]
-        worst = max(worst, float(hermitian_deviation(p).max()))
+        worst = max(worst, float(np.abs(p - np.conjugate(p).swapaxes(-1, -2)).max()))
     return worst
 
 
@@ -168,7 +170,7 @@ def _deferred(make):
     yield from make()
 
 
-def has_vqd(rho_ae, dim_a: int, dim_e: int, tol: float = 1e-9) -> DiscordVerdict:
+def has_vqd(rho_ae, dim_a: int, dim_e: int, tol: float = DEFAULT_TOL) -> DiscordVerdict:
     """Decide whether a bipartite state has vanishing discord on A.
 
     A state has zero discord on A exactly when its E-indexed blocks

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small bipartite operator problems.
 
 Pure functions over complex128 numpy arrays: 2-D matrices, and for
-:func:`hermitian_part`, :func:`hermitian_deviation`, :func:`check_hermitian`
-and :func:`check_unitaries` also ``(T, d, d)`` stacks.  Matrices are small
-(dims well below 100), so dense LAPACK routines are used throughout.
+:func:`hermitian_part`, :func:`check_hermitian` and :func:`check_unitaries`
+also ``(T, d, d)`` stacks.  Matrices are small (dims well below 100), so
+dense LAPACK routines are used throughout.
 """
 
 import operator
@@ -16,8 +16,15 @@ from .errors import HermiticityError, ShapeError, SizeError, ValidationError
 # Ceiling on tensor-product output rows; guards against runaway dimensions.
 MAX_TENSOR_ROWS = 4096
 
-# Default tolerance for hermiticity checks, in max-entry norm.
+# Hermiticity floor, in max-entry norm: check_hermitian gates every matrix
+# at the larger of its tol and this, so rounding in products of unit-trace
+# operators never fails a check at a tighter tol.
 DEFAULT_HERM_TOL = 1e-9
+
+# Default decision tolerance on eigenvalues, shift norms and pinching
+# defects, in absolute units.  It assumes unit-trace inputs and outputs,
+# whose entries and eigenvalues are at most 1 in magnitude.
+DEFAULT_TOL = 1e-9
 
 # Tolerance for ``U†U = I`` in max-entry norm.
 DEFAULT_UNITARITY_TOL = 1e-10
@@ -175,29 +182,25 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
     raise ValueError(f"side must be 'A' or 'E', got {side!r}")
 
 
-def hermitian_deviation(ms: np.ndarray) -> np.ndarray:
-    """Entrywise ``|m - m†|`` over the last two axes of ``ms``; inf or NaN where
-    not finite, and inf where a finite difference overflows (silently)."""
-    with np.errstate(over="ignore"):
-        return np.abs(ms - np.conjugate(ms).swapaxes(-1, -2))
-
-
 def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
     """Hermitian parts of a ``(d, d)`` matrix or of a ``(T, d, d)`` stack.
 
-    Every matrix must be finite and within ``tol`` of Hermitian, ``max|m -
-    m†| <= tol``, at any ``tol`` up to ``inf``.  The first failing matrix
-    raises ValidationError if it has a non-finite entry, else
-    HermiticityError (also when a finite matrix's deviation overflows).
+    Every matrix must be finite and within ``max(DEFAULT_HERM_TOL, tol)``
+    of Hermitian in max-entry norm, at any ``tol`` up to ``inf``: the
+    floor is the package's one Hermiticity rule, so rounding never fails
+    a check at a tighter ``tol``.  The first failing matrix raises
+    ValidationError if it has a non-finite entry, else HermiticityError
+    (also when a finite matrix's deviation overflows), naming that bound.
     """
     # One conjugate transpose serves the deviation and then, in place, the
     # Hermitian part, with the arithmetic of hermitian_part.
     ct = np.conjugate(ms).swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs(ms - ct)
-    # Capping tol at the largest float makes the one comparison fail on an
-    # infinite or NaN deviation too; an empty stack deviates by 0.
-    limit = min(tol, _FLOAT_MAX)
+    bound = max(DEFAULT_HERM_TOL, tol)
+    # Capping the bound at the largest float makes the one comparison fail
+    # on an infinite or NaN deviation too; an empty stack deviates by 0.
+    limit = min(bound, _FLOAT_MAX)
     if not dev.max(initial=0.0) <= limit:
         # Only a failure is traced back to its matrix.
         stack = ms.reshape(-1, *ms.shape[-2:])
@@ -205,7 +208,7 @@ def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
         i = int(np.argmin(worst <= limit))
         if not np.isfinite(stack[i]).all():
             raise ValidationError(f"{name} contains non-finite entries")
-        raise HermiticityError(f"{name} deviates from Hermitian by {worst[i]:.3e}, above {tol:.3e}")
+        raise HermiticityError(f"{name} deviates from Hermitian by {worst[i]:.3e}, above {bound:.3e}")
     ct += ms
     ct *= 0.5
     return ct
@@ -215,18 +218,21 @@ def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     ``m`` is a nonempty square matrix (else ShapeError) that passes
-    :func:`check_hermitian` at ``tol``; the decomposition of its Hermitian
-    part is deterministic and exactly reconstructible.
+    :func:`check_hermitian` at ``tol`` (floored at ``DEFAULT_HERM_TOL``);
+    the decomposition of its Hermitian part is deterministic and exactly
+    reconstructible.
     """
     return Spectrum(*np.linalg.eigh(check_hermitian(as_square(m, "m"), tol, "m")))
 
 
-def is_psd(m, tol: float = DEFAULT_HERM_TOL) -> tuple[bool, float]:
+def is_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Positive-semidefiniteness check for a Hermitian matrix.
 
     Returns ``(ok, min_eig)`` where ``ok`` is true iff the smallest
     eigenvalue is at least ``-tol``.  The eigenvalue is always returned so
-    callers can report how badly positivity fails.
+    callers can report how badly positivity fails.  ``m`` goes through
+    :func:`hermitian_eigen` at the same ``tol``: only that Hermiticity
+    check is floored at ``DEFAULT_HERM_TOL``, not the eigenvalue test.
     """
     w, _ = hermitian_eigen(m, tol)
     lam = float(w[0])

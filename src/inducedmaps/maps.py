@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NotPsdError, ShapeError, ValidationError
 from .linalg import (
+    DEFAULT_TOL,
     DEFAULT_UNITARITY_TOL,  # re-exported: unitarity is checked in linalg
     as_square,
     check_hermitian,
@@ -53,6 +54,10 @@ LAYOUT_MEMO = 64
 # Pure inputs per batched pass of the positivity probe; caps the probe's
 # memory independently of its sampling budget.
 PROBE_CHUNK = 1024
+
+# Default sampling budget of one probe: Haar-random pure inputs drawn when
+# neither floor decides.
+DEFAULT_BUDGET = 500
 
 # Largest sampling budget of one probe: a PROBE_CHUNK batch takes 0.5 ms at
 # 2x2 and 12 ms at 8x4 (one BLAS thread, x86-64), so a probe takes seconds.
@@ -282,7 +287,7 @@ def _choi_spectra(images: np.ndarray, tol: float, vectors: bool = False):
     parts of the Choi matrices of a ``(T, d, d, d, d)`` stack of images.
 
     This is the package's one Choi pass.  A non-finite Choi matrix raises
-    ValidationError, one further than ``max(tol, 1e-9)`` from Hermitian
+    ValidationError, one further than ``tol`` from Hermitian
     HermiticityError (:func:`check_hermitian`).  From side
     ``SPLIT_MIN_SIDE`` on, the Choi matrices are checked and diagonalised
     one coherence component at a time: input states ``k`` and ``l`` share
@@ -306,7 +311,7 @@ def _choi_spectra(images: np.ndarray, tol: float, vectors: bool = False):
     for the last ``LAYOUT_MEMO`` patterns (:func:`_component_layout`).
     """
     t, da = images.shape[:2]
-    side, tol = da * da, max(tol, 1e-9)
+    side = da * da
     layout = None
     if side >= SPLIT_MIN_SIDE:
         layout = _component_layout(da, np.any(images, axis=(0, 3, 4)).tobytes())
@@ -342,7 +347,7 @@ def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVer
     them.  ``choi_min_eig`` is the least eigenvalue from the Choi pass
     (:func:`_choi_spectra`), which raises ValidationError for a
     non-finite Choi matrix and HermiticityError for one further than
-    ``max(tol, 1e-9)`` from Hermitian.  From side ``SPLIT_MIN_SIDE`` on
+    ``tol`` from Hermitian.  From side ``SPLIT_MIN_SIDE`` on
     the stack is checked one coherence component at a time, and checked
     whole again on a failure, so the error names the first failing map
     of the stack, as a whole-matrix check does.  A non-finite shift raises
@@ -366,7 +371,7 @@ def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVer
     return verdicts
 
 
-def is_cp(m: InducedMap, tol: float = 1e-9) -> CpVerdict:
+def is_cp(m: InducedMap, tol: float = DEFAULT_TOL) -> CpVerdict:
     """Classify complete positivity of the map's linear part.
 
     CP requires the Choi matrix to have smallest eigenvalue >= ``-tol``
@@ -516,10 +521,10 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
     bit.  ``seeds`` is a sequence with one seed per map, else ValueError;
     only the seeds of the maps that sample are read, so a sequence that
     builds each seed on read builds none for a map the floor or the
-    spectral stage closes.  A shift further than ``max(tol, 1e-9)`` from
-    Hermitian raises HermiticityError (:func:`check_hermitian`): the
-    floors bound the outputs' Hermitian parts only.  ``budget`` must be an
-    integer from 1 to ``MAX_BUDGET``, else ValueError.
+    spectral stage closes.  A shift further than ``tol`` from Hermitian
+    raises HermiticityError (:func:`check_hermitian`): the floors bound
+    the outputs' Hermitian parts only.  ``budget`` must be an integer
+    from 1 to ``MAX_BUDGET``, else ValueError.
     """
     budget = check_budget(budget, "budget")
     n, da = images.shape[:2]
@@ -529,7 +534,7 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the cheap floor.
-    floors = choi_min + np.linalg.eigvalsh(check_hermitian(shift, max(tol, 1e-9), "shift"))[:, 0]
+    floors = choi_min + np.linalg.eigvalsh(check_hermitian(shift, tol, "shift"))[:, 0]
     lam, x = np.zeros(n), np.zeros((n, da), dtype=complex)
     spectral = floors < -tol
     closed = np.zeros(n, dtype=bool)
@@ -568,16 +573,16 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
 
 
 def probe_positivity(
-    m: InducedMap, budget: int = 500, seed: int = 0, tol: float = 1e-9
+    m: InducedMap, budget: int = DEFAULT_BUDGET, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> PositivityProbe:
     """Search for an input whose output loses positivity.
 
     The probe shares the one Choi pass of :func:`is_cp` at ``tol``: a
     non-finite map raises ValidationError, and a ``C = choi_matrix(m)`` or
-    a ``shift`` further than ``max(tol, 1e-9)`` from Hermitian
-    HermiticityError, before any stage runs: such a map has non-Hermitian
-    outputs, whose eigenvalues no floor bounds.  Each stage ends the probe
-    once it decides:
+    a ``shift`` further than ``tol`` from Hermitian HermiticityError,
+    before any stage runs: such a map has non-Hermitian outputs, whose
+    eigenvalues no floor bounds.  Each stage ends the probe once it
+    decides:
 
     - The cheap floor ``λmin(Herm C) + λmin(Herm shift)``, with
       ``λmin(Herm C)`` the verdict's ``choi_min_eig``: no output
@@ -617,7 +622,7 @@ def probe_positivity(
     return probe_stack(m.images[None], m.shift[None], choi_min, [seed], budget, tol)[0]
 
 
-def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
+def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Operator-sum terms of a completely positive linear part.
 
     Eigenvectors of the Choi matrix, scaled by the square roots of their
@@ -625,9 +630,9 @@ def kraus_from_choi(choi, tol: float = 1e-9) -> list[np.ndarray]:
     map's linear action.  ``choi`` must be a finite square matrix of
     perfect-square side (else ValidationError or ShapeError); it goes
     through the Choi pass of :func:`is_cp` (:func:`_choi_spectra`, on the
-    images read back from its blocks), so it must be within ``max(tol,
-    1e-9)`` of Hermitian (else HermiticityError, with the worst deviation
-    of the whole matrix).  From side ``SPLIT_MIN_SIDE`` on it is checked
+    images read back from its blocks), so it must be within ``tol`` of
+    Hermitian (else HermiticityError, with the worst deviation of the
+    whole matrix).  From side ``SPLIT_MIN_SIDE`` on it is checked
     and diagonalised one coherence component at a time, and checked
     whole again only on a failure; the spectrum is the union over
     components.  A Choi eigenvalue below ``-tol`` raises

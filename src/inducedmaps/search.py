@@ -30,6 +30,7 @@ import numpy as np
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, discord_verdict
 from .linalg import (
+    DEFAULT_TOL,
     check_integer,
     check_seed,
     check_tolerance,
@@ -41,6 +42,7 @@ from .linalg import (
 )
 from .maps import (
     CP,
+    DEFAULT_BUDGET,
     NOT_CP_AFFINE,
     VIOLATED,
     check_budget,
@@ -66,6 +68,10 @@ MAX_TRIALS = 10_000
 # Largest magnitude of a GENERATOR parameter: above it float64 spacing
 # exceeds one radian, so ``exp(iH)`` keeps no meaningful phase.
 MAX_GENERATOR_PARAM = 2.0**52
+
+# Default magnitude a negative Choi eigenvalue must exceed for a report to
+# survive :func:`filter_candidates`.
+CANDIDATE_THRESHOLD = 1e-6
 
 # Trials that :func:`scan` evaluates as one stack.  Fixed, so the peak
 # memory of a scan grows with neither its trial count nor its budget.
@@ -93,13 +99,13 @@ class SearchConfig:
     family: str = HAAR
     params: tuple[float, ...] | None = None
     trials: int = 100
-    positivity_budget: int = 500
+    positivity_budget: int = DEFAULT_BUDGET
     seed: int = 0
-    cp_tol: float = 1e-9
-    witness_tol: float = 1e-9
-    condition_tol: float = 1e-9
-    vqd_tol: float = 1e-9
-    candidate_threshold: float = 1e-6
+    cp_tol: float = DEFAULT_TOL
+    witness_tol: float = DEFAULT_TOL
+    condition_tol: float = DEFAULT_TOL
+    vqd_tol: float = DEFAULT_TOL
+    candidate_threshold: float = CANDIDATE_THRESHOLD
 
     def __post_init__(self):
         if self.family not in (HAAR, GENERATOR):
@@ -192,7 +198,7 @@ def generator_unitary(params, dim: int) -> np.ndarray:
             h[i, j] = params[pos] + 1j * params[pos + 1]
             h[j, i] = params[pos] - 1j * params[pos + 1]
             pos += 2
-    w, v = hermitian_eigen(h, tol=np.inf)
+    w, v = hermitian_eigen(h)
     return (v * np.exp(1j * w)) @ dagger(v)
 
 
@@ -315,7 +321,7 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
 
 
 def filter_candidates(
-    reports, threshold: float = 1e-6
+    reports, threshold: float = CANDIDATE_THRESHOLD
 ) -> tuple[CandidateReport, ...]:
     """Keep POSITIVE_NOT_CP_CANDIDATE reports whose Choi eigenvalue is
     below ``-threshold`` (a finite number >= 0, else ValueError), sorted

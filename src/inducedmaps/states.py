@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CancellationError, NonSLError, ShapeError, SizeError, ValidationError
 from .linalg import (
+    DEFAULT_TOL,
     as_square,
     check_hermitian,
     check_tolerance,
@@ -138,10 +139,11 @@ class SeparableEnsemble:
 
     Terms are validated on construction: there are 1 to ``MAX_TERMS`` of
     them (more raise SizeError), weights are nonnegative and sum to 1
-    within 1e-9, and every factor is a valid density matrix of the
-    declared dimension.  The assembled ``state`` and its coherence-block
-    ``decomposition`` are derived on first use and cached; both are
-    read-only and the terms are immutable, so the cache cannot go stale.
+    within ``DEFAULT_DENSITY_TOL``, and every factor is a valid density
+    matrix of the declared dimension.  The assembled ``state`` and its
+    coherence-block ``decomposition`` are derived on first use and cached;
+    both are read-only and the terms are immutable, so the cache cannot
+    go stale.
     """
 
     dim_a: int
@@ -164,7 +166,7 @@ class SeparableEnsemble:
                     f"rho_e shape {t.rho_e.shape} does not match dim_e {self.dim_e}"
                 )
         total = sum(t.p for t in self.terms)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > DEFAULT_DENSITY_TOL:
             raise ValidationError(f"term weights sum to {total:.12g}, expected 1")
 
     __deepcopy__ = share_on_deepcopy
@@ -383,7 +385,7 @@ def _support_projectors(rhos: np.ndarray, cutoff: float) -> np.ndarray:
 
 def check_condition(
     e: SeparableEnsemble,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     support_cutoff: float = SUPPORT_CUTOFF,
     ortho_tol: float = ORTHO_TOL,
 ) -> ConditionReport:

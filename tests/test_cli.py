@@ -1,5 +1,7 @@
 """Command-line contract: exit codes, JSON reports, file outputs."""
 
+import dataclasses
+import inspect
 import json
 import shlex
 import subprocess
@@ -21,8 +23,13 @@ from inducedmaps import (
     CandidateReport,
     EnsembleTerm,
     PositivityProbe,
+    SearchConfig,
     SeparableEnsemble,
+    check_condition,
     haar_unitary,
+    has_vqd,
+    is_cp,
+    probe_positivity,
 )
 from inducedmaps.cli import (
     EXIT_CONDITION_FAILS,
@@ -40,7 +47,13 @@ from inducedmaps.jsonio import (
     save_matrix,
 )
 from inducedmaps.linalg import MAX_TENSOR_ROWS
-from inducedmaps.presets import bell_density, cnot, four_block_ensemble, random_density
+from inducedmaps.presets import (
+    bell_density,
+    cnot,
+    four_block_ensemble,
+    random_coherent_block_ensemble,
+    random_density,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -482,6 +495,44 @@ def test_hunt_reports_vqd_precondition(tmp_path, capsys):
     assert code == EXIT_CONDITION_FAILS
     assert payload["error"]["code"] == "PRECONDITION_VQD"
     assert "vanishing discord" in payload["error"]["message"]
+
+
+def test_zero_tolerance_gates_accept_rounding_in_the_rescaled_matrices(tmp_path, capsys):
+    # The rescaled matrices of this source deviate from Hermitian by
+    # rounding (1.6e-33), which a gate at tol = 0 without the Hermiticity
+    # floor rejected with exit code 64.
+    e = random_coherent_block_ensemble(np.random.default_rng(0))
+    path = write_ensemble(tmp_path, "e.json", e)
+    code, payload, err = run(capsys, ["check", path, "--tol", "0"])
+    assert (code, err) == (EXIT_OK, "")
+    assert payload["condition"]["routes"] == ["RESCALED_PSD"]
+    code, payload, err = run(capsys, ["hunt", path, "--condition-tol", "0"])
+    assert (code, err) == (EXIT_CONDITION_FAILS, "")
+    assert payload["error"]["code"] == "PRECONDITION_VQD"
+
+
+def default_of(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    hunt = vars(parser.parse_args(["hunt", "e.json"]))
+    assert {name: hunt[name] for name in dataclasses.asdict(SearchConfig())} == (
+        dataclasses.asdict(SearchConfig())
+    )
+    check = parser.parse_args(["check", "e.json"])
+    assert (check.tol, check.support_cutoff, check.ortho_tol) == tuple(
+        default_of(check_condition, name) for name in ("tol", "support_cutoff", "ortho_tol")
+    )
+    assert check.vqd_tol == default_of(has_vqd, "tol")
+    induce = parser.parse_args(["induce", "s.json", "u.json", "i.json"])
+    assert induce.cp_tol == default_of(is_cp, "tol")
+    assert (induce.budget, induce.witness_tol) == (
+        default_of(probe_positivity, "budget"),
+        default_of(probe_positivity, "tol"),
+    )
+    assert parser.parse_args(["discord", "s.json"]).tol == default_of(has_vqd, "tol")
 
 
 def test_hunt_reports_candidates_when_search_runs(tmp_path, capsys, monkeypatch):

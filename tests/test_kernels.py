@@ -399,7 +399,7 @@ def unmemoised_spectra(herm, vectors=False):
 def unmemoised_choi_spectra(images, tol, vectors=False):
     """The Choi pass with the components read from the Hermitian part and
     searched on every call."""
-    herm = check_hermitian(maps._choi_matrices(images), max(tol, 1e-9), "Choi matrix")
+    herm = check_hermitian(maps._choi_matrices(images), tol, "Choi matrix")
     return unmemoised_spectra(herm, vectors)
 
 

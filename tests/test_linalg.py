@@ -185,6 +185,33 @@ def test_spectra_reject_a_non_finite_matrix_at_any_tolerance():
         hermitian_eigen(bad, tol=np.inf)
 
 
+def test_check_hermitian_floors_its_tolerance():
+    # every Hermiticity check gates at max(DEFAULT_HERM_TOL, tol), so a
+    # tighter tol never fails a matrix on rounding
+    near = np.array([[0.5, 5e-10], [0.0, 0.5]])
+    np.testing.assert_array_equal(check_hermitian(near, 0.0, "m"), (near + near.T) / 2)
+    with pytest.raises(HermiticityError, match=r"by 2\.000e-09, above 1\.000e-09$"):
+        check_hermitian(np.array([[0.5, 2e-9], [0.0, 0.5]]), 0.0, "m")
+
+
+def test_hermitian_eigen_at_zero_tol_accepts_rounding_level_asymmetry():
+    rng = np.random.default_rng(23)
+    h = random_hermitian(4, rng)
+    m = h + 1e-15 * rng.normal(size=(4, 4))
+    assert np.abs(m - dagger(m)).max() > 0.0
+    w, _ = hermitian_eigen(m, tol=0.0)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+
+
+def test_is_psd_floors_only_its_hermiticity_check():
+    # 5e-10 off Hermitian passes the floored check at tol = 1e-12, while
+    # positivity is still judged at -1e-12
+    ok, lam = is_psd(np.array([[1.0, 5e-10], [0.0, -1e-11]]), tol=1e-12)
+    assert not ok and lam == pytest.approx(-1e-11, abs=1e-15)
+    ok, lam = is_psd(np.array([[1.0, 5e-10], [0.0, -5e-13]]), tol=1e-12)
+    assert ok and lam == pytest.approx(-5e-13, abs=1e-15)
+
+
 def test_is_psd_on_reference_matrices():
     ok, lam = is_psd(np.eye(2))
     assert ok and abs(lam - 1.0) < 1e-12

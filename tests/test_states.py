@@ -372,6 +372,22 @@ def test_condition_holds_on_random_aligned_block_ensembles():
         assert report.routes == (ROUTE_RESCALED, ROUTE_BLOCK)
 
 
+def test_condition_at_zero_tol_accepts_rounding_in_the_rescaled_matrices():
+    # The rescaled matrices of this source deviate from Hermitian by 1.6e-33
+    # and 4.8e-16, which a check at tol = 0 without the Hermiticity floor
+    # rejected.  Positivity is still judged at 0: the projector route
+    # fails on its rounding-level projection residuals.
+    e = random_coherent_block_ensemble(np.random.default_rng(0))
+    matrices = np.stack(rescaled_matrices(e).matrices)
+    assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).min() > 0.0
+    report = check_condition(e, tol=0.0)
+    assert report.holds
+    assert report.routes == (ROUTE_RESCALED,)
+    assert report.block_projector is False
+    residuals = [w["projection_residual"] for w in report.witnesses]
+    assert len(residuals) == 2 and 0.0 < min(residuals) and max(residuals) < 1e-15
+
+
 def test_condition_fails_on_overlapping_supports_with_witnesses():
     report = check_condition(overlapping_support_ensemble())
     assert not report.holds
