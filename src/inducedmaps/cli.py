@@ -31,7 +31,7 @@ from .errors import (
 )
 from .jsonio import load_ensemble, load_matrix, load_state, matrix_to_json, save_matrix
 from .linalg import DEFAULT_TOL, check_seed, check_tolerance, hermitian_eigen, is_psd
-from .maps import DEFAULT_BUDGET, check_budget, choi_matrix, induce, is_cp, probe_stack
+from .maps import DEFAULT_BUDGET, check_budget, choi_matrix, induce, probe_stack
 from .presets import bell_density, cnot, four_block_ensemble
 from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
 from .states import (
@@ -68,24 +68,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _tolerance(text: str) -> float:
-    """argparse type for tolerance flags: a finite number >= 0."""
-    try:
-        return check_tolerance(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _flag(parse, check):
+    """argparse type for a flag that ``parse`` reads and the library's
+    ``check`` admits; argparse names the flag when either one fails."""
 
+    def convert(text: str):
+        value = parse(text)
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: an integer >= 0, as numpy seeds must be."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return check_seed(seed)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    # argparse reports a ValueError from parse as "invalid <name> value".
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def _plain(value):
@@ -175,10 +171,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_induce(args) -> int:
-    try:
-        check_budget(args.budget, "budget")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
     d = split_blocks(rho, dim_a, dim_e)
     m = induce(d, load_matrix(args.unitary))
@@ -188,13 +180,10 @@ def _cmd_induce(args) -> int:
             f"input dimension {rho_prime.shape[0]} does not match system dimension {dim_a}"
         )
     out = m.apply(rho_prime)
-    verdict = is_cp(m, args.cp_tol)
-    # The probe's floor reuses the verdict's Choi pass.
-    choi_min = np.array([verdict.choi_min_eig])
-    probe = probe_stack(
-        m.images[None], m.shift[None], choi_min, [args.seed], args.budget, args.witness_tol
-    )[0]
-    out_eigs = hermitian_eigen(out, tol=1e-8).eigenvalues
+    (verdict,), (probe,) = probe_stack(
+        m.images[None], m.shift[None], args.cp_tol, [args.seed], args.budget, args.witness_tol
+    )
+    out_eigs = hermitian_eigen(out).eigenvalues
     if args.out:
         save_matrix(args.out, out)
     if args.choi:
@@ -332,14 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerance = _flag(float, check_tolerance)
+    seed = _flag(int, check_seed)
+    budget = _flag(int, lambda n: check_budget(n, "budget"))
 
     pc = sub.add_parser("check", help="evaluate the block-support condition")
     pc.add_argument("ensemble", help="ensemble JSON file")
-    pc.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    pc.add_argument("--support-cutoff", type=_tolerance, default=SUPPORT_CUTOFF)
-    pc.add_argument("--ortho-tol", type=_tolerance, default=ORTHO_TOL)
-    pc.add_argument("--vqd-tol", type=_tolerance, default=DEFAULT_TOL)
-    pc.add_argument("--seed", type=_seed, default=0, help="echoed; the verdicts take no seed")
+    pc.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
+    pc.add_argument("--support-cutoff", type=tolerance, default=SUPPORT_CUTOFF)
+    pc.add_argument("--ortho-tol", type=tolerance, default=ORTHO_TOL)
+    pc.add_argument("--vqd-tol", type=tolerance, default=DEFAULT_TOL)
+    pc.add_argument("--seed", type=seed, default=0, help="echoed; the verdicts take no seed")
     pc.set_defaults(func=_cmd_check)
 
     pi = sub.add_parser("induce", help="induce a map and apply it to an input")
@@ -349,17 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
     pi.add_argument("--out", default=None, help="write the output matrix here")
     pi.add_argument("--choi", default=None, help="write the Choi matrix here")
-    pi.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    pi.add_argument("--seed", type=_seed, default=0)
-    pi.add_argument("--cp-tol", type=_tolerance, default=DEFAULT_TOL)
-    pi.add_argument("--witness-tol", type=_tolerance, default=DEFAULT_TOL)
+    pi.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    pi.add_argument("--seed", type=seed, default=0)
+    pi.add_argument("--cp-tol", type=tolerance, default=DEFAULT_TOL)
+    pi.add_argument("--witness-tol", type=tolerance, default=DEFAULT_TOL)
     pi.set_defaults(func=_cmd_induce)
 
     pd = sub.add_parser("discord", help="vanishing-discord verdict for a state")
     pd.add_argument("state", help="ensemble or matrix JSON file")
     pd.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
-    pd.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    pd.add_argument("--seed", type=_seed, default=0, help="echoed; the verdict takes no seed")
+    pd.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
+    pd.add_argument("--seed", type=seed, default=0, help="echoed; the verdict takes no seed")
     pd.set_defaults(func=_cmd_discord)
 
     ph = sub.add_parser("hunt", help="search unitaries for positive-not-CP candidates")
@@ -368,13 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--params", type=float, nargs="+",
                     help="generator parameters (length dim**2) for the GENERATOR family")
     ph.add_argument("--trials", type=int)
+    # SearchConfig checks the budget and names it positivity_budget.
     ph.add_argument("--budget", dest="positivity_budget", metavar="BUDGET", type=int)
-    ph.add_argument("--seed", type=_seed)
-    ph.add_argument("--cp-tol", type=_tolerance)
-    ph.add_argument("--witness-tol", type=_tolerance)
-    ph.add_argument("--condition-tol", type=_tolerance)
-    ph.add_argument("--vqd-tol", type=_tolerance)
-    ph.add_argument("--candidate-threshold", type=_tolerance)
+    ph.add_argument("--seed", type=seed)
+    ph.add_argument("--cp-tol", type=tolerance)
+    ph.add_argument("--witness-tol", type=tolerance)
+    ph.add_argument("--condition-tol", type=tolerance)
+    ph.add_argument("--vqd-tol", type=tolerance)
+    ph.add_argument("--candidate-threshold", type=tolerance)
     # Every flag defaults to its SearchConfig field.
     ph.set_defaults(func=_cmd_hunt, **dataclasses.asdict(SearchConfig()))
 

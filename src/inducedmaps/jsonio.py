@@ -24,12 +24,6 @@ from .states import MAX_TERMS, EnsembleTerm, SeparableEnsemble
 MAX_JSON_BYTES = 32 * 2**20
 
 
-def complex_to_json(z) -> list[float]:
-    """One complex scalar as a ``[re, im]`` pair."""
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def matrix_to_json(m) -> dict:
     """Matrix payload with row-major ``[re, im]`` entries."""
     m = np.asarray(m, dtype=complex)

@@ -78,6 +78,19 @@ def check_seed(value) -> int:
     return seed
 
 
+def complex_normals(rngs, shape: tuple[int, ...]) -> np.ndarray:
+    """``(len(rngs), *shape)`` complex standard normals, row ``t`` from ``rngs[t]``.
+
+    Each generator fills its row's real parts, then its imaginary parts,
+    so a row is the same draw whatever the other rows hold.
+    """
+    draws = np.empty((2, len(rngs), *shape))
+    for rng, re, im in zip(rngs, draws[0], draws[1]):
+        rng.standard_normal(out=re)
+        rng.standard_normal(out=im)
+    return draws[0] + 1j * draws[1]
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T

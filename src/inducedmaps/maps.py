@@ -16,13 +16,13 @@ import numpy as np
 from .errors import NotPsdError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
-    DEFAULT_UNITARITY_TOL,  # re-exported: unitarity is checked in linalg
     as_square,
     check_hermitian,
     check_integer,
     check_seed,
     check_tolerance,
     check_unitaries,
+    complex_normals,
     frozen,
     hermitian_part,
     share_on_deepcopy,
@@ -78,7 +78,8 @@ class InducedMap:
     images absorb the source block coefficients and the shift is nonzero.
     Shapes other than ``(d, d, d, d)`` and ``(d, d)``, ``d = dim_a >= 1``,
     raise ShapeError.  The map keeps only these arrays: :func:`is_cp`
-    builds its Choi matrix per call, and :func:`probe_positivity` calls it.
+    builds its Choi matrix per call, and so does :func:`probe_positivity`
+    (:func:`probe_stack`).
     """
 
     dim_a: int
@@ -347,12 +348,11 @@ def cp_verdicts(images: np.ndarray, shift: np.ndarray, tol: float) -> list[CpVer
     them.  ``choi_min_eig`` is the least eigenvalue from the Choi pass
     (:func:`_choi_spectra`), which raises ValidationError for a
     non-finite Choi matrix and HermiticityError for one further than
-    ``tol`` from Hermitian.  From side ``SPLIT_MIN_SIDE`` on
-    the stack is checked one coherence component at a time, and checked
-    whole again on a failure, so the error names the first failing map
-    of the stack, as a whole-matrix check does.  A non-finite shift raises
-    ValidationError; a non-Hermitian one is not checked here, as any
-    shift above ``tol`` already makes the verdict NOT_CP_AFFINE.
+    ``tol`` from Hermitian, naming the first failing map of the stack;
+    :func:`probe_stack` shares that pass with the positivity probe.  A
+    non-finite shift raises ValidationError; a non-Hermitian one is not
+    checked here, as any shift above ``tol`` already makes the verdict
+    NOT_CP_AFFINE.
     """
     # _choi_spectra rejects non-finite images; a NaN shift norm would
     # compare false against tol and read as CP.
@@ -438,12 +438,7 @@ def _sample(images, shift, seeds, budget: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(t)
     best, best_x = np.full(t, np.inf), np.zeros((t, da), dtype=complex)
     for start in range(0, budget, PROBE_CHUNK):
-        size = min(PROBE_CHUNK, budget - start)
-        draws = np.empty((2, t, size, da))
-        for rng, re, im in zip(rngs, draws[0], draws[1]):
-            rng.standard_normal(out=re)
-            rng.standard_normal(out=im)
-        xs = draws[0] + 1j * draws[1]
+        xs = complex_normals(rngs, (min(PROBE_CHUNK, budget - start), da))
         xs /= np.linalg.norm(xs, axis=-1, keepdims=True)
         lam, i = _batch_minima(images, shift, xs)
         better = lam < best
@@ -506,31 +501,44 @@ def _shifted(images: np.ndarray, shift: np.ndarray):
     return w[:, 0], x, value
 
 
-def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list[PositivityProbe]:
-    """:func:`probe_positivity` of map ``t`` of a stack with seed ``seeds[t]``.
+def probe_stack(
+    images, shift, cp_tol, seeds, budget: int, tol: float
+) -> tuple[list[CpVerdict], list[PositivityProbe]]:
+    """CP verdicts and positivity probes of every map in a stack.
 
     ``images`` and ``shift`` are stacked as :func:`induce_stack` returns
-    them, and ``choi_min[t]`` is ``λmin((C + C†)/2)`` of map ``t``'s Choi
-    matrix, from the caller's Choi pass.  Every stage runs on the whole
-    stack: the cheap floors, the spectral stage (:func:`_shifted`) of the
-    maps whose cheap floor is below ``-tol``, the maximally mixed outputs
-    of the floor-certified maps, each sampling batch of the maps whose
-    bracket stays open, the refine steps (in lock-step over the maps
-    still refining) and the witness checks.  Map ``t`` draws from its own
-    stream exactly as it would alone, so its probe is the same bit for
-    bit.  ``seeds`` is a sequence with one seed per map, else ValueError;
-    only the seeds of the maps that sample are read, so a sequence that
-    builds each seed on read builds none for a map the floor or the
-    spectral stage closes.  A shift further than ``tol`` from Hermitian
-    raises HermiticityError (:func:`check_hermitian`): the floors bound
-    the outputs' Hermitian parts only.  ``budget`` must be an integer
-    from 1 to ``MAX_BUDGET``, else ValueError.
+    them.  The verdicts are :func:`cp_verdicts` at ``cp_tol``, and probe
+    ``t`` is :func:`probe_positivity` of map ``t`` with seed ``seeds[t]``
+    at ``tol``.  Both answers come from one Choi pass
+    (:func:`_choi_spectra`): it checks each Choi matrix ``C`` at
+    ``cp_tol`` and diagonalises it once, and its least eigenvalue
+    ``λmin((C + C†)/2)`` is both the verdict's ``choi_min_eig`` and the
+    Choi term of the probe's cheap floor.  A map that fails that pass
+    raises (ValidationError if non-finite, else HermiticityError) before
+    any probe stage runs or any sample is drawn.  Every probe stage then
+    runs on the whole stack: the cheap floors, the spectral stage
+    (:func:`_shifted`) of the maps whose cheap floor is below ``-tol``,
+    the maximally mixed outputs of the floor-certified maps, each
+    sampling batch of the maps whose bracket stays open, the refine steps
+    (in lock-step over the maps still refining) and the witness checks.
+    Map ``t`` draws from its own stream exactly as it would alone, so its
+    probe is the same bit for bit.  ``seeds`` is a sequence with one seed
+    per map, else ValueError; only the seeds of the maps that sample are
+    read, so a sequence that builds each seed on read builds none for a
+    map the floor or the spectral stage closes.  A shift further than
+    ``tol`` from Hermitian raises HermiticityError
+    (:func:`check_hermitian`): the floors bound the outputs' Hermitian
+    parts only.  ``budget`` must be an integer from 1 to ``MAX_BUDGET``,
+    and ``cp_tol`` and ``tol`` finite numbers >= 0, else ValueError.
     """
     budget = check_budget(budget, "budget")
     n, da = images.shape[:2]
     if len(seeds) != n:
         raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")
     check_tolerance(tol)
+    check_tolerance(cp_tol, "cp_tol")
+    verdicts = cp_verdicts(images, shift, cp_tol)
+    choi_min = np.array([verdict.choi_min_eig for verdict in verdicts])
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
     # x and y, so none lies below the cheap floor.
@@ -566,7 +574,7 @@ def probe_stack(images, shift, choi_min, seeds, budget: int, tol: float) -> list
                 lam[j], witness[j] = value, rho
     # min_eig is attained, so a floor above it is rounding on a closed bracket.
     np.minimum(floors, lam, out=floors)
-    return [
+    return verdicts, [
         PositivityProbe(NO_VIOLATION_FOUND if w is None else VIOLATED, value, w, floor)
         for value, w, floor in zip(lam.tolist(), witness, floors.tolist())
     ]
@@ -577,12 +585,12 @@ def probe_positivity(
 ) -> PositivityProbe:
     """Search for an input whose output loses positivity.
 
-    The probe shares the one Choi pass of :func:`is_cp` at ``tol``: a
-    non-finite map raises ValidationError, and a ``C = choi_matrix(m)`` or
-    a ``shift`` further than ``tol`` from Hermitian HermiticityError,
-    before any stage runs: such a map has non-Hermitian outputs, whose
-    eigenvalues no floor bounds.  Each stage ends the probe once it
-    decides:
+    The probe starts from the Choi pass that :func:`probe_stack` shares
+    with :func:`is_cp`, at ``tol``: a non-finite map raises
+    ValidationError, and a ``C = choi_matrix(m)`` or a ``shift`` further
+    than ``tol`` from Hermitian HermiticityError, before any stage runs:
+    such a map has non-Hermitian outputs, whose eigenvalues no floor
+    bounds.  Each stage ends the probe once it decides:
 
     - The cheap floor ``λmin(Herm C) + λmin(Herm shift)``, with
       ``λmin(Herm C)`` the verdict's ``choi_min_eig``: no output
@@ -618,8 +626,7 @@ def probe_positivity(
     the same random streams.
     """
     seed = check_seed(seed)
-    choi_min = np.array([is_cp(m, tol).choi_min_eig])
-    return probe_stack(m.images[None], m.shift[None], choi_min, [seed], budget, tol)[0]
+    return probe_stack(m.images[None], m.shift[None], tol, [seed], budget, tol)[1][0]
 
 
 def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

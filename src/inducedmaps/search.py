@@ -35,6 +35,7 @@ from .linalg import (
     check_seed,
     check_tolerance,
     check_unitaries,
+    complex_normals,
     dagger,
     frozen,
     hermitian_eigen,
@@ -46,7 +47,6 @@ from .maps import (
     NOT_CP_AFFINE,
     VIOLATED,
     check_budget,
-    cp_verdicts,
     induce,
     induce_stack,
     probe_stack,
@@ -159,13 +159,8 @@ def haar_unitaries(dim: int, seeds) -> np.ndarray:
     """
     if dim < 1:
         raise ShapeError(f"dim must be >= 1, got {dim}")
-    draws = np.empty((2, len(seeds), dim, dim))
-    for seed, re, im in zip(seeds, draws[0], draws[1]):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=re)
-        rng.standard_normal(out=im)
-    z = (draws[0] + 1j * draws[1]) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    q, r = np.linalg.qr(complex_normals(rngs, (dim, dim)) / np.sqrt(2))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
 
@@ -247,10 +242,8 @@ def _as_decomposition(source) -> SLDecomposition:
 
 def _reports(images, shift, unitaries, cfg: SearchConfig, seeds, trials) -> list:
     """Classify the maps of a stack, probing map ``i`` with ``seeds[i]``."""
-    verdicts = cp_verdicts(images, shift, cfg.cp_tol)
-    choi_min = np.array([verdict.choi_min_eig for verdict in verdicts])
-    probes = probe_stack(
-        images, shift, choi_min, seeds, budget=cfg.positivity_budget, tol=cfg.witness_tol
+    verdicts, probes = probe_stack(
+        images, shift, cfg.cp_tol, seeds, cfg.positivity_budget, cfg.witness_tol
     )
     return [
         CandidateReport(
@@ -289,12 +282,10 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     samples, so a map closed by its floor or by the spectral stage builds
     neither seed nor generator.  The report list is deterministic and
     order-stable for a fixed configuration.  The trials run in stacks of
-    ``TRIAL_GROUP``: one unitarity check, one ``induce`` contraction and
-    one Choi pass per stack (plus one QR for HAAR draws); that pass's one
-    Choi matrix and one diagonalisation serve both the CP verdicts and the
-    probe floors.  Then one diagonalisation of ``C + I ⊗ shift`` over the
-    maps whose cheap floor is open, and each probe stage on the whole
-    stack.  A GENERATOR scan
+    ``TRIAL_GROUP``: one unitarity check and one ``induce`` contraction
+    per stack (plus one QR for HAAR draws), then one
+    :func:`~inducedmaps.maps.probe_stack` call, whose one Choi pass
+    serves both the CP verdicts and the probes.  A GENERATOR scan
     computes its one unitary once and stacks it like a HAAR draw.  Every
     trial keeps its own random streams, so each report equals
     :func:`classify` of its unitary with its probe seed.

@@ -317,14 +317,8 @@ def split_blocks(rho, dim_a: int, dim_e: int) -> SLDecomposition:
 
 def reassemble(d: SLDecomposition) -> np.ndarray:
     """Rebuild the bipartite matrix ``sum_kl coeffs[k,l] |k><l| ⊗ blocks[k,l]``."""
-    n = d.dim_a * d.dim_e
-    rho = np.zeros((n, n), dtype=complex)
-    for k in range(d.dim_a):
-        for l in range(d.dim_a):
-            rho[k * d.dim_e : (k + 1) * d.dim_e, l * d.dim_e : (l + 1) * d.dim_e] = (
-                d.coeffs[k, l] * d.blocks[k, l]
-            )
-    return rho
+    # The inverse of split_blocks' (k, l, e, f) view.
+    return (d.coeffs[:, :, None, None] * d.blocks).swapaxes(1, 2).reshape(d.dim_a * d.dim_e, -1)
 
 
 def classify_sl(d: SLDecomposition) -> str:
@@ -399,7 +393,9 @@ def check_condition(
     to a complete family of orthogonal block projectors, so this matches
     the projector formulation exactly.  The condition holds when either
     route does.  Cancellation blocks the rescaled route only; the
-    projector route is still evaluated.  Every tolerance must be a finite
+    projector route is still evaluated.  A NON_SL source is reported
+    without evaluating either route: ``rescaled_blocked`` is NON_SL, and
+    each route has one NON_SL witness.  Every tolerance must be a finite
     number >= 0, else ValueError.
 
     One Hermiticity check and one ``eigh`` serve the rescaled matrices, and
@@ -415,61 +411,56 @@ def check_condition(
     check_tolerance(tol)
     check_tolerance(support_cutoff, "support_cutoff")
     check_tolerance(ortho_tol, "ortho_tol")
-    witnesses: list[dict] = []
-    sl_class = classify_sl(e.decomposition)
+    if not e.decomposition.is_sl:
+        witnesses = tuple({"route": r, "error": NON_SL} for r in (ROUTE_RESCALED, ROUTE_BLOCK))
+        return ConditionReport(
+            holds=False, route=ROUTE_NONE, routes=(), sl_class=NON_SL, rescaled_psd=None,
+            rescaled_blocked=NON_SL, block_projector=False, witnesses=witnesses,
+        )
 
+    witnesses = []
     rescaled_psd: bool | None = None
     rescaled_blocked: str | None = None
-    if sl_class == NON_SL:
-        rescaled_blocked = "NON_SL"
-        witnesses.append({"route": ROUTE_RESCALED, "error": "NON_SL"})
+    try:
+        rs = rescaled_matrices(e)
+    except CancellationError as exc:
+        rescaled_blocked = CANCELLATION
+        witnesses.append({"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)})
     else:
-        try:
-            rs = rescaled_matrices(e)
-        except CancellationError as exc:
-            rescaled_blocked = CANCELLATION
-            witnesses.append(
-                {"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}
-            )
-        else:
-            herm = check_hermitian(np.stack(rs.matrices), tol, "rescaled matrix")
-            lam = np.linalg.eigh(herm)[0][:, 0]
-            failing = np.flatnonzero(~(lam >= -tol))
-            rescaled_psd = not failing.size
-            witnesses += (
-                {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
-                for i in failing
-            )
-
-    block_projector = False
-    if sl_class == NON_SL:
-        witnesses.append({"route": ROUTE_BLOCK, "error": "NON_SL"})
-    else:
-        # The factors passed validate_density_matrix, whose Hermiticity gate
-        # is check_hermitian at the same tolerance, so none is rechecked.
-        rho_as = np.stack([t.rho_a for t in e.terms])
-        projectors = _support_projectors(rho_as, support_cutoff)
-        residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
-        start = len(witnesses)
+        herm = check_hermitian(np.stack(rs.matrices), tol, "rescaled matrix")
+        lam = np.linalg.eigh(herm)[0][:, 0]
+        failing = np.flatnonzero(~(lam >= -tol))
+        rescaled_psd = not failing.size
         witnesses += (
-            {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
-            for i in np.flatnonzero(residual > tol)
+            {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
+            for i in failing
         )
-        for i in range(len(projectors) - 1):
-            products = projectors[i] @ projectors[i + 1 :]
-            # Bounding the Frobenius norm by the largest entry, not by a sum
-            # of squares, cannot underflow and drop a tiny overlap.
-            near = np.flatnonzero(np.abs(products).max(axis=(1, 2)) * e.dim_a > ortho_tol / 2)
-            if not len(near):
-                continue
-            overlap = np.linalg.svd(products[near], compute_uv=False).max(axis=-1)
-            witnesses += (
-                {"route": ROUTE_BLOCK, "pair": [i, i + 1 + k], "overlap": float(value)}
-                for k, value in zip(near.tolist(), overlap.tolist())
-                if value > ortho_tol
-            )
-        # The route holds when it adds no witness.
-        block_projector = len(witnesses) == start
+
+    # The factors passed validate_density_matrix, whose Hermiticity gate
+    # is check_hermitian at the same tolerance, so none is rechecked.
+    rho_as = np.stack([t.rho_a for t in e.terms])
+    projectors = _support_projectors(rho_as, support_cutoff)
+    residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
+    start = len(witnesses)
+    witnesses += (
+        {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
+        for i in np.flatnonzero(residual > tol)
+    )
+    for i in range(len(projectors) - 1):
+        products = projectors[i] @ projectors[i + 1 :]
+        # Bounding the Frobenius norm by the largest entry, not by a sum
+        # of squares, cannot underflow and drop a tiny overlap.
+        near = np.flatnonzero(np.abs(products).max(axis=(1, 2)) * e.dim_a > ortho_tol / 2)
+        if not len(near):
+            continue
+        overlap = np.linalg.svd(products[near], compute_uv=False).max(axis=-1)
+        witnesses += (
+            {"route": ROUTE_BLOCK, "pair": [i, i + 1 + k], "overlap": float(value)}
+            for k, value in zip(near.tolist(), overlap.tolist())
+            if value > ortho_tol
+        )
+    # The route holds when it adds no witness.
+    block_projector = len(witnesses) == start
 
     routes = tuple(
         name
@@ -480,7 +471,7 @@ def check_condition(
         holds=bool(routes),
         route=routes[0] if routes else ROUTE_NONE,
         routes=routes,
-        sl_class=sl_class,
+        sl_class=SL,
         rescaled_psd=rescaled_psd,
         rescaled_blocked=rescaled_blocked,
         block_projector=block_projector,

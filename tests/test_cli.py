@@ -616,6 +616,23 @@ def test_seed_flags_reject_negative_values(tmp_path, capsys, command):
     assert "--seed" in err and ">= 0" in err
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("induce", "--budget", "0", "budget must be >= 1, got 0"),
+        ("induce", "--budget", "x", "invalid int value: 'x'"),
+        ("induce", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("check", "--tol", "x", "invalid float value: 'x'"),
+    ],
+)
+def test_flag_errors_name_the_flag(tmp_path, capsys, command, flag, value, message):
+    files = command_files(tmp_path, command)
+    code, payload, err = run(capsys, [command, *files, flag, value])
+    assert code == EXIT_USAGE
+    assert payload is None
+    assert f"argument {flag}: {message}" in err
+
+
 MATRIX = {"rows": None, "cols": None, "data": None}
 SEARCH_CONFIG = dict.fromkeys(
     [

@@ -21,6 +21,7 @@ from inducedmaps import (
     CancellationError,
     ConditionReport,
     EnsembleTerm,
+    HermiticityError,
     PairClass,
     SeparableEnsemble,
     SearchConfig,
@@ -546,10 +547,9 @@ def test_discordant_stacks_sample_and_refine_as_before(dims):
     rng = np.random.default_rng(37)
     group = [induce(d, haar_unitary(d.dim_a * d.dim_e, rng)) for _ in range(8)]
     images, shift = np.stack([m.images for m in group]), np.stack([m.shift for m in group])
-    choi_min = np.array([is_cp(m).choi_min_eig for m in group])
     seeds = list(range(len(group)))
     searched = 0
-    probes = maps.probe_stack(images, shift, choi_min, seeds, 200, 1e-9)
+    _, probes = maps.probe_stack(images, shift, 1e-9, seeds, 200, 1e-9)
     for m, seed, probe in zip(group, seeds, probes):
         if probe.floor < -1e-9 and probe.min_eig - probe.floor > 1e-9:
             searched += 1
@@ -797,14 +797,13 @@ def test_search_config_rejects_empty_probe_budget():
 
 def test_probe_budget_has_a_ceiling():
     m = bell_cnot_map()
-    choi_min = np.array([is_cp(m).choi_min_eig])
     assert SearchConfig(positivity_budget=maps.MAX_BUDGET).positivity_budget == maps.MAX_BUDGET
     with pytest.raises(ValueError, match=f"positivity_budget must be at most {maps.MAX_BUDGET}"):
         SearchConfig(positivity_budget=maps.MAX_BUDGET + 1)
     with pytest.raises(ValueError, match=f"budget must be at most {maps.MAX_BUDGET}"):
         probe_positivity(m, budget=maps.MAX_BUDGET + 1)
     with pytest.raises(ValueError, match=f"budget must be at most {maps.MAX_BUDGET}"):
-        maps.probe_stack(m.images[None], m.shift[None], choi_min, [0], maps.MAX_BUDGET + 1, 1e-9)
+        maps.probe_stack(m.images[None], m.shift[None], 1e-9, [0], maps.MAX_BUDGET + 1, 1e-9)
 
 
 def test_induce_cli_rejects_a_budget_above_the_ceiling_before_reading_files(tmp_path, capsys):
@@ -1031,10 +1030,33 @@ def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypa
 
 def test_probe_stack_takes_one_seed_per_map():
     m = bell_cnot_map()
-    choi_min = np.array([is_cp(m).choi_min_eig])
     for seeds in ([0, 1], []):
         with pytest.raises(ValueError, match="one seed per map"):
-            maps.probe_stack(m.images[None], m.shift[None], choi_min, seeds, 50, 1e-9)
+            maps.probe_stack(m.images[None], m.shift[None], 1e-9, seeds, 50, 1e-9)
+
+
+def test_probe_stack_verdicts_are_the_cp_verdicts_of_its_choi_pass():
+    rng = np.random.default_rng(41)
+    group = [bell_cnot_map(), discordant_qubit_map()]
+    group += [induce(discordant(2, 2, 3), haar_unitary(4, rng)) for _ in range(2)]
+    images, shift = np.stack([m.images for m in group]), np.stack([m.shift for m in group])
+    for cp_tol in (0.0, 1e-9, 1e-3):
+        verdicts, probes = maps.probe_stack(images, shift, cp_tol, [0, 1, 2, 3], 50, 1e-9)
+        assert verdicts == maps.cp_verdicts(images, shift, cp_tol)
+        assert len(probes) == len(group)
+
+
+def test_probe_stack_checks_the_choi_pass_at_cp_tol_before_sampling(monkeypatch):
+    # a 1e-6 asymmetry fails the Choi check at cp_tol 1e-9, although the
+    # probe's own tol would admit it; the map would sample, but draws nothing
+    m = discordant_qubit_map()
+    images = m.images.copy()
+    images[0, 1, 0, 0] += 1e-6
+    drawn = []
+    monkeypatch.setattr(maps, "_sample", lambda *args: drawn.append(args))
+    with pytest.raises(HermiticityError, match="Choi matrix"):
+        maps.probe_stack(images[None], m.shift[None], 1e-9, [0], 50, 1e-3)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "x", None, True])
@@ -1139,9 +1161,8 @@ def test_probe_stack_matches_the_one_map_reference(budget, refine_iters, monkeyp
         for stacked in (group[:2], group[2:], group):
             images = np.stack([m.images for m in stacked])
             shift = np.stack([m.shift for m in stacked])
-            choi_min = np.array([is_cp(m).choi_min_eig for m in stacked])
             seeds = [int(rng.integers(1 << 30)) for _ in stacked]
-            probes = maps.probe_stack(images, shift, choi_min, seeds, budget, 1e-9)
+            _, probes = maps.probe_stack(images, shift, 1e-9, seeds, budget, 1e-9)
             for m, seed, probe in zip(stacked, seeds, probes):
                 status, min_eig, witness, floor = reference_probe(
                     m, budget, seed, 1e-9, refine_iters

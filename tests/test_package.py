@@ -1,7 +1,9 @@
 """The package's public namespace."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import types
 
@@ -33,3 +35,30 @@ def test_defaulted_public_parameters_are_pinned():
                 if p.default is not p.empty
             ]
     assert len(defaulted) == DEFAULTED_PUBLIC_PARAMETERS, defaulted
+
+
+def unread_imports(path: pathlib.Path) -> list[str]:
+    """Names that a module imports and never reads, as ``file:line name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_package_modules_read_every_name_they_import():
+    # __init__.py imports to re-export; every other module imports to use.
+    # An unread import is a leftover that still ties the two modules.
+    root = pathlib.Path(inducedmaps.__file__).parent
+    unread = []
+    for path in sorted(root.glob("*.py")):
+        if path.name != "__init__.py":
+            unread += unread_imports(path)
+    assert unread == []

@@ -428,6 +428,12 @@ def test_condition_fails_on_traceless_blocks():
     assert report.block_projector is False
     routes_with_errors = {w["route"] for w in report.witnesses if "error" in w}
     assert routes_with_errors == {ROUTE_RESCALED, ROUTE_BLOCK}
+    # neither route is evaluated: one NON_SL witness each, rescaled first
+    assert (report.route, report.routes, report.rescaled_psd) == (ROUTE_NONE, (), None)
+    assert report.witnesses == (
+        {"route": ROUTE_RESCALED, "error": NON_SL},
+        {"route": ROUTE_BLOCK, "error": NON_SL},
+    )
 
 
 def test_component_images_of_all_ones_reproduce_input():
