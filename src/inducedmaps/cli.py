@@ -174,12 +174,7 @@ def _cmd_induce(args) -> int:
     rho, dim_a, dim_e = _state_with_dims(args.state, args.dim_a)
     d = split_blocks(rho, dim_a, dim_e)
     m = induce(d, load_matrix(args.unitary))
-    rho_prime = validate_density_matrix(load_matrix(args.input), name="input")
-    if rho_prime.shape[0] != dim_a:
-        raise ShapeError(
-            f"input dimension {rho_prime.shape[0]} does not match system dimension {dim_a}"
-        )
-    out = m.apply(rho_prime)
+    out = m.apply(validate_density_matrix(load_matrix(args.input), name="input"))
     (verdict,), (probe,) = probe_stack(
         m.images[None], m.shift[None], args.cp_tol, [args.seed], args.budget, args.witness_tol
     )
@@ -360,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--params", type=float, nargs="+",
                     help="generator parameters (length dim**2) for the GENERATOR family")
     ph.add_argument("--trials", type=int)
-    # SearchConfig checks the budget and names it positivity_budget.
-    ph.add_argument("--budget", dest="positivity_budget", metavar="BUDGET", type=int)
+    ph.add_argument("--budget", dest="positivity_budget", metavar="BUDGET", type=budget)
     ph.add_argument("--seed", type=seed)
     ph.add_argument("--cp-tol", type=tolerance)
     ph.add_argument("--witness-tol", type=tolerance)
@@ -384,12 +378,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ShapeError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DIMENSION if isinstance(exc, ShapeError) else EXIT_USAGE

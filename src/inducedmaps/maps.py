@@ -447,20 +447,19 @@ def _sample(images, shift, seeds, budget: int) -> tuple[np.ndarray, np.ndarray]:
     return best, best_x
 
 
-def _refine(images, shift, best, best_x, tol: float, iters: int) -> None:
+def _refine(images, shift, best, best_x, tol: float) -> None:
     """Alternating minimisation from each map's best input, in lock-step.
 
-    Updates ``best`` and ``best_x`` in place.  A map leaves the stack on a
-    step that gains nothing, or once the remaining steps at its last gain
-    could not reach ``-tol``.
+    Updates ``best`` and ``best_x`` in place over at most
+    ``REFINE_ITERS`` steps.  A map leaves the stack on a step that gains
+    nothing, or once the remaining steps at its last gain could not reach
+    ``-tol``.
     """
-    if iters < 1:
-        return
     da = images.shape[1]
     active = np.arange(len(images))
     # Column 0 of each v is y, the lowest output eigenvector at the input.
     v = np.linalg.eigh(_outputs(images, shift, best_x[:, None]))[1][:, 0]
-    for left in range(iters - 1, -1, -1):
+    for left in range(REFINE_ITERS - 1, -1, -1):
         y = v[:, :, 0]
         yc = y.conj()
         q = (images @ y[:, None, None, :, None])[..., 0] @ yc[:, None, :, None]
@@ -560,7 +559,7 @@ def probe_stack(
     if len(rest):
         sub_images, sub_shift = images[rest], shift[rest]
         best, best_x = _sample(sub_images, sub_shift, [seeds[j] for j in rest.tolist()], budget)
-        _refine(sub_images, sub_shift, best, best_x, tol, REFINE_ITERS)
+        _refine(sub_images, sub_shift, best, best_x, tol)
         lam[rest], x[rest] = best, best_x
     # A value below -tol counts only once its input passes as a density
     # matrix and its recomputed output eigenvalue is still below -tol.

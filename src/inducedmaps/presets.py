@@ -10,6 +10,7 @@ acceptance suite samples from; all take an explicit seed or Generator.
 import numpy as np
 
 from .errors import ValidationError
+from .linalg import complex_normals
 from .search import haar_unitary
 from .states import EnsembleTerm, SeparableEnsemble
 
@@ -54,8 +55,7 @@ def four_block_ensemble(p1: float = 0.5) -> SeparableEnsemble:
 
 def random_density(dim: int, rng) -> np.ndarray:
     """Full-rank random density matrix (normalized Wishart draw)."""
-    rng = np.random.default_rng(rng)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    g = complex_normals([np.random.default_rng(rng)], (dim, dim))[0]
     m = g @ g.conj().T
     return m / np.trace(m).real
 

@@ -187,12 +187,10 @@ def generator_unitary(params, dim: int) -> np.ndarray:
         )
     h = np.zeros((dim, dim), dtype=complex)
     h[np.diag_indices(dim)] = params[:dim]
-    pos = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = params[pos] + 1j * params[pos + 1]
-            h[j, i] = params[pos] - 1j * params[pos + 1]
-            pos += 2
+    upper = np.triu_indices(dim, 1)
+    re, im = params[dim:].reshape(-1, 2).T
+    h[upper] = re + 1j * im
+    h[upper[::-1]] = re - 1j * im
     w, v = hermitian_eigen(h)
     return (v * np.exp(1j * w)) @ dagger(v)
 

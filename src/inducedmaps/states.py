@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import CancellationError, NonSLError, ShapeError, SizeError, ValidationError
 from .linalg import (
+    DEFAULT_HERM_TOL,
     DEFAULT_TOL,
     as_square,
     check_hermitian,
@@ -157,14 +158,9 @@ class SeparableEnsemble:
         if len(self.terms) > MAX_TERMS:
             raise SizeError(f"ensemble has {len(self.terms)} terms, above the ceiling {MAX_TERMS}")
         for t in self.terms:
-            if t.rho_a.shape != (self.dim_a, self.dim_a):
-                raise ShapeError(
-                    f"rho_a shape {t.rho_a.shape} does not match dim_a {self.dim_a}"
-                )
-            if t.rho_e.shape != (self.dim_e, self.dim_e):
-                raise ShapeError(
-                    f"rho_e shape {t.rho_e.shape} does not match dim_e {self.dim_e}"
-                )
+            for side, rho, dim in (("a", t.rho_a, self.dim_a), ("e", t.rho_e, self.dim_e)):
+                if rho.shape != (dim, dim):
+                    raise ShapeError(f"rho_{side} shape {rho.shape} does not match dim_{side} {dim}")
         total = sum(t.p for t in self.terms)
         if abs(total - 1.0) > DEFAULT_DENSITY_TOL:
             raise ValidationError(f"term weights sum to {total:.12g}, expected 1")
@@ -387,8 +383,11 @@ def check_condition(
 
     Route RESCALED_PSD holds when every rescaled component matrix is
     positive semidefinite (smallest eigenvalue >= ``-tol``).  Route
-    BLOCK_PROJECTOR holds when the assembled state is SL class and the
-    component supports are pairwise orthogonal (operator norm of each
+    BLOCK_PROJECTOR holds when the assembled state is SL class, each
+    ``rho_a`` factor is its projection onto its support within
+    ``max(tol, DEFAULT_HERM_TOL)`` in max-entry norm (the rounding floor
+    of :func:`~inducedmaps.linalg.check_hermitian`), and the component
+    supports are pairwise orthogonal (operator norm of each
     projector product <= ``ortho_tol``); orthogonal supports always extend
     to a complete family of orthogonal block projectors, so this matches
     the projector formulation exactly.  The condition holds when either
@@ -444,7 +443,7 @@ def check_condition(
     start = len(witnesses)
     witnesses += (
         {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
-        for i in np.flatnonzero(residual > tol)
+        for i in np.flatnonzero(residual > max(tol, DEFAULT_HERM_TOL))
     )
     for i in range(len(projectors) - 1):
         products = projectors[i] @ projectors[i + 1 :]

@@ -287,6 +287,15 @@ def test_induce_exit_dimension_on_mismatched_unitary(tmp_path, capsys):
     assert err
 
 
+def test_induce_exit_dimension_on_an_input_of_the_wrong_dimension(tmp_path, capsys):
+    paths = [tmp_path / name for name in ("bell.json", "u.json", "in.json")]
+    for path, matrix in zip(paths, [bell_density(), cnot(), np.eye(3) / 3.0]):
+        save_matrix(path, matrix)
+    code, payload, err = run(capsys, ["induce", *map(str, paths), "--dim-a", "2"])
+    assert (code, payload) == (EXIT_DIMENSION, None)
+    assert err == "error: input shape (3, 3), expected (2, 2)\n"
+
+
 @pytest.mark.parametrize(
     "inp", [np.diag([1.0, 0.0]), np.eye(3) / 3.0], ids=["valid-input", "wrong-dim-input"]
 )
@@ -500,12 +509,14 @@ def test_hunt_reports_vqd_precondition(tmp_path, capsys):
 def test_zero_tolerance_gates_accept_rounding_in_the_rescaled_matrices(tmp_path, capsys):
     # The rescaled matrices of this source deviate from Hermitian by
     # rounding (1.6e-33), which a gate at tol = 0 without the Hermiticity
-    # floor rejected with exit code 64.
+    # floor rejected with exit code 64; its projection residuals are
+    # rounding too (below 1e-15), under the same floor.
     e = random_coherent_block_ensemble(np.random.default_rng(0))
     path = write_ensemble(tmp_path, "e.json", e)
     code, payload, err = run(capsys, ["check", path, "--tol", "0"])
     assert (code, err) == (EXIT_OK, "")
-    assert payload["condition"]["routes"] == ["RESCALED_PSD"]
+    assert payload["condition"]["routes"] == ["RESCALED_PSD", "BLOCK_PROJECTOR"]
+    assert payload["condition"]["witnesses"] == []
     code, payload, err = run(capsys, ["hunt", path, "--condition-tol", "0"])
     assert (code, err) == (EXIT_CONDITION_FAILS, "")
     assert payload["error"]["code"] == "PRECONDITION_VQD"
@@ -622,6 +633,8 @@ def test_seed_flags_reject_negative_values(tmp_path, capsys, command):
         ("induce", "--budget", "0", "budget must be >= 1, got 0"),
         ("induce", "--budget", "x", "invalid int value: 'x'"),
         ("induce", "--seed", "-1", "seed must be >= 0, got -1"),
+        ("hunt", "--budget", "0", "budget must be >= 1, got 0"),
+        ("hunt", "--budget", "x", "invalid int value: 'x'"),
         ("check", "--tol", "x", "invalid float value: 'x'"),
     ],
 )

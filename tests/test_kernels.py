@@ -823,7 +823,7 @@ def test_hunt_cli_rejects_a_budget_above_the_ceiling(tmp_path, capsys):
     assert main(["hunt", str(path), "--budget", str(maps.MAX_BUDGET + 1)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"positivity_budget must be at most {maps.MAX_BUDGET}" in captured.err
+    assert f"argument --budget: budget must be at most {maps.MAX_BUDGET}" in captured.err
 
 
 def test_induce_cli_rejects_empty_budget_as_usage_error(tmp_path, capsys):

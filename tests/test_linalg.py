@@ -27,6 +27,16 @@ def random_hermitian(dim, rng):
     return (g + g.conj().T) / 2.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_random_density_draws_real_then_imaginary_normals(dim):
+    ours, reference = np.random.default_rng(dim), np.random.default_rng(dim)
+    g = reference.normal(size=(dim, dim)) + 1j * reference.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    assert random_density(dim, ours).tobytes() == (m / np.trace(m).real).tobytes()
+    # the generator is left where the reference leaves it
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
 def test_dagger_is_conjugate_transpose():
     a = np.array([[1 + 2j, 3j], [4, 5 - 1j]])
     assert np.array_equal(dagger(a), a.conj().T)

@@ -28,6 +28,7 @@ from inducedmaps import (
     filter_candidates,
     generator_unitary,
     haar_unitary,
+    hermitian_eigen,
     hunt,
     scan,
 )
@@ -161,6 +162,22 @@ def test_generator_zero_params_give_identity():
 def test_generator_diagonal_params_give_phases():
     u = generator_unitary([0.3, -1.2, 0.0, 0.0], 2)
     assert np.abs(u - np.diag(np.exp(1j * np.array([0.3, -1.2])))).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_generator_fills_the_upper_triangle_in_row_major_pairs(dim):
+    params = np.random.default_rng(dim).normal(size=dim * dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    pos = dim
+    for i in range(dim):
+        h[i, i] = params[i]
+        for j in range(i + 1, dim):
+            h[i, j] = params[pos] + 1j * params[pos + 1]
+            h[j, i] = params[pos] - 1j * params[pos + 1]
+            pos += 2
+    w, v = hermitian_eigen(h)
+    expected = (v * np.exp(1j * w)) @ dagger(v)
+    assert generator_unitary(params, dim).tobytes() == expected.tobytes()
 
 
 def test_generator_quarter_turn_exponentiates_exactly():

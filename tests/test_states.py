@@ -214,6 +214,15 @@ def test_decompose_then_reassemble_is_identity():
         assert np.abs(reassemble(d) - rho).max() < 1e-10
 
 
+def test_ensemble_shape_errors_name_the_factor_and_its_dimension():
+    with pytest.raises(ShapeError) as info:
+        SeparableEnsemble(3, 2, (EnsembleTerm(1.0, ZERO, RHO_E_1),))
+    assert str(info.value) == "rho_a shape (2, 2) does not match dim_a 3"
+    with pytest.raises(ShapeError) as info:
+        SeparableEnsemble(2, 3, (EnsembleTerm(1.0, ZERO, RHO_E_1),))
+    assert str(info.value) == "rho_e shape (2, 2) does not match dim_e 3"
+
+
 def test_decompose_rejects_bad_inputs():
     with pytest.raises(ShapeError):
         decompose_blocks(np.eye(4) / 4.0, 3, 2)
@@ -374,18 +383,17 @@ def test_condition_holds_on_random_aligned_block_ensembles():
 
 def test_condition_at_zero_tol_accepts_rounding_in_the_rescaled_matrices():
     # The rescaled matrices of this source deviate from Hermitian by 1.6e-33
-    # and 4.8e-16, which a check at tol = 0 without the Hermiticity floor
-    # rejected.  Positivity is still judged at 0: the projector route
-    # fails on its rounding-level projection residuals.
+    # and 4.8e-16, and its rho_a factors differ from their support
+    # projections by 4.4e-16 and 8.9e-16.  Both checks take the Hermiticity
+    # floor, so at tol = 0 neither route fails on rounding.
     e = random_coherent_block_ensemble(np.random.default_rng(0))
     matrices = np.stack(rescaled_matrices(e).matrices)
     assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).min() > 0.0
     report = check_condition(e, tol=0.0)
     assert report.holds
-    assert report.routes == (ROUTE_RESCALED,)
-    assert report.block_projector is False
-    residuals = [w["projection_residual"] for w in report.witnesses]
-    assert len(residuals) == 2 and 0.0 < min(residuals) and max(residuals) < 1e-15
+    assert report.routes == (ROUTE_RESCALED, ROUTE_BLOCK)
+    assert report.block_projector is True
+    assert report.witnesses == ()
 
 
 def test_condition_fails_on_overlapping_supports_with_witnesses():
