@@ -30,10 +30,26 @@ from .errors import (
     ValidationError,
 )
 from .jsonio import load_ensemble, load_matrix, load_state, matrix_to_json, save_matrix
-from .linalg import DEFAULT_TOL, check_seed, check_tolerance, hermitian_eigen, is_psd
-from .maps import DEFAULT_BUDGET, check_budget, choi_matrix, induce, probe_stack
-from .presets import bell_density, cnot, four_block_ensemble
-from .search import GENERATOR, HAAR, SearchConfig, classification_label, hunt
+from .linalg import (
+    DEFAULT_TOL,
+    MAX_TENSOR_ROWS,
+    check_count,
+    check_hermitian,
+    check_seed,
+    check_tolerance,
+    hermitian_eigen,
+)
+from .maps import DEFAULT_BUDGET, MAX_BUDGET, choi_matrix, induce, probe_stack
+from .presets import bell_density, check_weight, cnot, four_block_ensemble
+from .search import (
+    GENERATOR,
+    HAAR,
+    MAX_TRIALS,
+    SearchConfig,
+    check_param,
+    classification_label,
+    hunt,
+)
 from .states import (
     CANCELLATION,
     ORTHO_TOL,
@@ -131,13 +147,9 @@ def _state_with_dims(path, dim_a_flag):
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]
     if dim_a_flag is None:
-        raise ValidationError(
-            "matrix state files need --dim-a to fix the system dimension"
-        )
-    if dim_a_flag < 1 or n % dim_a_flag != 0:
-        raise ShapeError(
-            f"state dimension {n} does not split as {dim_a_flag} x E"
-        )
+        raise ValidationError("matrix state files need --dim-a to fix the system dimension")
+    if n % dim_a_flag != 0:
+        raise ShapeError(f"state dimension {n} does not split as {dim_a_flag} x E")
     return rho, dim_a_flag, n // dim_a_flag
 
 
@@ -219,18 +231,16 @@ def _cmd_discord(args) -> int:
     return EXIT_INDETERMINATE
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)}
-    )
-
-
 def _cmd_hunt(args) -> int:
-    e = load_ensemble(args.ensemble)
+    # Only the family/params pairing is left to refuse: argparse checks
+    # each flag alone.
     try:
-        cfg = _search_config(args)
+        cfg = SearchConfig(
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)}
+        )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    e = load_ensemble(args.ensemble)
     try:
         candidates = hunt(e, cfg)
     except tuple(_PRECONDITION_CODES) as exc:
@@ -246,27 +256,21 @@ def _cmd_hunt(args) -> int:
 
 
 def _repro_four_block(p1: float) -> tuple[dict, dict]:
-    e = four_block_ensemble(p1)
-    rs = rescaled_matrices(e)
-    m1, m2 = rs.matrices
-    target1 = np.zeros((4, 4), dtype=complex)
-    target1[:2, :2] = 1.0 / p1
-    target2 = np.zeros((4, 4), dtype=complex)
-    target2[2:, 2:] = 1.0 / (1.0 - p1)
-    entry_dev = max(
-        float(np.abs(m1 - target1).max()), float(np.abs(m2 - target2).max())
-    )
-    ok1, min1 = is_psd(m1, tol=1e-12)
-    ok2, min2 = is_psd(m2, tol=1e-12)
+    rescaled = rescaled_matrices(four_block_ensemble(p1)).matrices
+    target = np.zeros((2, 4, 4), dtype=complex)
+    target[0, :2, :2] = 1.0 / p1
+    target[1, 2:, 2:] = 1.0 / (1.0 - p1)
+    entry_dev = float(np.abs(rescaled - target).max())
+    min_eigs = np.linalg.eigh(check_hermitian(rescaled, 1e-12, "rescaled matrix"))[0][:, 0]
     checks = {
         "block_entries_match": entry_dev <= 1e-12,
-        "all_psd": bool(ok1 and ok2),
+        "all_psd": bool((min_eigs >= -1e-12).all()),
     }
     report = {
-        "rescaled": [m1, m2],
+        "rescaled": list(rescaled),
         "expected_block_values": [1.0 / p1, 1.0 / (1.0 - p1)],
         "entry_deviation": entry_dev,
-        "min_eigs": [min1, min2],
+        "min_eigs": min_eigs,
         "config": {"p1": p1},
     }
     return report, checks
@@ -297,8 +301,6 @@ def _repro_bell_cnot() -> tuple[dict, dict]:
 
 def _cmd_repro(args) -> int:
     if args.name == "example-4xf":
-        if not 0.0 < args.p1 < 1.0:
-            raise _UsageError(f"--p1 must lie strictly between 0 and 1, got {args.p1}")
         report, checks = _repro_four_block(args.p1)
     else:
         report, checks = _repro_bell_cnot()
@@ -318,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     tolerance = _flag(float, check_tolerance)
     seed = _flag(int, check_seed)
-    budget = _flag(int, lambda n: check_budget(n, "budget"))
+    budget = _flag(int, lambda n: check_count(n, "budget", MAX_BUDGET))
+    dim_a = _flag(int, lambda n: check_count(n, "dim_a", MAX_TENSOR_ROWS))
+    trials = _flag(int, lambda n: check_count(n, "trials", MAX_TRIALS))
 
     pc = sub.add_parser("check", help="evaluate the block-support condition")
     pc.add_argument("ensemble", help="ensemble JSON file")
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("state", help="ensemble or matrix JSON file")
     pi.add_argument("unitary", help="joint unitary matrix JSON file")
     pi.add_argument("input", help="system input density matrix JSON file")
-    pi.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
+    pi.add_argument("--dim-a", type=dim_a, default=None, help="system dimension for matrix states")
     pi.add_argument("--out", default=None, help="write the output matrix here")
     pi.add_argument("--choi", default=None, help="write the Choi matrix here")
     pi.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
@@ -344,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("discord", help="vanishing-discord verdict for a state")
     pd.add_argument("state", help="ensemble or matrix JSON file")
-    pd.add_argument("--dim-a", type=int, default=None, help="system dimension for matrix states")
+    pd.add_argument("--dim-a", type=dim_a, default=None, help="system dimension for matrix states")
     pd.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     pd.add_argument("--seed", type=seed, default=0, help="echoed; the verdict takes no seed")
     pd.set_defaults(func=_cmd_discord)
@@ -352,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph = sub.add_parser("hunt", help="search unitaries for positive-not-CP candidates")
     ph.add_argument("ensemble", help="ensemble JSON file")
     ph.add_argument("--family", choices=[HAAR, GENERATOR])
-    ph.add_argument("--params", type=float, nargs="+",
+    ph.add_argument("--params", type=_flag(float, check_param), nargs="+",
                     help="generator parameters (length dim**2) for the GENERATOR family")
-    ph.add_argument("--trials", type=int)
+    ph.add_argument("--trials", type=trials)
     ph.add_argument("--budget", dest="positivity_budget", metavar="BUDGET", type=budget)
     ph.add_argument("--seed", type=seed)
     ph.add_argument("--cp-tol", type=tolerance)
@@ -367,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("repro", help="regenerate a reference fixture and assert its values")
     pr.add_argument("name", choices=["example-4xf", "bell-cnot"])
-    pr.add_argument("--p1", type=float, default=0.5, help="first weight for example-4xf")
+    pr.add_argument("--p1", type=_flag(float, check_weight), default=0.5,
+                    help="first weight for example-4xf")
     pr.set_defaults(func=_cmd_repro)
 
     return parser

@@ -19,6 +19,7 @@ from .errors import ShapeError
 from .linalg import (
     DEFAULT_TOL,
     as_square,
+    check_factors,
     check_tolerance,
     check_unitaries,
     dagger,
@@ -71,9 +72,7 @@ def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:
     if basis.shape != (dim_a, dim_a):
         raise ShapeError(f"basis shape {basis.shape}, expected {(dim_a, dim_a)}")
     check_unitaries(basis[None])
-    if rho.shape[0] != dim_a * dim_e:
-        raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
-    return _pinching_defect(rho, basis, dim_a, dim_e)
+    return _pinching_defect(check_factors(rho, dim_a, dim_e), basis, dim_a, dim_e)
 
 
 def _pinching_defect(rho: np.ndarray, basis, dim_a: int, dim_e: int) -> float:

@@ -41,5 +41,6 @@ class PreconditionTheoremError(InducedMapsError):
 
 
 class PreconditionVqdError(InducedMapsError):
-    """Search input has vanishing discord, so every induced map is
+    """Search input has vanishing discord.  When its classical basis is
+    the computational one, up to phases and order, every induced map is
     completely positive and the search is vacuous."""

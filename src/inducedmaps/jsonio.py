@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SizeError, ValidationError
 from .linalg import MAX_TENSOR_ROWS, as_matrix
-from .states import MAX_TERMS, EnsembleTerm, SeparableEnsemble
+from .states import EnsembleTerm, SeparableEnsemble, check_term_count
 
 # Ceiling on the size of a JSON input, in bytes (a pipe's is counted in
 # characters, which are bytes for the ASCII that save_json writes).  It
@@ -128,8 +128,7 @@ def ensemble_from_json(obj) -> SeparableEnsemble:
         raise ValidationError(f"ensemble payload missing field: {exc}") from exc
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValidationError("ensemble payload needs a non-empty terms list")
-    if len(raw_terms) > MAX_TERMS:
-        raise SizeError(f"ensemble has {len(raw_terms)} terms, above the ceiling {MAX_TERMS}")
+    check_term_count(len(raw_terms))
     terms = []
     for idx, t in enumerate(raw_terms):
         try:

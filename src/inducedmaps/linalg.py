@@ -78,6 +78,25 @@ def check_seed(value) -> int:
     return seed
 
 
+def check_count(value, name: str, most: int) -> int:
+    """Return ``value`` as an ``int`` if it is an integer from 1 to
+    ``most``, else raise ValueError (see :func:`check_integer`)."""
+    count = check_integer(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    if count > most:
+        raise ValueError(f"{name} must be at most {most}, got {count}")
+    return count
+
+
+def check_factors(m: np.ndarray, dim_a: int, dim_e: int) -> np.ndarray:
+    """Return ``m`` if its side is ``dim_a * dim_e`` with both factors >= 1,
+    else raise ShapeError."""
+    if dim_a < 1 or dim_e < 1 or m.shape[0] != dim_a * dim_e:
+        raise ShapeError(f"shape {m.shape} does not factor as {dim_a}x{dim_e}")
+    return m
+
+
 def complex_normals(rngs, shape: tuple[int, ...]) -> np.ndarray:
     """``(len(rngs), *shape)`` complex standard normals, row ``t`` from ``rngs[t]``.
 
@@ -181,12 +200,7 @@ def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
     ``dim_a x dim_a`` matrix; ``side="A"`` traces over the first factor and
     returns ``dim_e x dim_e``.
     """
-    m = as_square(m, "m")
-    n = dim_a * dim_e
-    if dim_a < 1 or dim_e < 1 or m.shape[0] != n:
-        raise ShapeError(
-            f"matrix of shape {m.shape} does not factor as {dim_a}x{dim_e}"
-        )
+    m = check_factors(as_square(m, "m"), dim_a, dim_e)
     t = m.reshape(dim_a, dim_e, dim_a, dim_e)
     if side == "E":
         return np.einsum("iaja->ij", t)

@@ -17,8 +17,8 @@ from .errors import NotPsdError, ShapeError, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     as_square,
+    check_count,
     check_hermitian,
-    check_integer,
     check_seed,
     check_tolerance,
     check_unitaries,
@@ -154,17 +154,6 @@ class PositivityProbe:
             object.__setattr__(self, "witness", frozen(self.witness))
 
     __deepcopy__ = share_on_deepcopy
-
-
-def check_budget(budget, name: str) -> int:
-    """Return ``budget`` as an ``int`` if it is an integer between 1 and
-    ``MAX_BUDGET``, else raise ValueError (see :func:`check_integer`)."""
-    budget = check_integer(budget, name)
-    if budget < 1:
-        raise ValueError(f"{name} must be >= 1, got {budget}")
-    if budget > MAX_BUDGET:
-        raise ValueError(f"{name} must be at most {MAX_BUDGET}, got {budget}")
-    return budget
 
 
 def validate_unitary(u, dim: int | None = None):
@@ -530,7 +519,7 @@ def probe_stack(
     parts only.  ``budget`` must be an integer from 1 to ``MAX_BUDGET``,
     and ``cp_tol`` and ``tol`` finite numbers >= 0, else ValueError.
     """
-    budget = check_budget(budget, "budget")
+    budget = check_count(budget, "budget", MAX_BUDGET)
     n, da = images.shape[:2]
     if len(seeds) != n:
         raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")

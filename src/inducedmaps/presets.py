@@ -9,7 +9,6 @@ acceptance suite samples from; all take an explicit seed or Generator.
 
 import numpy as np
 
-from .errors import ValidationError
 from .linalg import complex_normals
 from .search import haar_unitary
 from .states import EnsembleTerm, SeparableEnsemble
@@ -29,16 +28,24 @@ def cnot() -> np.ndarray:
     return u
 
 
+def check_weight(p1) -> float:
+    """Return ``p1`` if it lies strictly between 0 and 1, as the first
+    weight of :func:`four_block_ensemble` must, else raise ValueError."""
+    if not 0.0 < p1 < 1.0:
+        raise ValueError(f"p1 must lie strictly between 0 and 1, got {p1}")
+    return p1
+
+
 def four_block_ensemble(p1: float = 0.5) -> SeparableEnsemble:
     """Two-term d=4 ensemble with coherent system blocks {0,1} and {2,3}.
 
     The first system factor is the pure state (|0>+|1>)/sqrt(2), the second
     (|2>-|3>)/sqrt(2), so the supports are orthogonal 2-dimensional-block
     aligned and every within-block entry is nonzero.  The environment
-    factors are the qubit |0><0| and a mixed 2x2 matrix.
+    factors are the qubit |0><0| and a mixed 2x2 matrix.  ``p1`` must
+    pass :func:`check_weight`.
     """
-    if not 0.0 < p1 < 1.0:
-        raise ValidationError(f"p1 must lie strictly between 0 and 1, got {p1}")
+    check_weight(p1)
     plus = np.zeros(4, dtype=complex)
     plus[0] = plus[1] = 1.0 / np.sqrt(2.0)
     minus = np.zeros(4, dtype=complex)

@@ -11,10 +11,11 @@ open); reports classify as CP, NON_POSITIVE (certified witness), AFFINE
 For exact inputs the two preconditions exclude each other.  The weighted
 rescaled components ``p_i ϱ^(i)`` sum to the rank-one all-ones pattern on
 each coherence block, so when every ``ϱ^(i)`` is PSD each one is a
-multiple of that pattern; pairwise orthogonal supports give the same
-structure directly.  Either way :func:`check_condition` holding forces
-``rho_AE = ⊕_b Γ_b ⊗ τ_b``, a classical-quantum state, whose induced maps
-are all CP (Shabani & Lidar, PRL 102, 100402 (2009)).  The discord gate
+multiple of that pattern, which forces ``rho_AE = ⊕_b Γ_b ⊗ τ_b`` on
+computational blocks: a classical-quantum state whose induced maps are
+all CP (Shabani & Lidar, PRL 102, 100402 (2009)).  Pairwise orthogonal
+supports give a classical-quantum state too, but in the supports' own
+basis, where the maps need not be CP.  The discord gate
 therefore rejects every source the condition gate admits, and the search
 stage runs only when :func:`has_vqd` does not certify VQD (NONZERO or
 INDETERMINATE) for a source that passes the condition within tolerance.
@@ -31,7 +32,7 @@ from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
 from .discord import VQD, discord_verdict
 from .linalg import (
     DEFAULT_TOL,
-    check_integer,
+    check_count,
     check_seed,
     check_tolerance,
     check_unitaries,
@@ -44,9 +45,9 @@ from .linalg import (
 from .maps import (
     CP,
     DEFAULT_BUDGET,
+    MAX_BUDGET,
     NOT_CP_AFFINE,
     VIOLATED,
-    check_budget,
     induce,
     induce_stack,
     probe_stack,
@@ -78,6 +79,16 @@ CANDIDATE_THRESHOLD = 1e-6
 TRIAL_GROUP = 4
 
 
+def check_param(value) -> float:
+    """Return ``value`` as a ``float`` if it is a finite number of magnitude
+    at most ``MAX_GENERATOR_PARAM``, as a GENERATOR parameter must be, else
+    raise ValueError."""
+    x = float(value)
+    if not abs(x) <= MAX_GENERATOR_PARAM:
+        raise ValueError(f"params must be finite numbers of magnitude at most 2**52, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for unitary searches.
@@ -86,11 +97,11 @@ class SearchConfig:
     unitary per trial, GENERATOR evaluates the fixed unitary generated by
     ``params`` (steered searches vary ``params`` externally and call
     :func:`classify` directly); HAAR takes no ``params``, and each
-    GENERATOR parameter must be a finite number of magnitude at most
-    ``MAX_GENERATOR_PARAM``.  ``trials``, ``positivity_budget`` and
-    ``seed`` must be integers (numpy integers pass, ``bool`` does not),
-    ``seed >= 0`` (:func:`~inducedmaps.linalg.check_seed`) and
-    ``positivity_budget`` at most ``MAX_BUDGET``, else ValueError.
+    GENERATOR parameter must pass :func:`check_param`.  ``trials`` must
+    be an integer from 1 to ``MAX_TRIALS`` and ``positivity_budget`` one
+    from 1 to ``MAX_BUDGET`` (:func:`~inducedmaps.linalg.check_count`),
+    and ``seed`` an integer >= 0 (:func:`~inducedmaps.linalg.check_seed`),
+    else ValueError.
     ``candidate_threshold`` is the magnitude a negative Choi eigenvalue
     must exceed for a report to survive the candidate filter in
     :func:`hunt`.
@@ -113,20 +124,10 @@ class SearchConfig:
         if (self.family == GENERATOR) != (self.params is not None):
             raise ValueError("the GENERATOR family needs params, and no other family takes them")
         if self.params is not None:
-            params = tuple(float(x) for x in self.params)
-            bad = [x for x in params if not abs(x) <= MAX_GENERATOR_PARAM]
-            if bad:
-                raise ValueError(
-                    f"params must be finite numbers of magnitude at most 2**52, got {bad[0]}"
-                )
-            object.__setattr__(self, "params", params)
-        object.__setattr__(self, "trials", check_integer(self.trials, "trials"))
+            object.__setattr__(self, "params", tuple(check_param(x) for x in self.params))
+        object.__setattr__(self, "trials", check_count(self.trials, "trials", MAX_TRIALS))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ValueError(
-                f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}"
-            )
-        budget = check_budget(self.positivity_budget, "positivity_budget")
+        budget = check_count(self.positivity_budget, "positivity_budget", MAX_BUDGET)
         object.__setattr__(self, "positivity_budget", budget)
         for name in ("cp_tol", "witness_tol", "condition_tol", "vqd_tol", "candidate_threshold"):
             check_tolerance(getattr(self, name), name)

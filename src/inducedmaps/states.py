@@ -20,6 +20,7 @@ from .linalg import (
     DEFAULT_HERM_TOL,
     DEFAULT_TOL,
     as_square,
+    check_factors,
     check_hermitian,
     check_tolerance,
     frozen,
@@ -113,6 +114,12 @@ def check_densities(rhos: np.ndarray, name: str) -> np.ndarray:
     return rhos
 
 
+def check_term_count(count: int) -> None:
+    """Raise SizeError if an ensemble of ``count`` terms is above ``MAX_TERMS``."""
+    if count > MAX_TERMS:
+        raise SizeError(f"ensemble has {count} terms, above the ceiling {MAX_TERMS}")
+
+
 @dataclass(frozen=True)
 class EnsembleTerm:
     """One weighted product term ``p * (rho_a ⊗ rho_e)``."""
@@ -155,8 +162,7 @@ class SeparableEnsemble:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValidationError("ensemble needs at least one term")
-        if len(self.terms) > MAX_TERMS:
-            raise SizeError(f"ensemble has {len(self.terms)} terms, above the ceiling {MAX_TERMS}")
+        check_term_count(len(self.terms))
         for t in self.terms:
             for side, rho, dim in (("a", t.rho_a, self.dim_a), ("e", t.rho_e, self.dim_e)):
                 if rho.shape != (dim, dim):
@@ -230,17 +236,18 @@ class SLDecomposition:
 class RescaledSet:
     """Per-component entrywise ratios against the total block coefficients.
 
-    ``matrices[i][k, l]`` is ``rho_a_i[k, l] / gamma[k, l]`` where ``gamma``
+    ``matrices`` is a read-only ``(K, d, d)`` stack, one matrix per term:
+    ``matrices[i, k, l]`` is ``rho_a_i[k, l] / gamma[k, l]`` where ``gamma``
     is the weighted sum of all component matrices.  ``defined_mask`` is True
     where the ratio is a genuine quotient and False where the 0/0
     convention (entry set to 0) applied.
     """
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     defined_mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(frozen(m) for m in self.matrices))
+        object.__setattr__(self, "matrices", frozen(self.matrices))
         object.__setattr__(self, "defined_mask", frozen(self.defined_mask, bool))
 
     __deepcopy__ = share_on_deepcopy
@@ -294,10 +301,7 @@ def split_blocks(rho, dim_a: int, dim_e: int) -> SLDecomposition:
     ``np.trace`` of the block would, so the result is bit for bit that of
     a per-block loop.
     """
-    n = dim_a * dim_e
-    if dim_a < 1 or dim_e < 1 or rho.shape[0] != n:
-        raise ShapeError(f"shape {rho.shape} does not factor as {dim_a}x{dim_e}")
-    view = rho.reshape(dim_a, dim_e, dim_a, dim_e).swapaxes(1, 2)
+    view = check_factors(rho, dim_a, dim_e).reshape(dim_a, dim_e, dim_a, dim_e).swapaxes(1, 2)
     # A contiguous diagonal makes the trace a reduction along the last axis.
     tr = np.ascontiguousarray(view.diagonal(axis1=2, axis2=3)).sum(axis=-1)
     unit = np.abs(tr) > BLOCK_TRACE_TOL
@@ -354,7 +358,7 @@ def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
         )
     ratios = np.zeros_like(rho_as)
     np.divide(rho_as, gamma, out=ratios, where=defined)
-    return RescaledSet(tuple(ratios), defined)
+    return RescaledSet(ratios, defined)
 
 
 def _support_projectors(rhos: np.ndarray, cutoff: float) -> np.ndarray:
@@ -426,7 +430,7 @@ def check_condition(
         rescaled_blocked = CANCELLATION
         witnesses.append({"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)})
     else:
-        herm = check_hermitian(np.stack(rs.matrices), tol, "rescaled matrix")
+        herm = check_hermitian(rs.matrices, tol, "rescaled matrix")
         lam = np.linalg.eigh(herm)[0][:, 0]
         failing = np.flatnonzero(~(lam >= -tol))
         rescaled_psd = not failing.size

@@ -636,11 +636,25 @@ def test_seed_flags_reject_negative_values(tmp_path, capsys, command):
         ("hunt", "--budget", "0", "budget must be >= 1, got 0"),
         ("hunt", "--budget", "x", "invalid int value: 'x'"),
         ("check", "--tol", "x", "invalid float value: 'x'"),
+        ("hunt", "--trials", "0", "trials must be >= 1, got 0"),
+        ("discord", "--dim-a", "-2", "dim_a must be >= 1, got -2"),
+        ("induce", "--dim-a", "0", "dim_a must be >= 1, got 0"),
+        (
+            "hunt --family GENERATOR",
+            "--params",
+            "nan",
+            "params must be finite numbers of magnitude at most 2**52, got nan",
+        ),
+        ("repro example-4xf", "--p1", "1.0", "p1 must lie strictly between 0 and 1, got 1.0"),
     ],
 )
 def test_flag_errors_name_the_flag(tmp_path, capsys, command, flag, value, message):
-    files = command_files(tmp_path, command)
-    code, payload, err = run(capsys, [command, *files, flag, value])
+    # A bad flag is refused while parsing, before any file is read, so no
+    # input file exists; repro takes a fixture name instead.
+    name, *extra = command.split()
+    missing = str(tmp_path / "missing.json")
+    files = {"repro": [], "induce": [missing] * 3}.get(name, [missing])
+    code, payload, err = run(capsys, [name, *files, *extra, flag, value])
     assert code == EXIT_USAGE
     assert payload is None
     assert f"argument {flag}: {message}" in err

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from inducedmaps import (
+    CLASS_NON_POSITIVE,
     INDETERMINATE,
     NONZERO,
     VQD,
     EnsembleTerm,
+    SearchConfig,
     SeparableEnsemble,
     ShapeError,
     ValidationError,
@@ -17,8 +19,12 @@ from inducedmaps import (
     dagger,
     haar_unitary,
     has_vqd,
+    hermitian_eigen,
+    induce,
     pinching_defect,
+    scan,
     tensor,
+    validate_density_matrix,
 )
 from inducedmaps.presets import (
     bell_density,
@@ -140,6 +146,22 @@ def test_orthogonal_rank_one_ensembles_are_vqd():
             verdict = has_vqd(assemble(e), dim_a, dim_e)
             assert verdict.status == VQD
             assert verdict.residual <= 1e-10
+
+
+def test_vqd_in_a_rotated_basis_leaves_maps_non_positive():
+    # Vanishing discord gives CP induced maps only when the classical basis
+    # is the computational one, up to phases and order: the maps are built
+    # on the computational coherence blocks.
+    e = random_vqd_ensemble(2, 2, 7, haar_basis=True)
+    assert has_vqd(assemble(e), 2, 2).status == VQD
+    certified = 0
+    for r in scan(e, SearchConfig(trials=40, seed=1)):
+        if r.classification == CLASS_NON_POSITIVE:
+            out = induce(e.decomposition, r.unitary).apply(
+                validate_density_matrix(r.positivity.witness)
+            )
+            certified += hermitian_eigen(out).eigenvalues[0] < -1e-9
+    assert certified == 39
 
 
 def test_vqd_verdict_is_self_certifying():

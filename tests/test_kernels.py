@@ -1117,7 +1117,7 @@ def test_hunt_cli_rejects_trials_above_the_cap_before_searching(tmp_path, capsys
     assert main(["hunt", str(path), "--trials", str(MAX_TRIALS + 1)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"between 1 and {MAX_TRIALS}" in captured.err
+    assert f"argument --trials: trials must be at most {MAX_TRIALS}" in captured.err
 
 
 def choi_positive_map():

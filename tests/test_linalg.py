@@ -1,5 +1,7 @@
 """Matrix primitives: tensor products, partial traces, eigensystems."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from inducedmaps import (
     tensor,
     validate_density_matrix,
 )
-from inducedmaps.linalg import check_hermitian, check_unitaries
+from inducedmaps.linalg import check_count, check_hermitian, check_unitaries
 from inducedmaps.presets import bell_density, random_density
 
 
@@ -111,6 +113,25 @@ def test_partial_trace_preserves_total_trace():
 def test_partial_trace_rejects_mismatched_dimensions():
     with pytest.raises(ShapeError):
         partial_trace(np.eye(5), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (0, "n must be >= 1, got 0"),
+        (1, None),
+        (7, None),
+        (8, "n must be at most 7, got 8"),
+        (True, "n must be an integer, got True"),
+        (1.5, "n must be an integer, got 1.5"),
+    ],
+)
+def test_check_count_admits_integers_from_one_to_its_ceiling(value, message):
+    if message is None:
+        assert check_count(value, "n", 7) == value
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_count(value, "n", 7)
 
 
 def test_hermitian_eigen_orders_known_spectrum():
