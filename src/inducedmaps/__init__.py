@@ -15,6 +15,7 @@ from .discord import (
     NONZERO,
     VQD,
     DiscordVerdict,
+    ensemble_verdict,
     has_vqd,
     pinching_defect,
 )

@@ -294,8 +294,9 @@ def test_condition_passing_sources_have_vanishing_discord():
 
     The ``p_i ϱ^(i)`` sum to the all-ones pattern on each coherence block,
     so PSD rescaled components are multiples of that rank-one pattern and
-    the state is ``⊕_b Γ_b ⊗ τ_b``; pairwise orthogonal supports give
-    the same form directly.  Seeded sources: random coherent blocks and
+    the state is ``⊕_b Γ_b ⊗ τ_b`` on computational blocks; pairwise
+    orthogonal supports give that form in the supports' own basis, which
+    is classical–quantum too.  Seeded sources: random coherent blocks and
     the flat-block fixture (both routes), and three-term mixtures of one
     fixed density per block, whose overlapping supports pass the
     rescaled route only.
