@@ -15,7 +15,6 @@ from .discord import (
     NONZERO,
     VQD,
     DiscordVerdict,
-    ensemble_verdict,
     has_vqd,
     pinching_defect,
 )

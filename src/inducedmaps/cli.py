@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .discord import NONZERO, VQD, discord_verdict, ensemble_verdict
+from .discord import NONZERO, VQD, discord_verdict
 from .errors import (
     PreconditionTheoremError,
     PreconditionVqdError,
@@ -158,7 +158,8 @@ def _cmd_check(args) -> int:
     report = check_condition(
         e, tol=args.tol, support_cutoff=args.support_cutoff, ortho_tol=args.ortho_tol
     )
-    verdict = ensemble_verdict(e, args.vqd_tol)
+    # check_condition validated e.state when it read e.decomposition.
+    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol)
     condition = _plain(report)
     _print_report(
         {

@@ -28,7 +28,7 @@ from .linalg import (
     partial_trace,
     share_on_deepcopy,
 )
-from .states import SeparableEnsemble, validate_density_matrix
+from .states import validate_density_matrix
 
 VQD = "VQD"
 NONZERO = "NONZERO"
@@ -191,26 +191,11 @@ def has_vqd(rho_ae, dim_a: int, dim_e: int, tol: float = DEFAULT_TOL) -> Discord
     verdict is deterministic and needs no seed.  ``tol`` must be a finite
     number >= 0, else ValueError.  ``rho_ae`` is validated to
     ``DEFAULT_DENSITY_TOL``; for a state that already passed
-    :func:`validate_density_matrix`, call :func:`discord_verdict`.  An
-    array is not an immutable source, so no verdict is kept; for an
-    ensemble, call :func:`ensemble_verdict`, which keeps its latest one.
+    :func:`validate_density_matrix`, call :func:`discord_verdict`.
     """
     check_tolerance(tol)
     rho = validate_density_matrix(rho_ae, name="rho_ae")
     return discord_verdict(rho, dim_a, dim_e, tol)
-
-
-def ensemble_verdict(e: SeparableEnsemble, tol: float) -> DiscordVerdict:
-    """:func:`has_vqd` of ``e.state``, computed once per ensemble and ``tol``.
-
-    Reading ``e.decomposition`` validates the state, once per ensemble.
-    Asked again at the same ``tol``, the ensemble's stored verdict is
-    returned (see :class:`~inducedmaps.states.SeparableEnsemble`); ``tol``
-    is checked on every call.
-    """
-    check_tolerance(tol)
-    e.decomposition  # validates e.state, once per ensemble
-    return e.answer("discord", (tol,), lambda: discord_verdict(e.state, e.dim_a, e.dim_e, tol))
 
 
 def discord_verdict(rho, dim_a: int, dim_e: int, tol: float) -> DiscordVerdict:

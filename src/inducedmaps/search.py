@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
-from .discord import VQD, ensemble_verdict
+from .discord import VQD, discord_verdict
 from .linalg import (
     DEFAULT_TOL,
     check_count,
@@ -341,19 +341,17 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
     ``⊕_b Γ_b ⊗ τ_b`` on computational blocks, and the BLOCK_PROJECTOR
     route gives that form only in the supports' own basis.  So for exact
     inputs every source that clears the first gate is stopped by the
-    second.  The search itself runs only when the discord verdict is
+    second.  The search itself runs only when :func:`has_vqd` returns
     NONZERO or INDETERMINATE on a source that passes the condition
-    within tolerance.  Both gates read the ensemble's stored answers
-    (:func:`check_condition`, :func:`~inducedmaps.discord.ensemble_verdict`),
-    so a gate question already asked of ``e`` at the same settings is
-    not computed again.
+    within tolerance.
     """
     report = check_condition(e, tol=cfg.condition_tol)
     if not report.holds:
         raise PreconditionTheoremError(
             f"block-support condition does not hold: witnesses {list(report.witnesses)}"
         )
-    verdict = ensemble_verdict(e, cfg.vqd_tol)
+    # check_condition validated e.state when it read e.decomposition.
+    verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
     if verdict.status == VQD:
         raise PreconditionVqdError(
             "ensemble has vanishing discord (pinching defect "

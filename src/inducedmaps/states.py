@@ -8,7 +8,7 @@ trace vanishes while the block itself does not are the obstruction to
 entrywise rescaling and are tracked as a class of their own.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from typing import NamedTuple
@@ -151,12 +151,7 @@ class SeparableEnsemble:
     matrix of the declared dimension.  The assembled ``state`` and its
     coherence-block ``decomposition`` are derived on first use and cached;
     both are read-only and the terms are immutable, so the cache cannot
-    go stale.  The ensemble also keeps the latest answer to each gate
-    question, one per gate: the condition report of
-    :func:`check_condition` and the verdict of
-    :func:`~inducedmaps.discord.ensemble_verdict`, each with the settings
-    it was asked at.  Asked again at the same settings, a gate returns it
-    without computing; asked at others, it computes and replaces it.
+    go stale.
     """
 
     dim_a: int
@@ -192,22 +187,6 @@ class SeparableEnsemble:
     def decomposition(self) -> "SLDecomposition":
         """``decompose_blocks(state, dim_a, dim_e)``, computed once."""
         return decompose_blocks(self.state, self.dim_a, self.dim_e)
-
-    @cached_property
-    def answers(self) -> dict:
-        """Latest answer to each gate question, as ``{gate: (settings, answer)}``."""
-        return {}
-
-    def answer(self, gate: str, settings: tuple, compute):
-        """The stored answer of ``gate`` if it was last asked at ``settings``,
-        else ``compute()``, stored as the gate's one answer.  An exception
-        is never stored."""
-        stored = self.answers.get(gate)
-        if stored is not None and stored[0] == settings:
-            return stored[1]
-        result = compute()
-        self.answers[gate] = (settings, result)
-        return result
 
 
 @dataclass(frozen=True)
@@ -431,30 +410,10 @@ def check_condition(
     exact norms of the rest, so orthogonal supports take none and every
     reported overlap is that of the unscreened product.  Witnesses list
     failing terms, then failing pairs, in index order.
-
-    The report is computed once per ensemble and settings: asked again at
-    the same three settings, the ensemble's stored report is returned
-    (see :class:`SeparableEnsemble`).  The tolerances are checked on
-    every call, and each call gets witness dicts of its own.
     """
     check_tolerance(tol)
     check_tolerance(support_cutoff, "support_cutoff")
     check_tolerance(ortho_tol, "ortho_tol")
-    report = e.answer(
-        "condition",
-        (tol, support_cutoff, ortho_tol),
-        lambda: _condition(e, tol, support_cutoff, ortho_tol),
-    )
-    # A witness dict, and the index list of a pair witness, are mutable.
-    witnesses = tuple(
-        {key: value.copy() if isinstance(value, list) else value for key, value in w.items()}
-        for w in report.witnesses
-    )
-    return replace(report, witnesses=witnesses)
-
-
-def _condition(e, tol, support_cutoff, ortho_tol) -> ConditionReport:
-    # The body of check_condition, at tolerances it has checked.
     if not e.decomposition.is_sl:
         witnesses = tuple({"route": r, "error": NON_SL} for r in (ROUTE_RESCALED, ROUTE_BLOCK))
         return ConditionReport(

@@ -17,7 +17,6 @@ from inducedmaps import (
     ValidationError,
     assemble,
     dagger,
-    ensemble_verdict,
     haar_unitary,
     has_vqd,
     hermitian_eigen,
@@ -27,7 +26,6 @@ from inducedmaps import (
     tensor,
     validate_density_matrix,
 )
-from inducedmaps import discord
 from inducedmaps.presets import (
     bell_density,
     four_block_ensemble,
@@ -281,46 +279,6 @@ def test_has_vqd_is_seed_free(rho):
     assert (first.basis is None) == (second.basis is None)
     if first.basis is not None:
         assert first.basis.tobytes() == second.basis.tobytes()
-
-
-def nonorthogonal_ensemble():
-    """|0><0| and |+><+| with distinct environments: NONZERO discord."""
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    return SeparableEnsemble(
-        2, 2, (EnsembleTerm(0.5, zero, RHO_E_1), EnsembleTerm(0.5, plus, RHO_E_2))
-    )
-
-
-def assert_same_verdict(verdict, expected):
-    assert verdict.status == expected.status
-    assert repr(verdict.residual) == repr(expected.residual)
-    assert (verdict.basis is None) == (expected.basis is None)
-    if verdict.basis is not None:
-        assert verdict.basis.tobytes() == expected.basis.tobytes()
-
-
-@pytest.mark.parametrize(
-    "make, statuses",
-    [(four_block_ensemble, (VQD, VQD)), (nonorthogonal_ensemble, (NONZERO, VQD))],
-    ids=["vqd", "nonzero"],
-)
-def test_ensemble_verdict_keeps_one_answer_at_tols_a_b_a(make, statuses, count_calls):
-    e = make()
-    calls = count_calls(discord, "_refined_eigenbasis")
-    computed = []
-    for tol, status in zip((1e-9, 0.5, 1e-9), (*statuses, statuses[0])):
-        verdict = ensemble_verdict(e, tol)
-        computed.append(len(calls))
-        assert ensemble_verdict(e, tol) is verdict
-        assert len(calls) == computed[-1]
-        assert verdict.status == status
-        assert_same_verdict(verdict, has_vqd(e.state, e.dim_a, e.dim_e, tol))
-        assert list(e.answers) == ["discord"]
-    # Each of the three calls computed: one slot, so A was not kept.
-    assert 0 < computed[0] < computed[1] < computed[2]
-    with pytest.raises(ValueError):
-        ensemble_verdict(e, -1e-9)
 
 
 def test_has_vqd_rejects_mismatched_dimensions():

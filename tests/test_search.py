@@ -22,11 +22,9 @@ from inducedmaps import (
     SeparableEnsemble,
     ShapeError,
     classification_label,
-    check_condition,
     classify,
     dagger,
     decompose_blocks,
-    ensemble_verdict,
     filter_candidates,
     generator_unitary,
     haar_unitary,
@@ -342,40 +340,6 @@ def test_hunt_validates_the_ensemble_state_once(make, monkeypatch):
     with pytest.raises(PreconditionVqdError):
         hunt(e, SearchConfig(trials=2, positivity_budget=20))
     assert names == ["rho_ae"]
-
-
-def overlapping_ensemble():
-    """Overlapping supports: fails the condition at default settings."""
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    return SeparableEnsemble(
-        2, 2, (EnsembleTerm(0.5, zero, zero), EnsembleTerm(0.5, plus, np.diag([0.3, 0.7]).astype(complex)))
-    )
-
-
-@pytest.mark.parametrize(
-    "make, error",
-    [
-        (overlapping_ensemble, PreconditionTheoremError),
-        (four_block_ensemble, PreconditionVqdError),
-        (lambda: random_coherent_block_ensemble(np.random.default_rng(5)), PreconditionVqdError),
-    ],
-    ids=["theorem", "vqd-four-block", "vqd-coherent"],
-)
-def test_hunt_reuses_the_gate_answers_already_asked(make, error, count_calls):
-    cfg = SearchConfig(trials=2, positivity_budget=20)
-    with pytest.raises(error) as expected:
-        hunt(make(), cfg)
-    e = make()
-    check_condition(e, tol=cfg.condition_tol)
-    ensemble_verdict(e, cfg.vqd_tol)
-    projectors = count_calls(states, "_support_projectors")
-    bases = count_calls(discord, "_refined_eigenbasis")
-    for _ in range(2):
-        with pytest.raises(error) as raised:
-            hunt(e, cfg)
-        assert str(raised.value) == str(expected.value)
-    assert (projectors, bases) == ([], [])
 
 
 def test_hunt_checks_the_condition_before_discord():

@@ -1,7 +1,6 @@
 """Block decompositions, rescaled matrices, and the block-support condition."""
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from inducedmaps import (
     ROUTE_RESCALED,
     SL,
     CancellationError,
-    ConditionReport,
     EnsembleTerm,
     NonSLError,
     PairClass,
@@ -30,7 +28,6 @@ from inducedmaps import (
     classify_sl,
     component_images,
     decompose_blocks,
-    ensemble_verdict,
     has_vqd,
     haar_unitary,
     induce,
@@ -438,77 +435,6 @@ def test_condition_fails_on_traceless_blocks():
         {"route": ROUTE_RESCALED, "error": NON_SL},
         {"route": ROUTE_BLOCK, "error": NON_SL},
     )
-
-
-GATE_SOURCES = {
-    "coherent": lambda: random_coherent_block_ensemble(np.random.default_rng(3)),
-    "flat-block": four_block_ensemble,
-    "overlapping": overlapping_support_ensemble,
-    "cancelling": cancelling_overlapping_ensemble,
-    "non-sl": traceless_block_ensemble,
-}
-
-# Default settings, and settings at which the overlapping source passes.
-SETTINGS_A = (states.DEFAULT_TOL, states.SUPPORT_CUTOFF, states.ORTHO_TOL)
-SETTINGS_B = (1.0, 1e-6, 1.0)
-
-
-def fresh(e):
-    """A new ensemble of the same terms, with nothing stored."""
-    return SeparableEnsemble(e.dim_a, e.dim_e, e.terms)
-
-
-def assert_same_report(report, expected):
-    # repr tells every float apart bit for bit, and -0.0 from 0.0.
-    for field in dataclasses.fields(ConditionReport):
-        name = field.name
-        assert repr(getattr(report, name)) == repr(getattr(expected, name)), name
-
-
-@pytest.mark.parametrize("make", GATE_SOURCES.values(), ids=GATE_SOURCES)
-def test_condition_asked_again_computes_nothing(make, count_calls):
-    e = make()
-    calls = count_calls(states, "_support_projectors")
-    first = check_condition(e)
-    assert len(calls) == (1 if first.sl_class == SL else 0)
-    # A caller who edits its witnesses changes no later answer.
-    for w in first.witnesses:
-        w["route"] = "edited"
-        if "pair" in w:
-            w["pair"].append(-1)
-    again = check_condition(e)
-    assert len(calls) == (1 if first.sl_class == SL else 0)
-    assert_same_report(again, check_condition(fresh(e)))
-
-
-@pytest.mark.parametrize("make", GATE_SOURCES.values(), ids=GATE_SOURCES)
-def test_condition_keeps_one_answer_at_settings_a_b_a(make, count_calls):
-    e = make()
-    sl = e.decomposition.is_sl
-    calls = count_calls(states, "_support_projectors")
-    for asked, settings in enumerate((SETTINGS_A, SETTINGS_B, SETTINGS_A), start=1):
-        assert_same_report(check_condition(e, *settings), check_condition(fresh(e), *settings))
-        # Each fresh ensemble computes once too.
-        assert len(calls) == (2 * asked if sl else 0)
-        assert list(e.answers) == ["condition"]
-        assert e.answers["condition"][0] == settings
-    if make is overlapping_support_ensemble:
-        assert not check_condition(e, *SETTINGS_A).holds
-        assert check_condition(e, *SETTINGS_B).holds
-
-
-def test_ensemble_stores_at_most_one_answer_per_gate():
-    e = overlapping_support_ensemble()
-    for tol in (0.0, 1e-12, 1e-9, 0.5, 1.0):
-        check_condition(e, tol=tol, ortho_tol=tol)
-        ensemble_verdict(e, tol)
-    # Tolerances are checked on every call, and a refused call stores nothing.
-    for bad in ({"tol": -1.0}, {"support_cutoff": float("nan")}, {"ortho_tol": float("inf")}):
-        with pytest.raises(ValueError):
-            check_condition(e, **bad)
-    assert sorted(e.answers) == ["condition", "discord"]
-    assert e.answers["condition"][0] == (1.0, states.SUPPORT_CUTOFF, 1.0)
-    assert e.answers["discord"][0] == (1.0,)
 
 
 def test_component_images_of_all_ones_reproduce_input():
