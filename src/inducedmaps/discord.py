@@ -80,10 +80,12 @@ def _pinching_defect(rho: np.ndarray, basis, dim_a: int, dim_e: int) -> float:
     # in the rotated frame (B ⊗ I)† rho (B ⊗ I) the pinching keeps the
     # blocks on the A diagonal and zeroes the others.
     n = dim_a * dim_e
-    u = np.kron(basis, np.eye(dim_e))
-    rotated = (dagger(u) @ rho @ u).reshape(dim_a, dim_e, dim_a, dim_e)
+    # B ⊗ I, entry for entry the broadcast product that np.kron takes.
+    u = (basis[:, None, :, None] * np.eye(dim_e)[:, None, :]).reshape(n, n)
+    u_dagger = dagger(u)
+    rotated = (u_dagger @ rho @ u).reshape(dim_a, dim_e, dim_a, dim_e)
     diagonal = np.eye(dim_a, dtype=bool)[:, None, :, None]
-    pinched = u @ np.where(diagonal, rotated, 0.0).reshape(n, n) @ dagger(u)
+    pinched = u @ np.where(diagonal, rotated, 0.0).reshape(n, n) @ u_dagger
     return float(np.abs(pinched - rho).max())
 
 

@@ -73,6 +73,20 @@ def test_pinching_defect_invariant_under_column_phases_and_order():
     assert abs(pinching_defect(rho, swapped, 2, 2) - base) < 1e-12
 
 
+@pytest.mark.parametrize("dim_a, dim_e", [(2, 2), (3, 2), (2, 5), (8, 4)])
+def test_pinching_defect_matches_the_kron_form_bit_for_bit(dim_a, dim_e):
+    rng = np.random.default_rng(dim_a * 10 + dim_e)
+    n = dim_a * dim_e
+    rho = random_density(n, rng)
+    basis = haar_unitary(dim_a, rng)
+    u = np.kron(basis, np.eye(dim_e))
+    rotated = (dagger(u) @ rho @ u).reshape(dim_a, dim_e, dim_a, dim_e)
+    keep = np.eye(dim_a, dtype=bool)[:, None, :, None]
+    pinched = u @ np.where(keep, rotated, 0.0).reshape(n, n) @ dagger(u)
+    expected = float(np.abs(pinched - rho).max())
+    assert repr(pinching_defect(rho, basis, dim_a, dim_e)) == repr(expected)
+
+
 def test_pinching_defect_validates_basis_and_shape():
     with pytest.raises(ValidationError):
         pinching_defect(bell_density(), np.ones((2, 2)), 2, 2)
