@@ -238,8 +238,15 @@ def test_decomposition_arrays_are_immutable():
         d.blocks[0, 0, 0, 0] = 1.0
 
 
-def test_source_pipeline_decomposes_each_ensemble_once(count_calls):
-    calls = count_calls(states, "decompose_blocks")
+def test_source_pipeline_decomposes_each_ensemble_once(monkeypatch):
+    calls = []
+    decompose = states.decompose_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(states, "decompose_blocks", counting)
     e = random_coherent_block_ensemble(np.random.default_rng(0))
     check_condition(e)
     has_vqd(e.state, e.dim_a, e.dim_e)
