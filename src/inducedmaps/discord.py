@@ -25,7 +25,6 @@ from .linalg import (
     dagger,
     frozen,
     hermitian_part,
-    partial_trace,
     share_on_deepcopy,
 )
 from .states import validate_density_matrix
@@ -208,7 +207,9 @@ def discord_verdict(rho, dim_a: int, dim_e: int, tol: float) -> DiscordVerdict:
     # or the marginal's eigenbasis fails to pinch.
     stack = cache(lambda: _block_stack(rho, dim_a, dim_e))
     refiners = cache(lambda: stack()[_can_split(stack())])
-    rho_a = partial_trace(rho, dim_a, dim_e, side="E")
+    # The A marginal, as partial_trace takes it, without checking rho again.
+    t = check_factors(rho, dim_a, dim_e).reshape(dim_a, dim_e, dim_a, dim_e)
+    rho_a = np.einsum("iaja->ij", t)
     basis = _refined_eigenbasis(chain([rho_a], _deferred(refiners)))
     best = _pinching_defect(rho, basis, dim_a, dim_e)
     if best <= tol:

@@ -644,8 +644,12 @@ def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
         raise ShapeError(f"Choi dimension {choi.shape[0]} is not a perfect square")
     images = choi.reshape(da, da, da, da).swapaxes(1, 2)[None]
     w, v = _choi_spectra(images, tol, vectors=True)
-    order = np.argsort(w[0], kind="stable")
-    w, v = w[0, order], v[0][:, order]
+    w, v = w[0], v[0]
+    # Only the split pass leaves the spectrum out of order, and a stable
+    # sort of an ascending spectrum changes nothing.
+    if not (w[:-1] <= w[1:]).all():
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], v[:, order]
     if float(w[0]) < -tol:
         raise NotPsdError(f"Choi matrix has negative eigenvalue {float(w[0]):.3e}")
     keep = w > KRAUS_KEEP_TOL

@@ -52,7 +52,7 @@ from .maps import (
     induce_stack,
     probe_stack,
 )
-from .states import SeparableEnsemble, SLDecomposition, check_condition
+from .states import SeparableEnsemble, SLDecomposition, _condition_witnesses
 
 HAAR = "HAAR"
 GENERATOR = "GENERATOR"
@@ -230,6 +230,10 @@ class _TrialSeeds(Sequence):
     def __getitem__(self, k: int):
         return np.random.SeedSequence(self.entropy, spawn_key=(self.trials[k], self.stream))
 
+    def __iter__(self):
+        # Sequence's own iterator reads one index past the end.
+        return map(self.__getitem__, range(len(self)))
+
 
 def _as_decomposition(source) -> SLDecomposition:
     if isinstance(source, SLDecomposition):
@@ -329,12 +333,18 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
     """Gated search for positive-but-not-CP candidates over an ensemble.
 
     Preconditions, enforced in order: the ensemble must pass
-    :func:`check_condition` (else :class:`PreconditionTheoremError`) and
-    its assembled state must not verify as vanishing-discord (else
-    :class:`PreconditionVqdError`).  Surviving reports are filtered to
+    :func:`check_condition` at ``cfg.condition_tol`` (else
+    :class:`PreconditionTheoremError`, whose message lists that report's
+    witnesses) and its assembled state must not verify as
+    vanishing-discord (else :class:`PreconditionVqdError`).  Surviving reports are filtered to
     POSITIVE_NOT_CP_CANDIDATE entries whose Choi eigenvalue is below
     ``-cfg.candidate_threshold`` and sorted most negative first.  An empty
     result is a valid outcome, not an error.
+
+    The condition gate stops at the first route that holds: the
+    BLOCK_PROJECTOR route is evaluated only when RESCALED_PSD does not
+    hold, and the witness list, rescaled witnesses first, is built only
+    to raise.
 
     Passing the condition makes the assembled state classical–quantum
     (see the module docstring): the RESCALED_PSD route forces
@@ -345,12 +355,12 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
     NONZERO or INDETERMINATE on a source that passes the condition
     within tolerance.
     """
-    report = check_condition(e, tol=cfg.condition_tol)
-    if not report.holds:
+    witnesses = _condition_witnesses(e, cfg.condition_tol)
+    if witnesses is not None:
         raise PreconditionTheoremError(
-            f"block-support condition does not hold: witnesses {list(report.witnesses)}"
+            f"block-support condition does not hold: witnesses {list(witnesses)}"
         )
-    # check_condition validated e.state when it read e.decomposition.
+    # The condition gate validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
     if verdict.status == VQD:
         raise PreconditionVqdError(

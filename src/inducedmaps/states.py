@@ -377,6 +377,56 @@ def _support_projectors(rhos: np.ndarray, cutoff: float) -> np.ndarray:
     return projectors
 
 
+def _non_sl_witnesses() -> tuple[dict, ...]:
+    # One NON_SL witness per route: neither is evaluated.
+    return tuple({"route": r, "error": NON_SL} for r in (ROUTE_RESCALED, ROUTE_BLOCK))
+
+
+def _rescaled_route(e: SeparableEnsemble, tol: float) -> tuple[str | None, list[dict]]:
+    # Route RESCALED_PSD of an SL-class ensemble: the reason it is blocked
+    # (CANCELLATION) or None, and its witnesses, failing terms in order.
+    try:
+        rs = rescaled_matrices(e)
+    except CancellationError as exc:
+        return CANCELLATION, [{"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}]
+    herm = check_hermitian(rs.matrices, tol, "rescaled matrix")
+    lam = np.linalg.eigh(herm)[0][:, 0]
+    return None, [
+        {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
+        for i in np.flatnonzero(~(lam >= -tol))
+    ]
+
+
+def _projector_route(
+    e: SeparableEnsemble, tol: float, support_cutoff: float, ortho_tol: float
+) -> list[dict]:
+    # Witnesses of route BLOCK_PROJECTOR of an SL-class ensemble: failing
+    # terms, then failing pairs, in index order.  The factors passed
+    # validate_density_matrix, whose Hermiticity gate is check_hermitian at
+    # the same tolerance, so none is rechecked.
+    rho_as = np.stack([t.rho_a for t in e.terms])
+    projectors = _support_projectors(rho_as, support_cutoff)
+    residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
+    witnesses = [
+        {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
+        for i in np.flatnonzero(residual > max(tol, DEFAULT_HERM_TOL))
+    ]
+    for i in range(len(projectors) - 1):
+        products = projectors[i] @ projectors[i + 1 :]
+        # Bounding the Frobenius norm by the largest entry, not by a sum
+        # of squares, cannot underflow and drop a tiny overlap.
+        near = np.flatnonzero(np.abs(products).max(axis=(1, 2)) * e.dim_a > ortho_tol / 2)
+        if not len(near):
+            continue
+        overlap = np.linalg.svd(products[near], compute_uv=False).max(axis=-1)
+        witnesses += (
+            {"route": ROUTE_BLOCK, "pair": [i, i + 1 + k], "overlap": float(value)}
+            for k, value in zip(near.tolist(), overlap.tolist())
+            if value > ortho_tol
+        )
+    return witnesses
+
+
 def check_condition(
     e: SeparableEnsemble,
     tol: float = DEFAULT_TOL,
@@ -415,56 +465,15 @@ def check_condition(
     check_tolerance(support_cutoff, "support_cutoff")
     check_tolerance(ortho_tol, "ortho_tol")
     if not e.decomposition.is_sl:
-        witnesses = tuple({"route": r, "error": NON_SL} for r in (ROUTE_RESCALED, ROUTE_BLOCK))
         return ConditionReport(
             holds=False, route=ROUTE_NONE, routes=(), sl_class=NON_SL, rescaled_psd=None,
-            rescaled_blocked=NON_SL, block_projector=False, witnesses=witnesses,
+            rescaled_blocked=NON_SL, block_projector=False, witnesses=_non_sl_witnesses(),
         )
-
-    witnesses = []
-    rescaled_psd: bool | None = None
-    rescaled_blocked: str | None = None
-    try:
-        rs = rescaled_matrices(e)
-    except CancellationError as exc:
-        rescaled_blocked = CANCELLATION
-        witnesses.append({"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)})
-    else:
-        herm = check_hermitian(rs.matrices, tol, "rescaled matrix")
-        lam = np.linalg.eigh(herm)[0][:, 0]
-        failing = np.flatnonzero(~(lam >= -tol))
-        rescaled_psd = not failing.size
-        witnesses += (
-            {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
-            for i in failing
-        )
-
-    # The factors passed validate_density_matrix, whose Hermiticity gate
-    # is check_hermitian at the same tolerance, so none is rechecked.
-    rho_as = np.stack([t.rho_a for t in e.terms])
-    projectors = _support_projectors(rho_as, support_cutoff)
-    residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
-    start = len(witnesses)
-    witnesses += (
-        {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
-        for i in np.flatnonzero(residual > max(tol, DEFAULT_HERM_TOL))
-    )
-    for i in range(len(projectors) - 1):
-        products = projectors[i] @ projectors[i + 1 :]
-        # Bounding the Frobenius norm by the largest entry, not by a sum
-        # of squares, cannot underflow and drop a tiny overlap.
-        near = np.flatnonzero(np.abs(products).max(axis=(1, 2)) * e.dim_a > ortho_tol / 2)
-        if not len(near):
-            continue
-        overlap = np.linalg.svd(products[near], compute_uv=False).max(axis=-1)
-        witnesses += (
-            {"route": ROUTE_BLOCK, "pair": [i, i + 1 + k], "overlap": float(value)}
-            for k, value in zip(near.tolist(), overlap.tolist())
-            if value > ortho_tol
-        )
-    # The route holds when it adds no witness.
-    block_projector = len(witnesses) == start
-
+    rescaled_blocked, rescaled = _rescaled_route(e, tol)
+    projector = _projector_route(e, tol, support_cutoff, ortho_tol)
+    # A route that is evaluated holds when it adds no witness.
+    rescaled_psd = None if rescaled_blocked else not rescaled
+    block_projector = not projector
     routes = tuple(
         name
         for name, ok in ((ROUTE_RESCALED, rescaled_psd), (ROUTE_BLOCK, block_projector))
@@ -478,8 +487,25 @@ def check_condition(
         rescaled_psd=rescaled_psd,
         rescaled_blocked=rescaled_blocked,
         block_projector=block_projector,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(rescaled + projector),
     )
+
+
+def _condition_witnesses(e: SeparableEnsemble, tol: float) -> tuple[dict, ...] | None:
+    """``check_condition(e, tol).witnesses`` if the condition fails, else None.
+
+    ``tol`` must already be checked.  The BLOCK_PROJECTOR route runs only
+    when RESCALED_PSD does not hold, so a source that passes the first
+    route takes one ``eigh`` and no support projector.
+    """
+    if not e.decomposition.is_sl:
+        return _non_sl_witnesses()
+    # A blocked route adds a witness too, so no witness means it holds.
+    _, rescaled = _rescaled_route(e, tol)
+    if not rescaled:
+        return None
+    projector = _projector_route(e, tol, SUPPORT_CUTOFF, ORTHO_TOL)
+    return tuple(rescaled + projector) if projector else None
 
 
 def component_images(rho_prime, rescaled: RescaledSet) -> tuple[np.ndarray, ...]:

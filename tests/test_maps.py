@@ -545,6 +545,47 @@ def test_split_choi_spectrum_and_kraus_forms_match_the_whole_matrix():
             assert np.abs(rebuilt - m.apply(rho)).max() < 1e-9
 
 
+def always_sorted_kraus(choi, tol=1e-9):
+    """kraus_from_choi with its spectrum always put through a stable sort."""
+    da = int(np.sqrt(len(choi)))
+    images = choi.reshape(da, da, da, da).swapaxes(1, 2)[None]
+    w, v = maps._choi_spectra(images, tol, vectors=True)
+    order = np.argsort(w[0], kind="stable")
+    w, v = w[0, order], v[0][:, order]
+    keep = w > maps.KRAUS_KEEP_TOL
+    scaled = (v[:, keep] * np.sqrt(w[keep])).T
+    return list(scaled.reshape(-1, da, da).swapaxes(1, 2))
+
+
+def aligned_8x4_map(rng):
+    """CP map of an aligned discord-free 8x4 source: eight one-state components."""
+    d = decompose_blocks(assemble(random_vqd_ensemble(8, 4, rng)), 8, 4)
+    return induce(d, haar_unitary(32, rng))
+
+
+KRAUS_ORDER_MAPS = {
+    # below SPLIT_MIN_SIDE: one whole-matrix eigh, already ascending
+    "whole-2x2": lambda rng: induce(product_source(rng), haar_unitary(4, rng)),
+    "whole-5": lambda rng: component_map(rng, ((0, 1), (2,), (3, 4)), dim_a=5),
+    # from it on: one eigh per component, the union out of order
+    "split-aligned-8x4": aligned_8x4_map,
+    "split-interleaved-7": lambda rng: component_map(rng, UNEVEN_SUPPORTS),
+}
+
+
+@pytest.mark.parametrize("make", KRAUS_ORDER_MAPS.values(), ids=KRAUS_ORDER_MAPS)
+def test_kraus_order_matches_an_always_sorted_spectrum_bit_for_bit(make):
+    rng = np.random.default_rng(64)
+    for _ in range(3):
+        choi = choi_matrix(make(rng))
+        da = int(np.sqrt(len(choi)))
+        w = maps._choi_spectra(choi.reshape(da, da, da, da).swapaxes(1, 2)[None], 1e-9)[0]
+        # the split pass returns its spectrum out of order, the whole pass never
+        assert bool(np.all(w[:-1] <= w[1:])) == (len(choi) < maps.SPLIT_MIN_SIDE)
+        got = kraus_from_choi(choi)
+        assert [k.tobytes() for k in got] == [k.tobytes() for k in always_sorted_kraus(choi)]
+
+
 def test_split_choi_keeps_the_not_cp_and_hermiticity_verdicts():
     rng = np.random.default_rng(62)
     m = component_map(rng, UNEVEN_SUPPORTS, sign=(1, -1, 1, 1, 1))

@@ -21,6 +21,7 @@ from inducedmaps import (
     SearchConfig,
     SeparableEnsemble,
     ShapeError,
+    check_condition,
     classification_label,
     classify,
     dagger,
@@ -28,17 +29,19 @@ from inducedmaps import (
     filter_candidates,
     generator_unitary,
     haar_unitary,
+    has_vqd,
     hermitian_eigen,
     hunt,
     scan,
 )
-from inducedmaps import discord, states
+from inducedmaps import discord, search, states
 from inducedmaps.presets import (
     bell_density,
     cnot,
     four_block_ensemble,
     random_coherent_block_ensemble,
     random_density,
+    random_vqd_ensemble,
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -356,3 +359,144 @@ def test_hunt_checks_the_condition_before_discord():
     )
     with pytest.raises(PreconditionTheoremError):
         hunt(e, SearchConfig(trials=2, positivity_budget=20))
+
+
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+ZERO = np.diag([1.0, 0.0]).astype(complex)
+RHO_E = (np.diag([0.6, 0.4]).astype(complex), np.diag([0.1, 0.9]).astype(complex))
+
+
+def discordant_mixture():
+    rng = np.random.default_rng(4)
+    p = rng.uniform(0.5, 1.5, size=3)
+    return SeparableEnsemble(
+        3,
+        2,
+        tuple(
+            EnsembleTerm(float(w), random_density(3, rng), random_density(2, rng))
+            for w in p / p.sum()
+        ),
+    )
+
+
+# Each source with the condition report it gives at every tolerance below:
+# (rescaled_blocked, routes).
+GATE_OUTCOMES = {
+    "rescaled-psd": (
+        lambda: random_vqd_ensemble(3, 2, 3),
+        (None, ("RESCALED_PSD", "BLOCK_PROJECTOR")),
+    ),
+    # one mixed system factor twice: the rescaled matrices are all-ones,
+    # and the two full supports overlap
+    "rescaled-psd-only": (
+        lambda: SeparableEnsemble(
+            2, 2, tuple(EnsembleTerm(0.5, np.diag([0.6, 0.4]).astype(complex), r) for r in RHO_E)
+        ),
+        (None, ("RESCALED_PSD",)),
+    ),
+    "block-projector-only": (
+        lambda: random_vqd_ensemble(2, 2, 7, haar_basis=True),
+        (None, ("BLOCK_PROJECTOR",)),
+    ),
+    # |+><+| and |-><-| on one environment: the coherences cancel, and
+    # the supports are orthogonal until a |0><0| term overlaps them
+    "cancellation-projector-holds": (
+        lambda: SeparableEnsemble(
+            2, 2, (EnsembleTerm(0.5, PLUS, RHO_E[0]), EnsembleTerm(0.5, MINUS, RHO_E[0]))
+        ),
+        ("CANCELLATION", ("BLOCK_PROJECTOR",)),
+    ),
+    "cancellation-projector-fails": (
+        lambda: SeparableEnsemble(
+            2,
+            2,
+            tuple(
+                EnsembleTerm(1 / 3, rho_a, rho_e)
+                for rho_a, rho_e in ((PLUS, RHO_E[0]), (MINUS, RHO_E[0]), (ZERO, RHO_E[1]))
+            ),
+        ),
+        ("CANCELLATION", ()),
+    ),
+    "non-sl": (
+        lambda: SeparableEnsemble(
+            2, 2, (EnsembleTerm(0.5, PLUS, RHO_E[0]), EnsembleTerm(0.5, MINUS, RHO_E[1]))
+        ),
+        ("NON_SL", ()),
+    ),
+    "both-routes-fail": (discordant_mixture, (None, ())),
+}
+
+
+def gates_from_report(e, cfg):
+    """Class and message of the error hunt's two gates raise, with the
+    condition gate read off check_condition's whole report."""
+    report = check_condition(e, tol=cfg.condition_tol)
+    if not report.holds:
+        return PreconditionTheoremError, (
+            f"block-support condition does not hold: witnesses {list(report.witnesses)}"
+        )
+    verdict = has_vqd(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
+    assert verdict.status == "VQD"
+    return PreconditionVqdError, (
+        f"ensemble has vanishing discord (pinching defect {verdict.residual:.3e}); "
+        "every induced map is CP"
+    )
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+@pytest.mark.parametrize("case", GATE_OUTCOMES)
+def test_hunt_gate_matches_the_gate_of_the_whole_report(case, tol):
+    make, outcome = GATE_OUTCOMES[case]
+    e = make()
+    report = check_condition(e, tol=tol)
+    assert (report.rescaled_blocked, report.routes) == outcome
+    cfg = SearchConfig(trials=1, condition_tol=tol)
+    with pytest.raises((PreconditionTheoremError, PreconditionVqdError)) as info:
+        hunt(e, cfg)
+    # the message lists the witnesses, so they come in the report's order
+    assert (type(info.value), str(info.value)) == gates_from_report(e, cfg)
+
+
+def test_hunt_stops_the_condition_gate_at_the_rescaled_route(monkeypatch):
+    e = random_vqd_ensemble(3, 2, 3)
+    e.decomposition  # the state's validation is not part of the gate
+    calls, before_discord = [], []
+    for name in ("eigh", "eigvalsh", "svd"):
+
+        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def unreachable(*args):
+        raise AssertionError("the projector route ran")
+
+    def discord_gate(*args, _real=search.discord_verdict):
+        before_discord.extend(calls)
+        return _real(*args)
+
+    monkeypatch.setattr(states, "_support_projectors", unreachable)
+    monkeypatch.setattr(search, "discord_verdict", discord_gate)
+    with pytest.raises(PreconditionVqdError):
+        hunt(e, SearchConfig(trials=1))
+    assert before_discord == ["eigh"]
+
+
+def test_scan_reads_each_unitary_seed_once(monkeypatch):
+    reads = []
+
+    def counted(self, k, _real=search._TrialSeeds.__getitem__):
+        reads.append((self.trials.start + k, self.stream))
+        return _real(self, k)
+
+    monkeypatch.setattr(search._TrialSeeds, "__getitem__", counted)
+    cfg = SearchConfig(trials=9, positivity_budget=50, seed=3)
+    reports = scan(decompose_blocks(bell_density(), 2, 2), cfg)
+    # one read per trial, none past the end of a stack
+    assert [k for k in reads if k[1] == 0] == [(i, 0) for i in range(cfg.trials)]
+    # the unitaries are those of SeedSequence(seed).spawn(trials)[i].spawn(2)[0]
+    spawned = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    want = [haar_unitary(4, child.spawn(2)[0]) for child in spawned]
+    assert [r.unitary.tobytes() for r in reports] == [u.tobytes() for u in want]
