@@ -2,7 +2,7 @@
 
 Build bipartite system-environment states from separable ensembles,
 decompose them into coherence blocks, evaluate a block-support condition
-sufficient for the induced map to be positive, detect vanishing quantum
+sufficient for every induced map to be CP, detect vanishing quantum
 discord, induce the map of any joint unitary in affine form (linear images
 plus shift), classify it via the Choi spectrum and positivity probing, and
 search unitary families for positive-but-not-CP candidates.

@@ -11,8 +11,8 @@ Every report is JSON on stdout with the effective configuration echoed
 under ``"config"``; a library record in a report prints as its fields
 (:func:`_plain`).  Exit codes are a stable contract: 0 success (or
 condition/VQD holds), 2 condition fails (including search precondition
-rejections and failed repro assertions), 3 indeterminate, 64 usage, I/O,
-or validation errors, 65 dimension mismatches.
+rejections and failed repro assertions), 3 indeterminate (``discord``
+only), 64 usage, I/O, or validation errors, 65 dimension mismatches.
 """
 
 import argparse
@@ -51,9 +51,6 @@ from .search import (
     hunt,
 )
 from .states import (
-    CANCELLATION,
-    ORTHO_TOL,
-    SUPPORT_CUTOFF,
     check_condition,
     classify_sl,
     decompose_blocks,
@@ -155,9 +152,7 @@ def _state_with_dims(path, dim_a_flag):
 
 def _cmd_check(args) -> int:
     e = load_ensemble(args.ensemble)
-    report = check_condition(
-        e, tol=args.tol, support_cutoff=args.support_cutoff, ortho_tol=args.ortho_tol
-    )
+    report = check_condition(e, tol=args.tol)
     # check_condition validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol)
     condition = _plain(report)
@@ -168,18 +163,12 @@ def _cmd_check(args) -> int:
             "vqd": verdict,
             "config": {
                 "tol": args.tol,
-                "support_cutoff": args.support_cutoff,
-                "ortho_tol": args.ortho_tol,
                 "vqd_tol": args.vqd_tol,
                 "seed": args.seed,
             },
         }
     )
-    if report.holds:
-        return EXIT_OK
-    if report.rescaled_blocked == CANCELLATION:
-        return EXIT_INDETERMINATE
-    return EXIT_CONDITION_FAILS
+    return EXIT_OK if report.holds else EXIT_CONDITION_FAILS
 
 
 def _cmd_induce(args) -> int:
@@ -327,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="evaluate the block-support condition")
     pc.add_argument("ensemble", help="ensemble JSON file")
     pc.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
-    pc.add_argument("--support-cutoff", type=tolerance, default=SUPPORT_CUTOFF)
-    pc.add_argument("--ortho-tol", type=tolerance, default=ORTHO_TOL)
     pc.add_argument("--vqd-tol", type=tolerance, default=DEFAULT_TOL)
     pc.add_argument("--seed", type=seed, default=0, help="echoed; the verdicts take no seed")
     pc.set_defaults(func=_cmd_check)

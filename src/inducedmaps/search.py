@@ -8,14 +8,13 @@ map, takes the Choi spectrum and shift norm, and probes positivity
 open); reports classify as CP, NON_POSITIVE (certified witness), AFFINE
 (nonzero shift), or POSITIVE_NOT_CP_CANDIDATE.
 
-For exact inputs the two preconditions exclude each other.  The weighted
-rescaled components ``p_i ϱ^(i)`` sum to the rank-one all-ones pattern on
-each coherence block, so when every ``ϱ^(i)`` is PSD each one is a
-multiple of that pattern, which forces ``rho_AE = ⊕_b Γ_b ⊗ τ_b`` on
-computational blocks: a classical-quantum state whose induced maps are
-all CP (Shabani & Lidar, PRL 102, 100402 (2009)).  Pairwise orthogonal
-supports give a classical-quantum state too, but in the supports' own
-basis, where the maps need not be CP.  The discord gate
+For exact inputs the two preconditions exclude each other.  Either route
+of the condition makes the rescaled state ``R`` (each coherence block over
+its trace) positive semidefinite, and ``R ⪰ 0`` forces
+``rho_AE = ⊕_b Γ_b ⊗ τ_b`` on computational blocks: a state that is
+classical–quantum in the computational basis, up to a rotation inside
+each block, whose induced maps are all CP (Shabani & Lidar, PRL 102,
+100402 (2009)).  The discord gate
 therefore rejects every source the condition gate admits, and the search
 stage runs only when :func:`has_vqd` does not certify VQD (NONZERO or
 INDETERMINATE) for a source that passes the condition within tolerance.
@@ -52,7 +51,7 @@ from .maps import (
     induce_stack,
     probe_stack,
 )
-from .states import SeparableEnsemble, SLDecomposition, _condition_witnesses
+from .states import SeparableEnsemble, SLDecomposition, check_condition
 
 HAAR = "HAAR"
 GENERATOR = "GENERATOR"
@@ -341,24 +340,17 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
     ``-cfg.candidate_threshold`` and sorted most negative first.  An empty
     result is a valid outcome, not an error.
 
-    The condition gate stops at the first route that holds: the
-    BLOCK_PROJECTOR route is evaluated only when RESCALED_PSD does not
-    hold, and the witness list, rescaled witnesses first, is built only
-    to raise.
-
-    Passing the condition makes the assembled state classical–quantum
-    (see the module docstring): the RESCALED_PSD route forces
-    ``⊕_b Γ_b ⊗ τ_b`` on computational blocks, and the BLOCK_PROJECTOR
-    route gives that form only in the supports' own basis.  So for exact
-    inputs every source that clears the first gate is stopped by the
-    second.  The search itself runs only when :func:`has_vqd` returns
-    NONZERO or INDETERMINATE on a source that passes the condition
-    within tolerance.
+    Passing the condition by either route makes the assembled state
+    classical–quantum in the computational basis (see the module
+    docstring), so for exact inputs every source that clears the first
+    gate is stopped by the second.  The search itself runs only when
+    :func:`has_vqd` returns NONZERO or INDETERMINATE on a source that
+    passes the condition within tolerance.
     """
-    witnesses = _condition_witnesses(e, cfg.condition_tol)
-    if witnesses is not None:
+    condition = check_condition(e, cfg.condition_tol)
+    if not condition.holds:
         raise PreconditionTheoremError(
-            f"block-support condition does not hold: witnesses {list(witnesses)}"
+            f"block-support condition does not hold: witnesses {list(condition.witnesses)}"
         )
     # The condition gate validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)

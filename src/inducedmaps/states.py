@@ -25,7 +25,6 @@ from .linalg import (
     check_tolerance,
     frozen,
     hadamard,
-    hermitian_part,
     share_on_deepcopy,
     tensor,
 )
@@ -39,15 +38,9 @@ BLOCK_TRACE_TOL = 1e-10
 # A block with every entry below this magnitude counts as the zero block.
 BLOCK_ZERO_TOL = 1e-10
 
-# Eigenvalue cutoff defining the support projector of a component state.
-SUPPORT_CUTOFF = 1e-9
-
-# Operator-norm tolerance for pairwise orthogonality of support projectors.
-ORTHO_TOL = 1e-9
-
-# Ceiling on the terms of an ensemble.  check_condition compares every pair
-# of terms and keeps a witness per overlapping pair, and full-rank factors
-# overlap in every pair, so the term count bounds its time and memory.
+# Ceiling on the terms of an ensemble.  check_condition rescales every
+# term and keeps a witness per failing one, so the term count bounds its
+# time and memory.
 MAX_TERMS = 256
 
 SL = "SL"
@@ -361,22 +354,6 @@ def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
     return RescaledSet(ratios, defined)
 
 
-def _support_projectors(rhos: np.ndarray, cutoff: float) -> np.ndarray:
-    # Projector onto the eigenvectors above cutoff of each validated matrix
-    # in a (T, d, d) stack.  One eigh serves the stack; the products are
-    # taken per rank, so each projector is the same matmul of the same
-    # (d, rank) factor that a one-matrix projector would be.
-    w, v = np.linalg.eigh(hermitian_part(rhos))
-    ranks = (w > cutoff).sum(axis=1)
-    projectors = np.empty_like(rhos)
-    for r in set(ranks.tolist()):
-        # eigh sorts ascending, so the kept eigenvectors are the last r.
-        same = ranks == r
-        keep = np.ascontiguousarray(v[same, :, v.shape[-1] - r :])
-        projectors[same] = keep @ keep.conj().swapaxes(-1, -2)
-    return projectors
-
-
 def _non_sl_witnesses() -> tuple[dict, ...]:
     # One NON_SL witness per route: neither is evaluated.
     return tuple({"route": r, "error": NON_SL} for r in (ROUTE_RESCALED, ROUTE_BLOCK))
@@ -390,87 +367,69 @@ def _rescaled_route(e: SeparableEnsemble, tol: float) -> tuple[str | None, list[
     except CancellationError as exc:
         return CANCELLATION, [{"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}]
     herm = check_hermitian(rs.matrices, tol, "rescaled matrix")
-    lam = np.linalg.eigh(herm)[0][:, 0]
+    lam = np.linalg.eigvalsh(herm)[:, 0]
     return None, [
         {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
         for i in np.flatnonzero(~(lam >= -tol))
     ]
 
 
-def _projector_route(
-    e: SeparableEnsemble, tol: float, support_cutoff: float, ortho_tol: float
-) -> list[dict]:
-    # Witnesses of route BLOCK_PROJECTOR of an SL-class ensemble: failing
-    # terms, then failing pairs, in index order.  The factors passed
-    # validate_density_matrix, whose Hermiticity gate is check_hermitian at
-    # the same tolerance, so none is rechecked.
-    rho_as = np.stack([t.rho_a for t in e.terms])
-    projectors = _support_projectors(rho_as, support_cutoff)
-    residual = np.abs(rho_as - projectors @ rho_as @ projectors).max(axis=(1, 2))
-    witnesses = [
-        {"route": ROUTE_BLOCK, "term": int(i), "projection_residual": float(residual[i])}
-        for i in np.flatnonzero(residual > max(tol, DEFAULT_HERM_TOL))
-    ]
-    for i in range(len(projectors) - 1):
-        products = projectors[i] @ projectors[i + 1 :]
-        # Bounding the Frobenius norm by the largest entry, not by a sum
-        # of squares, cannot underflow and drop a tiny overlap.
-        near = np.flatnonzero(np.abs(products).max(axis=(1, 2)) * e.dim_a > ortho_tol / 2)
-        if not len(near):
-            continue
-        overlap = np.linalg.svd(products[near], compute_uv=False).max(axis=-1)
-        witnesses += (
-            {"route": ROUTE_BLOCK, "pair": [i, i + 1 + k], "overlap": float(value)}
-            for k, value in zip(near.tolist(), overlap.tolist())
-            if value > ortho_tol
-        )
-    return witnesses
+def _projector_route(e: SeparableEnsemble, tol: float) -> list[dict]:
+    # Witness of route BLOCK_PROJECTOR of an SL-class ensemble, if it fails:
+    # the smallest eigenvalue of the rescaled state, which is reassemble
+    # without the coefficients.  The floor is check_hermitian's: an exact
+    # block-projector state rounds to eigenvalues of order -1e-16.
+    d = e.decomposition
+    n = d.dim_a * d.dim_e
+    lam = float(np.linalg.eigvalsh(d.blocks.swapaxes(1, 2).reshape(n, n))[0])
+    if lam >= -max(tol, DEFAULT_HERM_TOL):
+        return []
+    return [{"route": ROUTE_BLOCK, "min_eig": lam}]
 
 
-def check_condition(
-    e: SeparableEnsemble,
-    tol: float = DEFAULT_TOL,
-    support_cutoff: float = SUPPORT_CUTOFF,
-    ortho_tol: float = ORTHO_TOL,
-) -> ConditionReport:
+def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the block-support positivity condition along both routes.
 
     Route RESCALED_PSD holds when every rescaled component matrix is
     positive semidefinite (smallest eigenvalue >= ``-tol``).  Route
-    BLOCK_PROJECTOR holds when the assembled state is SL class, each
-    ``rho_a`` factor is its projection onto its support within
-    ``max(tol, DEFAULT_HERM_TOL)`` in max-entry norm (the rounding floor
-    of :func:`~inducedmaps.linalg.check_hermitian`), and the component
-    supports are pairwise orthogonal (operator norm of each
-    projector product <= ``ortho_tol``); orthogonal supports always extend
-    to a complete family of orthogonal block projectors, so this matches
-    the projector formulation exactly.  The condition holds when either
-    route does.  Cancellation blocks the rescaled route only; the
-    projector route is still evaluated.  A NON_SL source is reported
-    without evaluating either route: ``rescaled_blocked`` is NON_SL, and
-    each route has one NON_SL witness.  Every tolerance must be a finite
-    number >= 0, else ValueError.
+    BLOCK_PROJECTOR holds when the assembled state is SL class and its
+    *rescaled state* ``R`` (block ``(k, l)`` divided by its trace, 0 on
+    ZERO_BLOCK pairs) is positive semidefinite within
+    ``max(tol, DEFAULT_HERM_TOL)``, the rounding floor of
+    :func:`~inducedmaps.linalg.check_hermitian`.  The condition holds when
+    either route does.
 
-    One Hermiticity check and one ``eigh`` serve the rescaled matrices, and
-    one ``eigh`` the support projectors of the ``rho_a`` factors.  The
-    products of term ``i``'s projector with those of all terms ``j > i``
-    are screened first: as ``‖P_i P_j‖₂ <= ‖P_i P_j‖_F <= dim_a
-    max|(P_i P_j)_kl|``, a product whose bound is at most ``ortho_tol /
-    2`` is never a witness.  One singular-value call per term takes the
-    exact norms of the rest, so orthogonal supports take none and every
-    reported overlap is that of the unscreened product.  Witnesses list
-    failing terms, then failing pairs, in index order.
+    ``R ⪰ 0`` holds exactly when ``rho_AE = ⊕_b Γ_b ⊗ τ_b`` on
+    computational-basis block projectors: ``Tr_E R`` is the 0/1 pattern of
+    the nonzero blocks, which is PSD only as an all-ones pattern on each
+    part of a partition of the basis, and by Cauchy–Schwarz each rank-one
+    piece of ``R`` is then ``1_b ⊗ w``.  So passing either route gives a
+    classical–quantum state in the computational basis, up to a rotation
+    inside each block ``b``.  The map of ``U`` is
+    ``Tr_E[U ((X ⊗ 1) ∘ R) U†]``, and a Schur multiplier by a PSD matrix
+    is CP, so ``R ⪰ 0`` makes every induced map CP.  For an ensemble,
+    ``R = Σ p_i ϱ^(i) ⊗ rho_e_i``, so RESCALED_PSD at ``tol`` gives
+    ``λmin(R) >= -tol``: the projector route holds whenever the rescaled
+    one does, and it does not depend on how the state is written as an
+    ensemble.  Cancellation blocks the rescaled route only; the projector
+    route is still evaluated.  A NON_SL source is reported without
+    evaluating either route: ``rescaled_blocked`` is NON_SL, and each
+    route has one NON_SL witness.  ``tol`` must be a finite number >= 0,
+    else ValueError.
+
+    One Hermiticity check and one ``eigvalsh`` serve the rescaled
+    matrices, and one ``eigvalsh`` the rescaled state.  Witnesses list the
+    failing rescaled terms in index order, then the rescaled state's
+    smallest eigenvalue if that route fails.
     """
     check_tolerance(tol)
-    check_tolerance(support_cutoff, "support_cutoff")
-    check_tolerance(ortho_tol, "ortho_tol")
     if not e.decomposition.is_sl:
         return ConditionReport(
             holds=False, route=ROUTE_NONE, routes=(), sl_class=NON_SL, rescaled_psd=None,
             rescaled_blocked=NON_SL, block_projector=False, witnesses=_non_sl_witnesses(),
         )
     rescaled_blocked, rescaled = _rescaled_route(e, tol)
-    projector = _projector_route(e, tol, support_cutoff, ortho_tol)
+    projector = _projector_route(e, tol)
     # A route that is evaluated holds when it adds no witness.
     rescaled_psd = None if rescaled_blocked else not rescaled
     block_projector = not projector
@@ -489,23 +448,6 @@ def check_condition(
         block_projector=block_projector,
         witnesses=tuple(rescaled + projector),
     )
-
-
-def _condition_witnesses(e: SeparableEnsemble, tol: float) -> tuple[dict, ...] | None:
-    """``check_condition(e, tol).witnesses`` if the condition fails, else None.
-
-    ``tol`` must already be checked.  The BLOCK_PROJECTOR route runs only
-    when RESCALED_PSD does not hold, so a source that passes the first
-    route takes one ``eigh`` and no support projector.
-    """
-    if not e.decomposition.is_sl:
-        return _non_sl_witnesses()
-    # A blocked route adds a witness too, so no witness means it holds.
-    _, rescaled = _rescaled_route(e, tol)
-    if not rescaled:
-        return None
-    projector = _projector_route(e, tol, SUPPORT_CUTOFF, ORTHO_TOL)
-    return tuple(rescaled + projector) if projector else None
 
 
 def component_images(rho_prime, rescaled: RescaledSet) -> tuple[np.ndarray, ...]:

@@ -292,20 +292,16 @@ def test_condition_passing_sources_have_vanishing_discord():
     """Every source that passes the block-support condition has vanishing
     discord, along either route.
 
-    The ``p_i ϱ^(i)`` sum to the all-ones pattern on each coherence block,
-    so PSD rescaled components are multiples of that rank-one pattern and
-    the state is ``⊕_b Γ_b ⊗ τ_b`` on computational blocks; pairwise
-    orthogonal supports give that form in the supports' own basis, which
-    is classical–quantum too.  Seeded sources: random coherent blocks and
-    the flat-block fixture (both routes), and three-term mixtures of one
-    fixed density per block, whose overlapping supports pass the
-    rescaled route only.
+    Either route makes the rescaled state ``R`` PSD, and ``R ⪰ 0`` forces
+    the state to be ``⊕_b Γ_b ⊗ τ_b`` on computational blocks, which is
+    classical–quantum.  Seeded sources, all passing both routes: random
+    coherent blocks, the flat-block fixture, and three-term mixtures of
+    one fixed density per block, whose supports overlap.
     """
     start = time.monotonic()
     rng = np.random.default_rng(1111)
-    both = (ROUTE_RESCALED, ROUTE_BLOCK)
-    cases = [(random_coherent_block_ensemble(rng), both) for _ in range(50)]
-    cases += [(four_block_ensemble(p1), both) for p1 in (0.2, 0.35, 0.5, 0.65, 0.8)]
+    cases = [random_coherent_block_ensemble(rng) for _ in range(50)]
+    cases += [four_block_ensemble(p1) for p1 in (0.2, 0.35, 0.5, 0.65, 0.8)]
     g1 = np.zeros((4, 4), dtype=complex)
     g1[:2, :2] = random_density(2, rng)
     g2 = np.zeros((4, 4), dtype=complex)
@@ -318,10 +314,136 @@ def test_condition_passing_sources_have_vanishing_discord():
             c1, c2 = rng.uniform(0.2, 1.0, size=2)
             rho_a = (c1 * g1 + c2 * g2) / (c1 + c2)
             terms.append(EnsembleTerm(float(weight), rho_a, random_density(2, rng)))
-        cases.append((SeparableEnsemble(4, 2, tuple(terms)), (ROUTE_RESCALED,)))
-    for e, routes in cases:
-        assert check_condition(e).routes == routes
+        cases.append(SeparableEnsemble(4, 2, tuple(terms)))
+    for e in cases:
+        assert check_condition(e).routes == (ROUTE_RESCALED, ROUTE_BLOCK)
         verdict = has_vqd(assemble(e), e.dim_a, e.dim_e)
         assert verdict.status == VQD
         assert verdict.residual <= 1e-10
     assert time.monotonic() - start < 10.0
+
+
+def rescaled_state(e):
+    """Each dim_e x dim_e block of the state over its trace, 0 where the
+    trace vanishes: the Choi matrix of ``X ↦ (X ⊗ 1) ∘ R`` on the span of
+    ``|k>|k>``, so every induced map is CP when it is PSD."""
+    da, de = e.dim_a, e.dim_e
+    blocks = e.state.reshape(da, de, da, de).swapaxes(1, 2)
+    tr = np.trace(blocks, axis1=2, axis2=3)
+    scale = np.divide(1, tr, out=np.zeros_like(tr), where=np.abs(tr) > 1e-10)
+    return (blocks * scale[:, :, None, None]).swapaxes(1, 2).reshape(da * de, -1)
+
+
+def masked_product(rng):
+    """One-term product whose 3x3 system factor has ``rho_a[0, 2] = 0`` with
+    ``rho_a[0, 1]`` and ``rho_a[1, 2]`` nonzero: its coherence pattern is
+    not PSD, so neither is its rescaled state."""
+    rho_a = random_density(3, rng)
+    rho_a[0, 2] = rho_a[2, 0] = 0
+    shift = 0.05 - min(np.linalg.eigvalsh(rho_a)[0], 0.0)
+    rho_a = (rho_a + shift * np.eye(3)) / (1 + 3 * shift)
+    return SeparableEnsemble(3, 2, (EnsembleTerm(1.0, rho_a, random_density(2, rng)),))
+
+
+def three_term_mixture(rng):
+    dim_a, dim_e = rng.integers(2, 4, size=2)
+    p = rng.dirichlet(np.ones(3))
+    return SeparableEnsemble(
+        int(dim_a),
+        int(dim_e),
+        tuple(
+            EnsembleTerm(float(w), random_density(dim_a, rng), random_density(dim_e, rng))
+            for w in p
+        ),
+    )
+
+
+# Each kind of seeded source with the number of its 200 that pass.
+SOUNDNESS_SOURCES = {
+    "coherent": (random_coherent_block_ensemble, 200),
+    "aligned-3x2": (lambda rng: random_vqd_ensemble(3, 2, rng), 200),
+    "haar-3x2": (lambda rng: random_vqd_ensemble(3, 2, rng, haar_basis=True), 0),
+    "discordant": (three_term_mixture, 0),
+    "masked-3x2": (masked_product, 0),
+}
+
+
+@pytest.mark.parametrize("kind", SOUNDNESS_SOURCES)
+def test_condition_passing_sources_have_psd_rescaled_states_and_cp_maps(kind):
+    """Soundness oracle of the condition: every source that passes
+    ``check_condition`` has a PSD rescaled state, vanishing discord, and CP
+    maps for ten Haar unitaries.  The coherent and aligned sources pass,
+    and no rotated, discordant or masked one does."""
+    make, passing = SOUNDNESS_SOURCES[kind]
+    start = time.monotonic()
+    rng = np.random.default_rng([3131, list(SOUNDNESS_SOURCES).index(kind)])
+    held = 0
+    for _ in range(200):
+        e = make(rng)
+        if not check_condition(e).holds:
+            continue
+        held += 1
+        assert np.linalg.eigvalsh(rescaled_state(e))[0] >= -1e-9
+        assert has_vqd(e.state, e.dim_a, e.dim_e).status == VQD
+        d = decompose_blocks(e.state, e.dim_a, e.dim_e)
+        for _ in range(10):
+            assert is_cp(induce(d, haar_unitary(e.dim_a * e.dim_e, rng))).status == CP
+    assert held == passing
+    assert time.monotonic() - start < 10.0
+
+
+def rewritten_product():
+    """``[[.5, .2], [.2, .5]] ⊗ tau`` written as two terms whose rescaled
+    matrices are not PSD; its rescaled state is ``[[1, 1], [1, 1]] ⊗ tau``."""
+    tau = np.diag([0.7, 0.3]).astype(complex)
+    gammas = ([[0.6, 0.4], [0.4, 0.4]], [[0.4, 0.0], [0.0, 0.6]])
+    return SeparableEnsemble(
+        2, 2, tuple(EnsembleTerm(0.5, np.array(g, dtype=complex), tau) for g in gammas)
+    )
+
+
+def masked_fixture():
+    """A zero inside the one support of a product: the map at ``U = I`` is
+    ``X ↦ X ∘ M`` with ``M`` the 0/1 pattern of ``rho_a``, whose smallest
+    eigenvalue is ``1 - √2``; the rescaled state is ``M ⊗ rho_e``."""
+    rho_a = np.array([[0.4, 0.2, 0.0], [0.2, 0.3, 0.1], [0.0, 0.1, 0.3]], dtype=complex)
+    rho_e = np.diag([0.7, 0.3]).astype(complex)
+    return SeparableEnsemble(3, 2, (EnsembleTerm(1.0, rho_a, rho_e),))
+
+
+# Each source with its routes and its rescaled state's smallest eigenvalue.
+CONDITION_PINS = {
+    # supports orthogonal in a rotated basis, which the projector route
+    # passed while it compared supports; its maps are certified
+    # NON_POSITIVE (test_discord.py)
+    "rotated-supports": (
+        lambda: random_vqd_ensemble(2, 2, 7, haar_basis=True), (), -3.138357599780305
+    ),
+    "masked-product": (masked_fixture, (), 0.7 * (1 - np.sqrt(2))),
+    # the rescaled route fails and the projector route holds: it reads the
+    # state, not how the ensemble writes it
+    "rewritten-product": (rewritten_product, (ROUTE_BLOCK,), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", CONDITION_PINS)
+def test_condition_holds_exactly_when_the_rescaled_state_is_psd(case):
+    make, routes, min_eig = CONDITION_PINS[case]
+    e = make()
+    report = check_condition(e)
+    assert report.routes == routes
+    assert report.rescaled_psd is False
+    lam = np.linalg.eigvalsh(rescaled_state(e))[0]
+    assert abs(lam - min_eig) < 1e-12
+    block = [w for w in report.witnesses if w["route"] == ROUTE_BLOCK]
+    if routes:
+        assert block == []
+    else:
+        (witness,) = block
+        assert set(witness) == {"route", "min_eig"}
+        assert abs(witness["min_eig"] - lam) < 1e-12
+    rng = np.random.default_rng(3132)
+    n = e.dim_a * e.dim_e
+    unitaries = [np.eye(n)] + [haar_unitary(n, rng) for _ in range(10)]
+    statuses = {is_cp(induce(e.decomposition, u)).status for u in unitaries}
+    assert (statuses == {CP}) == bool(routes)

@@ -99,6 +99,16 @@ def cancelling_overlapping_ensemble():
     )
 
 
+def cancelling_masked_product():
+    """``|a><a| / 3 + 2 |b><b| / 3`` with ``a ∝ (1, 1, 1)`` and
+    ``b ∝ (1, 2, -1)``: the (0, 2) coherences cancel, leaving a product
+    whose system factor has a zero entry inside its only block."""
+    a = np.full(3, 1 / np.sqrt(3), dtype=complex)
+    b = np.array([1, 2, -1], dtype=complex) / np.sqrt(6)
+    terms = (EnsembleTerm(w, np.outer(v, v.conj()), RHO_E_1) for w, v in ((1 / 3, a), (2 / 3, b)))
+    return SeparableEnsemble(3, 2, tuple(terms))
+
+
 def cancelling_orthogonal_ensemble():
     return SeparableEnsemble(
         2, 2, (EnsembleTerm(0.5, PLUS, RHO_E_1), EnsembleTerm(0.5, MINUS, RHO_E_1))
@@ -148,10 +158,17 @@ def test_check_reports_failed_condition(tmp_path, capsys):
     assert payload["condition"]["witnesses"]
 
 
-def test_check_exit_indeterminate_on_blocked_rescaling(tmp_path, capsys):
+def test_check_decides_blocked_rescaling_by_the_rescaled_state(tmp_path, capsys):
+    # blocked rescaling is no verdict of its own: the rescaled state decides,
+    # holding on this block-diagonal state and failing on a masked product
     path = write_ensemble(tmp_path, "e.json", cancelling_overlapping_ensemble())
     code, payload, _ = run(capsys, ["check", path])
-    assert code == EXIT_INDETERMINATE
+    assert code == EXIT_OK
+    assert payload["condition"]["routes"] == ["BLOCK_PROJECTOR"]
+    assert payload["condition"]["rescaled_blocked"] == "CANCELLATION"
+    path = write_ensemble(tmp_path, "e.json", cancelling_masked_product())
+    code, payload, _ = run(capsys, ["check", path])
+    assert code == EXIT_CONDITION_FAILS
     assert payload["condition"]["rescaled_blocked"] == "CANCELLATION"
     assert payload["condition"]["block_projector"] is False
 
@@ -162,6 +179,16 @@ def test_check_cancellation_with_orthogonal_supports_still_holds(tmp_path, capsy
     assert code == EXIT_OK
     assert payload["condition"]["routes"] == ["BLOCK_PROJECTOR"]
     assert payload["condition"]["rescaled_blocked"] == "CANCELLATION"
+
+
+@pytest.mark.parametrize("flag", ["--support-cutoff", "--ortho-tol"])
+def test_check_takes_no_support_flags(tmp_path, capsys, flag):
+    # the condition takes one tolerance: the support cutoff and the overlap
+    # tolerance went with the support projectors
+    path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
+    code, payload, err = run(capsys, ["check", path, flag, "1e-9"])
+    assert (code, payload) == (EXIT_USAGE, None)
+    assert flag in err
 
 
 def test_induce_reports_reference_output(tmp_path, capsys):
@@ -509,8 +536,8 @@ def test_hunt_reports_vqd_precondition(tmp_path, capsys):
 def test_zero_tolerance_gates_accept_rounding_in_the_rescaled_matrices(tmp_path, capsys):
     # The rescaled matrices of this source deviate from Hermitian by
     # rounding (1.6e-33), which a gate at tol = 0 without the Hermiticity
-    # floor rejected with exit code 64; its projection residuals are
-    # rounding too (below 1e-15), under the same floor.
+    # floor rejected with exit code 64; its rescaled state's smallest
+    # eigenvalue is rounding too (-2.2e-16), under the same floor.
     e = random_coherent_block_ensemble(np.random.default_rng(0))
     path = write_ensemble(tmp_path, "e.json", e)
     code, payload, err = run(capsys, ["check", path, "--tol", "0"])
@@ -533,9 +560,7 @@ def test_flag_defaults_are_the_library_defaults():
         dataclasses.asdict(SearchConfig())
     )
     check = parser.parse_args(["check", "e.json"])
-    assert (check.tol, check.support_cutoff, check.ortho_tol) == tuple(
-        default_of(check_condition, name) for name in ("tol", "support_cutoff", "ortho_tol")
-    )
+    assert check.tol == default_of(check_condition, "tol")
     assert check.vqd_tol == default_of(has_vqd, "tol")
     induce = parser.parse_args(["induce", "s.json", "u.json", "i.json"])
     assert induce.cp_tol == default_of(is_cp, "tol")
@@ -595,8 +620,6 @@ def test_hunt_rejects_params_it_cannot_use(tmp_path, capsys, flags, message):
     "command,flag",
     [
         ("check", "--tol"),
-        ("check", "--support-cutoff"),
-        ("check", "--ortho-tol"),
         ("check", "--vqd-tol"),
         ("induce", "--cp-tol"),
         ("induce", "--witness-tol"),
@@ -729,7 +752,7 @@ REPORT_KEYS = {
                 ]
             ),
             "vqd": {"status": None, "residual": None, "basis": MATRIX},
-            "config": dict.fromkeys(["tol", "support_cutoff", "ortho_tol", "vqd_tol", "seed"]),
+            "config": dict.fromkeys(["tol", "vqd_tol", "seed"]),
         },
     ),
     "induce": (

@@ -66,8 +66,8 @@ def cancelling_orthogonal_ensemble():
     """|+><+| and |-><-| with one environment state.
 
     The off-diagonal coefficients cancel exactly while each component is
-    nonzero there, so the rescaled route is indeterminate; the supports
-    are orthogonal, so the projector route still decides.
+    nonzero there, so the rescaled route is indeterminate; the state is
+    I/2 ⊗ rho_e, so the projector route still decides.
     """
     return SeparableEnsemble(
         2, 2, (EnsembleTerm(0.5, PLUS, RHO_E_1), EnsembleTerm(0.5, MINUS, RHO_E_1))
@@ -77,8 +77,8 @@ def cancelling_orthogonal_ensemble():
 def cancelling_overlapping_ensemble():
     """Cancelling off-diagonal coefficients plus an overlapping third term.
 
-    Neither route can decide: rescaling is indeterminate and the third
-    support overlaps the first two.
+    Rescaling is indeterminate and the third support overlaps the first
+    two, yet the state is block diagonal, so its rescaled state is PSD.
     """
     return SeparableEnsemble(
         2,
@@ -383,9 +383,9 @@ def test_condition_holds_on_random_aligned_block_ensembles():
 
 def test_condition_at_zero_tol_accepts_rounding_in_the_rescaled_matrices():
     # The rescaled matrices of this source deviate from Hermitian by 1.6e-33
-    # and 4.8e-16, and its rho_a factors differ from their support
-    # projections by 4.4e-16 and 8.9e-16.  Both checks take the Hermiticity
-    # floor, so at tol = 0 neither route fails on rounding.
+    # and 4.8e-16, and its rescaled state has smallest eigenvalue -2.2e-16.
+    # Both checks take the Hermiticity floor, so at tol = 0 neither route
+    # fails on rounding.
     e = random_coherent_block_ensemble(np.random.default_rng(0))
     matrices = np.stack(rescaled_matrices(e).matrices)
     assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).min() > 0.0
@@ -406,9 +406,14 @@ def test_condition_fails_on_overlapping_supports_with_witnesses():
     eig_witnesses = [w for w in report.witnesses if w.get("route") == ROUTE_RESCALED]
     assert eig_witnesses and eig_witnesses[0]["term"] == 1
     assert eig_witnesses[0]["min_eig"] < -0.5
-    overlap_witnesses = [w for w in report.witnesses if w.get("route") == ROUTE_BLOCK]
-    assert overlap_witnesses and overlap_witnesses[0]["pair"] == [0, 1]
-    assert abs(overlap_witnesses[0]["overlap"] - 1.0 / np.sqrt(2.0)) < 1e-9
+    # the rescaled state [[(2 rho_e_1 + rho_e_2) / 3, rho_e_2], [rho_e_2, rho_e_2]]
+    # has Schur complement 2 (rho_e_1 - rho_e_2) / 3, which is not PSD
+    rescaled_state = np.block(
+        [[(2 * RHO_E_1 + RHO_E_2) / 3, RHO_E_2], [RHO_E_2, RHO_E_2]]
+    )
+    (block,) = [w for w in report.witnesses if w["route"] == ROUTE_BLOCK]
+    assert set(block) == {"route", "min_eig"}
+    assert abs(block["min_eig"] - np.linalg.eigvalsh(rescaled_state)[0]) < 1e-12
 
 
 def test_condition_survives_cancellation_when_supports_are_orthogonal():
@@ -421,11 +426,14 @@ def test_condition_survives_cancellation_when_supports_are_orthogonal():
     assert any(w.get("error") == CANCELLATION for w in report.witnesses)
 
 
-def test_condition_indeterminate_when_cancellation_meets_overlap():
+def test_condition_holds_when_cancellation_meets_overlap():
+    # the rescaled state decides what the blocked rescaling cannot: the
+    # state is diag(rho_e_1 / 4 + rho_e_2 / 2, rho_e_1 / 4)
     report = check_condition(cancelling_overlapping_ensemble())
-    assert not report.holds
+    assert report.holds
+    assert report.routes == (ROUTE_BLOCK,)
     assert report.rescaled_blocked == CANCELLATION
-    assert report.block_projector is False
+    assert report.block_projector is True
 
 
 def test_condition_fails_on_traceless_blocks():
