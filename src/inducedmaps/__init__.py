@@ -81,11 +81,7 @@ from .search import (
     scan,
 )
 from .states import (
-    CANCELLATION,
     NON_SL,
-    ROUTE_BLOCK,
-    ROUTE_NONE,
-    ROUTE_RESCALED,
     SL,
     ConditionReport,
     EnsembleTerm,

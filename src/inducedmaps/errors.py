@@ -28,8 +28,9 @@ class NonSLError(InducedMapsError):
 
 class CancellationError(InducedMapsError):
     """Ensemble components cancel on a coherence entry (zero total
-    coefficient with nonzero per-component weight); the rescaled
-    matrices, and with them the entrywise condition, are indeterminate."""
+    coefficient with nonzero per-component weight), so the per-component
+    rescaled matrices are indeterminate.  The block-support condition
+    does not need them: it reads the rescaled state alone."""
 
 
 class NotPsdError(InducedMapsError):

@@ -103,8 +103,8 @@ def random_coherent_block_ensemble(rng) -> SeparableEnsemble:
     factor is a full-rank random 2x2 density matrix (generically nonzero
     in every entry, hence internally coherent), and the weights stay away
     from the boundary; each term's environment factor is a random qubit
-    state.  Both routes of the block-support condition hold for these
-    ensembles.
+    state.  The block-support condition holds for these ensembles, and
+    so does the per-term condition: every rescaled matrix is PSD.
     """
     rng = np.random.default_rng(rng)
     p1 = float(rng.uniform(0.3, 0.7))

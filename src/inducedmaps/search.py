@@ -8,9 +8,9 @@ map, takes the Choi spectrum and shift norm, and probes positivity
 open); reports classify as CP, NON_POSITIVE (certified witness), AFFINE
 (nonzero shift), or POSITIVE_NOT_CP_CANDIDATE.
 
-For exact inputs the two preconditions exclude each other.  Either route
-of the condition makes the rescaled state ``R`` (each coherence block over
-its trace) positive semidefinite, and ``R ⪰ 0`` forces
+For exact inputs the two preconditions exclude each other.  The
+condition holds when the rescaled state ``R`` (each coherence block over
+its trace) is positive semidefinite, and ``R ⪰ 0`` forces
 ``rho_AE = ⊕_b Γ_b ⊗ τ_b`` on computational blocks: a state that is
 classical–quantum in the computational basis, up to a rotation inside
 each block, whose induced maps are all CP (Shabani & Lidar, PRL 102,
@@ -333,14 +333,15 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
 
     Preconditions, enforced in order: the ensemble must pass
     :func:`check_condition` at ``cfg.condition_tol`` (else
-    :class:`PreconditionTheoremError`, whose message lists that report's
-    witnesses) and its assembled state must not verify as
-    vanishing-discord (else :class:`PreconditionVqdError`).  Surviving reports are filtered to
+    :class:`PreconditionTheoremError`, whose message gives that report's
+    ``min_eig``, or says that the state is NON_SL) and its assembled
+    state must not verify as vanishing-discord (else
+    :class:`PreconditionVqdError`).  Surviving reports are filtered to
     POSITIVE_NOT_CP_CANDIDATE entries whose Choi eigenvalue is below
     ``-cfg.candidate_threshold`` and sorted most negative first.  An empty
     result is a valid outcome, not an error.
 
-    Passing the condition by either route makes the assembled state
+    Passing the condition makes the assembled state
     classical–quantum in the computational basis (see the module
     docstring), so for exact inputs every source that clears the first
     gate is stopped by the second.  The search itself runs only when
@@ -349,9 +350,12 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
     """
     condition = check_condition(e, cfg.condition_tol)
     if not condition.holds:
-        raise PreconditionTheoremError(
-            f"block-support condition does not hold: witnesses {list(condition.witnesses)}"
+        reason = (
+            "the state is NON_SL"
+            if condition.min_eig is None
+            else f"rescaled state has min_eig {condition.min_eig:.3e}"
         )
+        raise PreconditionTheoremError(f"block-support condition does not hold: {reason}")
     # The condition gate validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
     if verdict.status == VQD:

@@ -38,19 +38,13 @@ BLOCK_TRACE_TOL = 1e-10
 # A block with every entry below this magnitude counts as the zero block.
 BLOCK_ZERO_TOL = 1e-10
 
-# Ceiling on the terms of an ensemble.  check_condition rescales every
-# term and keeps a witness per failing one, so the term count bounds its
-# time and memory.
+# Ceiling on the terms of an ensemble.  Assembling the state and
+# rescaling the components touch every term, so the term count bounds
+# their time and memory.
 MAX_TERMS = 256
 
 SL = "SL"
 NON_SL = "NON_SL"
-
-CANCELLATION = "CANCELLATION"
-
-ROUTE_RESCALED = "RESCALED_PSD"
-ROUTE_BLOCK = "BLOCK_PROJECTOR"
-ROUTE_NONE = "NONE"
 
 
 class PairClass(IntEnum):
@@ -248,22 +242,14 @@ class RescaledSet:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the block-support condition with per-route detail.
-
-    ``routes`` lists every route that holds; ``route`` is the first of
-    them or ``"NONE"``.  ``rescaled_psd`` is None when that route could
-    not be evaluated (``rescaled_blocked`` then names the reason,
-    CANCELLATION or NON_SL).
+    """Outcome of the block-support condition: whether it holds, the SL
+    class of the state, and ``λmin`` of its rescaled state (None for a
+    NON_SL state, which has no rescaled state).
     """
 
     holds: bool
-    route: str
-    routes: tuple[str, ...]
     sl_class: str
-    rescaled_psd: bool | None
-    rescaled_blocked: str | None
-    block_projector: bool
-    witnesses: tuple[dict, ...]
+    min_eig: float | None
 
 
 def assemble(e: SeparableEnsemble) -> np.ndarray:
@@ -354,100 +340,40 @@ def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
     return RescaledSet(ratios, defined)
 
 
-def _non_sl_witnesses() -> tuple[dict, ...]:
-    # One NON_SL witness per route: neither is evaluated.
-    return tuple({"route": r, "error": NON_SL} for r in (ROUTE_RESCALED, ROUTE_BLOCK))
-
-
-def _rescaled_route(e: SeparableEnsemble, tol: float) -> tuple[str | None, list[dict]]:
-    # Route RESCALED_PSD of an SL-class ensemble: the reason it is blocked
-    # (CANCELLATION) or None, and its witnesses, failing terms in order.
-    try:
-        rs = rescaled_matrices(e)
-    except CancellationError as exc:
-        return CANCELLATION, [{"route": ROUTE_RESCALED, "error": CANCELLATION, "detail": str(exc)}]
-    herm = check_hermitian(rs.matrices, tol, "rescaled matrix")
-    lam = np.linalg.eigvalsh(herm)[:, 0]
-    return None, [
-        {"route": ROUTE_RESCALED, "term": int(i), "min_eig": float(lam[i])}
-        for i in np.flatnonzero(~(lam >= -tol))
-    ]
-
-
-def _projector_route(e: SeparableEnsemble, tol: float) -> list[dict]:
-    # Witness of route BLOCK_PROJECTOR of an SL-class ensemble, if it fails:
-    # the smallest eigenvalue of the rescaled state, which is reassemble
-    # without the coefficients.  The floor is check_hermitian's: an exact
-    # block-projector state rounds to eigenvalues of order -1e-16.
-    d = e.decomposition
-    n = d.dim_a * d.dim_e
-    lam = float(np.linalg.eigvalsh(d.blocks.swapaxes(1, 2).reshape(n, n))[0])
-    if lam >= -max(tol, DEFAULT_HERM_TOL):
-        return []
-    return [{"route": ROUTE_BLOCK, "min_eig": lam}]
-
-
 def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """Evaluate the block-support positivity condition along both routes.
+    """Evaluate the block-support positivity condition on the rescaled state.
 
-    Route RESCALED_PSD holds when every rescaled component matrix is
-    positive semidefinite (smallest eigenvalue >= ``-tol``).  Route
-    BLOCK_PROJECTOR holds when the assembled state is SL class and its
+    The condition holds when the assembled state is SL class and its
     *rescaled state* ``R`` (block ``(k, l)`` divided by its trace, 0 on
     ZERO_BLOCK pairs) is positive semidefinite within
     ``max(tol, DEFAULT_HERM_TOL)``, the rounding floor of
-    :func:`~inducedmaps.linalg.check_hermitian`.  The condition holds when
-    either route does.
+    :func:`~inducedmaps.linalg.check_hermitian`: an exact block state
+    rounds to eigenvalues of order -1e-16.  ``min_eig`` is ``λmin(R)``,
+    from one ``eigvalsh``; a NON_SL source fails with ``min_eig`` None.
+    ``tol`` must be a finite number >= 0, else ValueError.
 
     ``R ⪰ 0`` holds exactly when ``rho_AE = ⊕_b Γ_b ⊗ τ_b`` on
     computational-basis block projectors: ``Tr_E R`` is the 0/1 pattern of
     the nonzero blocks, which is PSD only as an all-ones pattern on each
     part of a partition of the basis, and by Cauchy–Schwarz each rank-one
-    piece of ``R`` is then ``1_b ⊗ w``.  So passing either route gives a
-    classical–quantum state in the computational basis, up to a rotation
-    inside each block ``b``.  The map of ``U`` is
-    ``Tr_E[U ((X ⊗ 1) ∘ R) U†]``, and a Schur multiplier by a PSD matrix
-    is CP, so ``R ⪰ 0`` makes every induced map CP.  For an ensemble,
-    ``R = Σ p_i ϱ^(i) ⊗ rho_e_i``, so RESCALED_PSD at ``tol`` gives
-    ``λmin(R) >= -tol``: the projector route holds whenever the rescaled
-    one does, and it does not depend on how the state is written as an
-    ensemble.  Cancellation blocks the rescaled route only; the projector
-    route is still evaluated.  A NON_SL source is reported without
-    evaluating either route: ``rescaled_blocked`` is NON_SL, and each
-    route has one NON_SL witness.  ``tol`` must be a finite number >= 0,
-    else ValueError.
-
-    One Hermiticity check and one ``eigvalsh`` serve the rescaled
-    matrices, and one ``eigvalsh`` the rescaled state.  Witnesses list the
-    failing rescaled terms in index order, then the rescaled state's
-    smallest eigenvalue if that route fails.
+    piece of ``R`` is then ``1_b ⊗ w``.  So a passing source is
+    classical–quantum in the computational basis, up to a rotation inside
+    each block ``b``.  The map of ``U`` is ``Tr_E[U ((X ⊗ 1) ∘ R) U†]``,
+    and a Schur multiplier by a PSD matrix is CP, so ``R ⪰ 0`` makes
+    every induced map CP.  For an ensemble ``R = Σ p_i ϱ^(i) ⊗ rho_e_i``
+    with ``ϱ^(i)`` the :func:`rescaled_matrices`, so the paper's per-term
+    condition (every ``ϱ^(i)`` PSD within ``tol``) gives
+    ``λmin(R) >= -tol``: it implies this test, which reads the state
+    alone and not how the ensemble writes it.
     """
     check_tolerance(tol)
-    if not e.decomposition.is_sl:
-        return ConditionReport(
-            holds=False, route=ROUTE_NONE, routes=(), sl_class=NON_SL, rescaled_psd=None,
-            rescaled_blocked=NON_SL, block_projector=False, witnesses=_non_sl_witnesses(),
-        )
-    rescaled_blocked, rescaled = _rescaled_route(e, tol)
-    projector = _projector_route(e, tol)
-    # A route that is evaluated holds when it adds no witness.
-    rescaled_psd = None if rescaled_blocked else not rescaled
-    block_projector = not projector
-    routes = tuple(
-        name
-        for name, ok in ((ROUTE_RESCALED, rescaled_psd), (ROUTE_BLOCK, block_projector))
-        if ok
-    )
-    return ConditionReport(
-        holds=bool(routes),
-        route=routes[0] if routes else ROUTE_NONE,
-        routes=routes,
-        sl_class=SL,
-        rescaled_psd=rescaled_psd,
-        rescaled_blocked=rescaled_blocked,
-        block_projector=block_projector,
-        witnesses=tuple(rescaled + projector),
-    )
+    d = e.decomposition
+    if not d.is_sl:
+        return ConditionReport(holds=False, sl_class=NON_SL, min_eig=None)
+    n = d.dim_a * d.dim_e
+    # R is reassemble(d) without the coefficients.
+    lam = float(np.linalg.eigvalsh(d.blocks.swapaxes(1, 2).reshape(n, n))[0])
+    return ConditionReport(holds=lam >= -max(tol, DEFAULT_HERM_TOL), sl_class=SL, min_eig=lam)
 
 
 def component_images(rho_prime, rescaled: RescaledSet) -> tuple[np.ndarray, ...]:

@@ -18,8 +18,6 @@ from inducedmaps import (
     CP,
     NO_VIOLATION_FOUND,
     NON_SL,
-    ROUTE_BLOCK,
-    ROUTE_RESCALED,
     VQD,
     EnsembleTerm,
     PreconditionVqdError,
@@ -290,13 +288,14 @@ def test_hunt_on_condition_passing_coherent_blocks():
 
 def test_condition_passing_sources_have_vanishing_discord():
     """Every source that passes the block-support condition has vanishing
-    discord, along either route.
+    discord.
 
-    Either route makes the rescaled state ``R`` PSD, and ``R ⪰ 0`` forces
-    the state to be ``⊕_b Γ_b ⊗ τ_b`` on computational blocks, which is
-    classical–quantum.  Seeded sources, all passing both routes: random
-    coherent blocks, the flat-block fixture, and three-term mixtures of
-    one fixed density per block, whose supports overlap.
+    The condition holds when the rescaled state ``R`` is PSD, and
+    ``R ⪰ 0`` forces the state to be ``⊕_b Γ_b ⊗ τ_b`` on computational
+    blocks, which is classical–quantum.  Seeded sources, all passing the
+    condition and the per-term condition on their rescaled matrices:
+    random coherent blocks, the flat-block fixture, and three-term
+    mixtures of one fixed density per block, whose supports overlap.
     """
     start = time.monotonic()
     rng = np.random.default_rng(1111)
@@ -316,7 +315,8 @@ def test_condition_passing_sources_have_vanishing_discord():
             terms.append(EnsembleTerm(float(weight), rho_a, random_density(2, rng)))
         cases.append(SeparableEnsemble(4, 2, tuple(terms)))
     for e in cases:
-        assert check_condition(e).routes == (ROUTE_RESCALED, ROUTE_BLOCK)
+        assert check_condition(e).holds
+        assert (np.linalg.eigvalsh(rescaled_matrices(e).matrices)[:, 0] >= -1e-12).all()
         verdict = has_vqd(assemble(e), e.dim_a, e.dim_e)
         assert verdict.status == VQD
         assert verdict.residual <= 1e-10
@@ -392,6 +392,32 @@ def test_condition_passing_sources_have_psd_rescaled_states_and_cp_maps(kind):
     assert time.monotonic() - start < 10.0
 
 
+@functools.cache
+def soundness_sources(kind):
+    """The 200 seeded sources of ``kind`` that the soundness oracle draws."""
+    make, _ = SOUNDNESS_SOURCES[kind]
+    rng = np.random.default_rng([3131, list(SOUNDNESS_SOURCES).index(kind)])
+    return tuple(make(rng) for _ in range(200))
+
+
+@pytest.mark.parametrize("kind", SOUNDNESS_SOURCES)
+def test_per_term_condition_implies_the_rescaled_state_test(kind):
+    """The paper's per-term condition implies the one test: when every
+    rescaled matrix ``ϱ^(i)`` is PSD within ``tol``, so is
+    ``R = Σ p_i ϱ^(i) ⊗ rho_e_i``, and ``check_condition`` holds at
+    ``tol``.  No rotated, discordant or masked source passes the per-term
+    condition, so the coherent and aligned sources exercise the
+    implication."""
+    implied = 0
+    for tol in (0.0, 1e-9, 1e-6, 1e-3):
+        for e in soundness_sources(kind):
+            matrices = rescaled_matrices(e).matrices
+            if np.linalg.eigvalsh(matrices)[:, 0].min() >= -tol:
+                implied += 1
+                assert check_condition(e, tol).holds
+    assert (implied > 0) == (SOUNDNESS_SOURCES[kind][1] > 0)
+
+
 def rewritten_product():
     """``[[.5, .2], [.2, .5]] ⊗ tau`` written as two terms whose rescaled
     matrices are not PSD; its rescaled state is ``[[1, 1], [1, 1]] ⊗ tau``."""
@@ -411,39 +437,34 @@ def masked_fixture():
     return SeparableEnsemble(3, 2, (EnsembleTerm(1.0, rho_a, rho_e),))
 
 
-# Each source with its routes and its rescaled state's smallest eigenvalue.
+# Each source with its verdict and its rescaled state's smallest eigenvalue.
+# The per-term condition fails on all three.
 CONDITION_PINS = {
-    # supports orthogonal in a rotated basis, which the projector route
-    # passed while it compared supports; its maps are certified
-    # NON_POSITIVE (test_discord.py)
+    # supports orthogonal in a rotated basis, which the condition passed
+    # while it compared supports; its maps are certified NON_POSITIVE
+    # (test_discord.py)
     "rotated-supports": (
-        lambda: random_vqd_ensemble(2, 2, 7, haar_basis=True), (), -3.138357599780305
+        lambda: random_vqd_ensemble(2, 2, 7, haar_basis=True), False, -3.138357599780305
     ),
-    "masked-product": (masked_fixture, (), 0.7 * (1 - np.sqrt(2))),
-    # the rescaled route fails and the projector route holds: it reads the
-    # state, not how the ensemble writes it
-    "rewritten-product": (rewritten_product, (ROUTE_BLOCK,), 0.0),
+    "masked-product": (masked_fixture, False, 0.7 * (1 - np.sqrt(2))),
+    # the condition holds although the per-term condition fails: it reads
+    # the state, not how the ensemble writes it
+    "rewritten-product": (rewritten_product, True, 0.0),
 }
 
 
 @pytest.mark.parametrize("case", CONDITION_PINS)
 def test_condition_holds_exactly_when_the_rescaled_state_is_psd(case):
-    make, routes, min_eig = CONDITION_PINS[case]
+    make, holds, min_eig = CONDITION_PINS[case]
     e = make()
     report = check_condition(e)
-    assert report.routes == routes
-    assert report.rescaled_psd is False
+    assert report.holds is holds
+    assert np.linalg.eigvalsh(rescaled_matrices(e).matrices)[:, 0].min() < -0.1
     lam = np.linalg.eigvalsh(rescaled_state(e))[0]
     assert abs(lam - min_eig) < 1e-12
-    block = [w for w in report.witnesses if w["route"] == ROUTE_BLOCK]
-    if routes:
-        assert block == []
-    else:
-        (witness,) = block
-        assert set(witness) == {"route", "min_eig"}
-        assert abs(witness["min_eig"] - lam) < 1e-12
+    assert abs(report.min_eig - lam) < 1e-12
     rng = np.random.default_rng(3132)
     n = e.dim_a * e.dim_e
     unitaries = [np.eye(n)] + [haar_unitary(n, rng) for _ in range(10)]
     statuses = {is_cp(induce(e.decomposition, u)).status for u in unitaries}
-    assert (statuses == {CP}) == bool(routes)
+    assert (statuses == {CP}) == holds

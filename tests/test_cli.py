@@ -30,6 +30,7 @@ from inducedmaps import (
     has_vqd,
     is_cp,
     probe_positivity,
+    rescaled_matrices,
 )
 from inducedmaps.cli import (
     EXIT_CONDITION_FAILS,
@@ -144,7 +145,7 @@ def test_check_reports_holding_condition(tmp_path, capsys):
     assert code == EXIT_OK
     assert payload["sl_class"] == "SL"
     assert payload["condition"]["holds"] is True
-    assert payload["condition"]["routes"] == ["RESCALED_PSD", "BLOCK_PROJECTOR"]
+    assert abs(payload["condition"]["min_eig"]) < 1e-12
     assert payload["vqd"]["status"] == "VQD"
     assert payload["config"]["tol"] == 1e-9
     assert payload["config"]["seed"] == 0
@@ -154,8 +155,10 @@ def test_check_reports_failed_condition(tmp_path, capsys):
     path = write_ensemble(tmp_path, "e.json", overlapping_ensemble())
     code, payload, _ = run(capsys, ["check", path])
     assert code == EXIT_CONDITION_FAILS
-    assert payload["condition"]["holds"] is False
-    assert payload["condition"]["witnesses"]
+    assert payload["condition"] == {
+        "holds": False,
+        "min_eig": check_condition(overlapping_ensemble()).min_eig,
+    }
 
 
 def test_check_decides_blocked_rescaling_by_the_rescaled_state(tmp_path, capsys):
@@ -164,21 +167,20 @@ def test_check_decides_blocked_rescaling_by_the_rescaled_state(tmp_path, capsys)
     path = write_ensemble(tmp_path, "e.json", cancelling_overlapping_ensemble())
     code, payload, _ = run(capsys, ["check", path])
     assert code == EXIT_OK
-    assert payload["condition"]["routes"] == ["BLOCK_PROJECTOR"]
-    assert payload["condition"]["rescaled_blocked"] == "CANCELLATION"
+    assert payload["condition"]["min_eig"] > 0
     path = write_ensemble(tmp_path, "e.json", cancelling_masked_product())
     code, payload, _ = run(capsys, ["check", path])
     assert code == EXIT_CONDITION_FAILS
-    assert payload["condition"]["rescaled_blocked"] == "CANCELLATION"
-    assert payload["condition"]["block_projector"] is False
+    assert payload["condition"]["holds"] is False
+    assert payload["condition"]["min_eig"] < -0.1
 
 
 def test_check_cancellation_with_orthogonal_supports_still_holds(tmp_path, capsys):
     path = write_ensemble(tmp_path, "e.json", cancelling_orthogonal_ensemble())
     code, payload, _ = run(capsys, ["check", path])
     assert code == EXIT_OK
-    assert payload["condition"]["routes"] == ["BLOCK_PROJECTOR"]
-    assert payload["condition"]["rescaled_blocked"] == "CANCELLATION"
+    # the rescaled state is I ⊗ rho_e_1
+    assert payload["condition"] == {"holds": True, "min_eig": pytest.approx(0.3, abs=1e-12)}
 
 
 @pytest.mark.parametrize("flag", ["--support-cutoff", "--ortho-tol"])
@@ -533,6 +535,36 @@ def test_hunt_reports_vqd_precondition(tmp_path, capsys):
     assert "vanishing discord" in payload["error"]["message"]
 
 
+def one_ulp_ensemble():
+    """Two equal-weight terms on orthogonal environments whose block (0, 1)
+    coefficients nearly cancel; the first ``rho_a`` is Hermitian to one ulp,
+    so its rescaled matrix deviates from Hermitian by 8.3."""
+    first = np.array([[0.5, 0.1 + 0.2], [0.3, 0.5]], dtype=complex)
+    second = np.array([[0.5, -0.3 + 2e-9], [-0.3 + 2e-9, 0.5]], dtype=complex)
+    return SeparableEnsemble(
+        2, 2, (EnsembleTerm(0.5, first, ZERO), EnsembleTerm(0.5, second, np.diag([0.0, 1.0]) + 0j))
+    )
+
+
+def test_gates_decide_a_one_ulp_hermitian_ensemble(tmp_path, capsys):
+    # the condition is a verdict on the rescaled state, never a Hermiticity
+    # error of the rescaled matrices (exit 64)
+    e = one_ulp_ensemble()
+    matrices = rescaled_matrices(e).matrices
+    assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max() > 1.0
+    report = check_condition(e)
+    assert report.holds is False
+    assert np.isfinite(report.min_eig) and report.min_eig < -1e7
+    path = write_ensemble(tmp_path, "e.json", e)
+    code, payload, err = run(capsys, ["check", path])
+    assert (code, err) == (EXIT_CONDITION_FAILS, "")
+    assert payload["condition"] == {"holds": False, "min_eig": report.min_eig}
+    code, payload, err = run(capsys, ["hunt", path, "--trials", "2", "--budget", "20"])
+    assert (code, err) == (EXIT_CONDITION_FAILS, "")
+    assert payload["error"]["code"] == "PRECONDITION_THEOREM"
+    assert "min_eig" in payload["error"]["message"]
+
+
 def test_zero_tolerance_gates_accept_rounding_in_the_rescaled_matrices(tmp_path, capsys):
     # The rescaled matrices of this source deviate from Hermitian by
     # rounding (1.6e-33), which a gate at tol = 0 without the Hermiticity
@@ -542,8 +574,8 @@ def test_zero_tolerance_gates_accept_rounding_in_the_rescaled_matrices(tmp_path,
     path = write_ensemble(tmp_path, "e.json", e)
     code, payload, err = run(capsys, ["check", path, "--tol", "0"])
     assert (code, err) == (EXIT_OK, "")
-    assert payload["condition"]["routes"] == ["RESCALED_PSD", "BLOCK_PROJECTOR"]
-    assert payload["condition"]["witnesses"] == []
+    assert payload["condition"]["holds"] is True
+    assert -1e-15 < payload["condition"]["min_eig"] < 0.0
     code, payload, err = run(capsys, ["hunt", path, "--condition-tol", "0"])
     assert (code, err) == (EXIT_CONDITION_FAILS, "")
     assert payload["error"]["code"] == "PRECONDITION_VQD"
@@ -740,17 +772,7 @@ REPORT_KEYS = {
         check_argv,
         {
             "sl_class": None,
-            "condition": dict.fromkeys(
-                [
-                    "holds",
-                    "route",
-                    "routes",
-                    "rescaled_psd",
-                    "rescaled_blocked",
-                    "block_projector",
-                    "witnesses",
-                ]
-            ),
+            "condition": dict.fromkeys(["holds", "min_eig"]),
             "vqd": {"status": None, "residual": None, "basis": MATRIX},
             "config": dict.fromkeys(["tol", "vqd_tol", "seed"]),
         },
@@ -898,6 +920,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "PASS"
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], str(README), "exec"), namespace)
+    # what the README's comments say each print shows
+    status, lam, condition = capsys.readouterr().out.splitlines()
+    assert (status, condition) == ("NOT_CP_AFFINE", "True 0.5")
+    assert abs(float(lam) - (1 - np.sqrt(5)) / 4) < 1e-12
 
 
 def test_readme_command_lines_parse():

@@ -13,11 +13,7 @@ from inducedmaps import (
     CP,
     GENERATOR,
     NO_VIOLATION_FOUND,
-    ROUTE_BLOCK,
-    ROUTE_NONE,
-    ROUTE_RESCALED,
     VIOLATED,
-    CancellationError,
     ConditionReport,
     EnsembleTerm,
     HermiticityError,
@@ -1217,48 +1213,11 @@ def reference_rescaled_state(e):
 
 
 def reference_condition(e, tol=1e-9):
-    """Per term: one eigvalsh per rescaled matrix; then one eigvalsh of the
-    rescaled state filled block by block."""
-    witnesses = []
-    sl = e.decomposition.is_sl
-    rescaled_psd = blocked = None
-    if not sl:
-        blocked = "NON_SL"
-        witnesses.append({"route": ROUTE_RESCALED, "error": "NON_SL"})
-    else:
-        try:
-            rs = rescaled_matrices(e)
-        except CancellationError as exc:
-            blocked = "CANCELLATION"
-            witnesses.append({"route": ROUTE_RESCALED, "error": blocked, "detail": str(exc)})
-        else:
-            rescaled_psd = True
-            for i, m in enumerate(rs.matrices):
-                lam = float(np.linalg.eigvalsh(check_hermitian(m, tol, "m"))[0])
-                if not lam >= -tol:
-                    rescaled_psd = False
-                    witnesses.append({"route": ROUTE_RESCALED, "term": i, "min_eig": lam})
-    block_projector = sl
-    if not sl:
-        witnesses.append({"route": ROUTE_BLOCK, "error": "NON_SL"})
-    else:
-        lam = float(np.linalg.eigvalsh(reference_rescaled_state(e))[0])
-        if lam < -max(tol, 1e-9):
-            block_projector = False
-            witnesses.append({"route": ROUTE_BLOCK, "min_eig": lam})
-    routes = tuple(
-        name for name, ok in ((ROUTE_RESCALED, rescaled_psd), (ROUTE_BLOCK, block_projector)) if ok
-    )
-    return ConditionReport(
-        bool(routes),
-        routes[0] if routes else ROUTE_NONE,
-        routes,
-        "SL" if sl else "NON_SL",
-        rescaled_psd,
-        blocked,
-        block_projector,
-        tuple(witnesses),
-    )
+    """One eigvalsh of the rescaled state filled block by block."""
+    if not e.decomposition.is_sl:
+        return ConditionReport(False, "NON_SL", None)
+    lam = float(np.linalg.eigvalsh(reference_rescaled_state(e))[0])
+    return ConditionReport(lam >= -max(tol, 1e-9), "SL", lam)
 
 
 def coherence_components(herm):
@@ -1375,7 +1334,7 @@ def test_gates_match_the_per_term_references_bit_for_bit(kind):
             report = check_condition(e, tol)
             assert report == reference_condition(e, tol)
             assert repr(report) == repr(reference_condition(e, tol))
-        if report.rescaled_blocked is None:
+        if kind not in ("non-sl", "cancellation"):
             rs = rescaled_matrices(e)
             ratios, defined = reference_rescaled(e)
             assert [m.tobytes() for m in rs.matrices] == [m.tobytes() for m in ratios]
@@ -1393,24 +1352,17 @@ def test_gates_match_the_per_term_references_bit_for_bit(kind):
 
 
 def test_condition_reference_covers_every_witness_kind():
-    # the sources above reach each branch of the condition: both routes
-    # fail on a rescaled spectrum, and the rescaled route is blocked by
-    # each of its two errors
+    # the sources above reach each branch of the condition: a NON_SL state
+    # with no rescaled state, and rescaled states that pass and that fail
     rng = np.random.default_rng(17)
     kinds = set()
     for source in GATE_SOURCES.values():
         for _ in range(4):
             e = source(rng)
             for tol in CONDITION_TOLS:
-                for w in check_condition(e, tol).witnesses:
-                    kinds.add((w["route"], w.get("error", "min_eig")))
-    assert kinds == {
-        (ROUTE_RESCALED, "min_eig"),
-        (ROUTE_RESCALED, "CANCELLATION"),
-        (ROUTE_RESCALED, "NON_SL"),
-        (ROUTE_BLOCK, "min_eig"),
-        (ROUTE_BLOCK, "NON_SL"),
-    }
+                report = check_condition(e, tol)
+                kinds.add((report.sl_class, report.holds, report.min_eig is None))
+    assert kinds == {("NON_SL", False, True), ("SL", True, False), ("SL", False, False)}
 
 
 @pytest.mark.parametrize("source", GATE_SOURCES.values(), ids=GATE_SOURCES.keys())
@@ -1507,14 +1459,15 @@ def test_check_condition_makes_a_fixed_number_of_spectral_calls(make, monkeypatc
     e = make(np.random.default_rng(23))
     e.decomposition  # the state's validation is not part of the condition
     calls = []
-    for name in ("eigh", "eigvalsh", "svd"):
+    spied = [(np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd")]
+    for owner, name in spied + [(states, "check_hermitian")]:
 
-        def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _name=name, _real=getattr(owner, name), **kwargs):
             calls.append(_name)
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     check_condition(e)
-    # one for the stack of rescaled matrices, one for the rescaled state,
-    # whatever the term count and whether the condition holds
-    assert calls == ["eigvalsh", "eigvalsh"]
+    # one for the rescaled state, whatever the term count and whether the
+    # condition holds, and no Hermiticity check
+    assert calls == ["eigvalsh"]

@@ -12,9 +12,11 @@ from inducedmaps import (
     HAAR,
     NO_VIOLATION_FOUND,
     VIOLATED,
+    CancellationError,
     CandidateReport,
     CpVerdict,
     EnsembleTerm,
+    NonSLError,
     PositivityProbe,
     PreconditionTheoremError,
     PreconditionVqdError,
@@ -32,6 +34,7 @@ from inducedmaps import (
     has_vqd,
     hermitian_eigen,
     hunt,
+    rescaled_matrices,
     scan,
 )
 from inducedmaps import discord, search, states
@@ -392,12 +395,13 @@ def cancelling_masked_product():
     return SeparableEnsemble(3, 2, tuple(terms))
 
 
-# Each source with the condition report it gives at every tolerance below:
-# (rescaled_blocked, routes).
+# Each source with, at every tolerance below, the per-term condition on its
+# rescaled matrices (PSD, NOT_PSD, or the reason they are undefined) and
+# whether check_condition holds.
 GATE_OUTCOMES = {
     "rescaled-psd": (
         lambda: random_vqd_ensemble(3, 2, 3),
-        (None, ("RESCALED_PSD", "BLOCK_PROJECTOR")),
+        ("PSD", True),
     ),
     # one mixed system factor twice: the rescaled matrices are all-ones,
     # and the two full supports overlap
@@ -405,7 +409,7 @@ GATE_OUTCOMES = {
         lambda: SeparableEnsemble(
             2, 2, tuple(EnsembleTerm(0.5, np.diag([0.6, 0.4]).astype(complex), r) for r in RHO_E)
         ),
-        (None, ("RESCALED_PSD", "BLOCK_PROJECTOR")),
+        ("PSD", True),
     ),
     # the product [[.5, .2], [.2, .5]] ⊗ rho_e written as two terms whose
     # rescaled matrices are not PSD; its rescaled state is 1 ⊗ rho_e
@@ -418,7 +422,7 @@ GATE_OUTCOMES = {
                 for g in ([[0.6, 0.4], [0.4, 0.4]], [[0.4, 0.0], [0.0, 0.6]])
             ),
         ),
-        (None, ("BLOCK_PROJECTOR",)),
+        ("NOT_PSD", True),
     ),
     # |+><+| and |-><-| on one environment: the coherences cancel, and
     # the state is I/2 ⊗ rho_e
@@ -426,20 +430,31 @@ GATE_OUTCOMES = {
         lambda: SeparableEnsemble(
             2, 2, (EnsembleTerm(0.5, PLUS, RHO_E[0]), EnsembleTerm(0.5, MINUS, RHO_E[0]))
         ),
-        ("CANCELLATION", ("BLOCK_PROJECTOR",)),
+        ("CANCELLATION", True),
     ),
     "cancellation-projector-fails": (
         cancelling_masked_product,
-        ("CANCELLATION", ()),
+        ("CANCELLATION", False),
     ),
     "non-sl": (
         lambda: SeparableEnsemble(
             2, 2, (EnsembleTerm(0.5, PLUS, RHO_E[0]), EnsembleTerm(0.5, MINUS, RHO_E[1]))
         ),
-        ("NON_SL", ()),
+        ("NON_SL", False),
     ),
-    "both-routes-fail": (discordant_mixture, (None, ())),
+    "both-routes-fail": (discordant_mixture, ("NOT_PSD", False)),
 }
+
+
+def per_term_condition(e, tol):
+    """The per-term condition: every rescaled matrix PSD within ``tol``."""
+    try:
+        matrices = rescaled_matrices(e).matrices
+    except CancellationError:
+        return "CANCELLATION"
+    except NonSLError:
+        return "NON_SL"
+    return "PSD" if np.linalg.eigvalsh(matrices)[:, 0].min() >= -tol else "NOT_PSD"
 
 
 def gates_from_report(e, cfg):
@@ -447,9 +462,12 @@ def gates_from_report(e, cfg):
     condition gate read off check_condition's whole report."""
     report = check_condition(e, tol=cfg.condition_tol)
     if not report.holds:
-        return PreconditionTheoremError, (
-            f"block-support condition does not hold: witnesses {list(report.witnesses)}"
+        reason = (
+            "the state is NON_SL"
+            if report.sl_class == "NON_SL"
+            else f"rescaled state has min_eig {report.min_eig:.3e}"
         )
+        return PreconditionTheoremError, f"block-support condition does not hold: {reason}"
     verdict = has_vqd(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
     assert verdict.status == "VQD"
     return PreconditionVqdError, (
@@ -463,12 +481,11 @@ def gates_from_report(e, cfg):
 def test_hunt_gate_matches_the_gate_of_the_whole_report(case, tol):
     make, outcome = GATE_OUTCOMES[case]
     e = make()
-    report = check_condition(e, tol=tol)
-    assert (report.rescaled_blocked, report.routes) == outcome
+    assert (per_term_condition(e, tol), check_condition(e, tol=tol).holds) == outcome
     cfg = SearchConfig(trials=1, condition_tol=tol)
     with pytest.raises((PreconditionTheoremError, PreconditionVqdError)) as info:
         hunt(e, cfg)
-    # the message lists the witnesses, so they come in the report's order
+    # the message gives the rescaled state's smallest eigenvalue
     assert (type(info.value), str(info.value)) == gates_from_report(e, cfg)
 
 

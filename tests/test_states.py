@@ -7,11 +7,7 @@ import pytest
 
 from inducedmaps import states
 from inducedmaps import (
-    CANCELLATION,
     NON_SL,
-    ROUTE_BLOCK,
-    ROUTE_NONE,
-    ROUTE_RESCALED,
     SL,
     CancellationError,
     EnsembleTerm,
@@ -66,8 +62,8 @@ def cancelling_orthogonal_ensemble():
     """|+><+| and |-><-| with one environment state.
 
     The off-diagonal coefficients cancel exactly while each component is
-    nonzero there, so the rescaled route is indeterminate; the state is
-    I/2 ⊗ rho_e, so the projector route still decides.
+    nonzero there, so the rescaled matrices are indeterminate; the state
+    is I/2 ⊗ rho_e, so its rescaled state still decides.
     """
     return SeparableEnsemble(
         2, 2, (EnsembleTerm(0.5, PLUS, RHO_E_1), EnsembleTerm(0.5, MINUS, RHO_E_1))
@@ -354,102 +350,89 @@ def test_rescaled_rejects_cancelling_components():
         rescaled_matrices(cancelling_orthogonal_ensemble())
 
 
+def assert_per_term_condition(e, tol=1e-12):
+    """Every rescaled component matrix of ``e`` is PSD within ``tol``."""
+    lam = np.linalg.eigvalsh(rescaled_matrices(e).matrices)[:, 0]
+    assert (lam >= -tol).all(), lam
+
+
 def test_condition_holds_on_flat_block_ensemble_via_both_routes():
-    report = check_condition(four_block_ensemble())
-    assert report.holds
-    assert report.routes == (ROUTE_RESCALED, ROUTE_BLOCK)
-    assert report.route == ROUTE_RESCALED
-    assert report.sl_class == SL
-    assert report.rescaled_psd is True
-    assert report.rescaled_blocked is None
-    assert report.block_projector is True
-    assert report.witnesses == ()
+    # the per-term condition and the rescaled state agree on this source
+    e = four_block_ensemble()
+    assert_per_term_condition(e)
+    report = check_condition(e)
+    assert report == states.ConditionReport(holds=True, sl_class=SL, min_eig=report.min_eig)
+    assert abs(report.min_eig) < 1e-12
 
 
 def test_condition_holds_on_orthogonal_rank_one_mixtures():
     rng = np.random.default_rng(27)
-    report = check_condition(random_vqd_ensemble(3, 2, rng))
+    e = random_vqd_ensemble(3, 2, rng)
+    assert_per_term_condition(e)
+    report = check_condition(e)
     assert report.holds
-    assert report.routes == (ROUTE_RESCALED, ROUTE_BLOCK)
+    assert report.sl_class == SL
 
 
 def test_condition_holds_on_random_aligned_block_ensembles():
     rng = np.random.default_rng(28)
     for _ in range(10):
-        report = check_condition(random_coherent_block_ensemble(rng))
-        assert report.holds
-        assert report.routes == (ROUTE_RESCALED, ROUTE_BLOCK)
+        e = random_coherent_block_ensemble(rng)
+        assert_per_term_condition(e)
+        assert check_condition(e).holds
 
 
 def test_condition_at_zero_tol_accepts_rounding_in_the_rescaled_matrices():
     # The rescaled matrices of this source deviate from Hermitian by 1.6e-33
     # and 4.8e-16, and its rescaled state has smallest eigenvalue -2.2e-16.
-    # Both checks take the Hermiticity floor, so at tol = 0 neither route
-    # fails on rounding.
+    # The test takes the Hermiticity floor, so at tol = 0 it does not fail
+    # on rounding.
     e = random_coherent_block_ensemble(np.random.default_rng(0))
     matrices = np.stack(rescaled_matrices(e).matrices)
     assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).min() > 0.0
     report = check_condition(e, tol=0.0)
     assert report.holds
-    assert report.routes == (ROUTE_RESCALED, ROUTE_BLOCK)
-    assert report.block_projector is True
-    assert report.witnesses == ()
+    assert -1e-15 < report.min_eig < 0.0
 
 
 def test_condition_fails_on_overlapping_supports_with_witnesses():
-    report = check_condition(overlapping_support_ensemble())
+    e = overlapping_support_ensemble()
+    # the per-term condition fails on term 1 ...
+    lam = np.linalg.eigvalsh(rescaled_matrices(e).matrices)[:, 0]
+    assert lam[0] > -1e-12 and lam[1] < -0.5
+    # ... and so does the rescaled state
+    # [[(2 rho_e_1 + rho_e_2) / 3, rho_e_2], [rho_e_2, rho_e_2]], whose Schur
+    # complement 2 (rho_e_1 - rho_e_2) / 3 is not PSD
+    report = check_condition(e)
     assert not report.holds
-    assert report.route == ROUTE_NONE
-    assert report.routes == ()
-    assert report.rescaled_psd is False
-    assert report.block_projector is False
-    eig_witnesses = [w for w in report.witnesses if w.get("route") == ROUTE_RESCALED]
-    assert eig_witnesses and eig_witnesses[0]["term"] == 1
-    assert eig_witnesses[0]["min_eig"] < -0.5
-    # the rescaled state [[(2 rho_e_1 + rho_e_2) / 3, rho_e_2], [rho_e_2, rho_e_2]]
-    # has Schur complement 2 (rho_e_1 - rho_e_2) / 3, which is not PSD
     rescaled_state = np.block(
         [[(2 * RHO_E_1 + RHO_E_2) / 3, RHO_E_2], [RHO_E_2, RHO_E_2]]
     )
-    (block,) = [w for w in report.witnesses if w["route"] == ROUTE_BLOCK]
-    assert set(block) == {"route", "min_eig"}
-    assert abs(block["min_eig"] - np.linalg.eigvalsh(rescaled_state)[0]) < 1e-12
+    assert abs(report.min_eig - np.linalg.eigvalsh(rescaled_state)[0]) < 1e-12
 
 
 def test_condition_survives_cancellation_when_supports_are_orthogonal():
-    report = check_condition(cancelling_orthogonal_ensemble())
+    e = cancelling_orthogonal_ensemble()
+    with pytest.raises(CancellationError):
+        rescaled_matrices(e)
+    # the rescaled state is I ⊗ rho_e_1, with smallest eigenvalue 0.3
+    report = check_condition(e)
     assert report.holds
-    assert report.routes == (ROUTE_BLOCK,)
-    assert report.rescaled_psd is None
-    assert report.rescaled_blocked == CANCELLATION
-    assert report.block_projector is True
-    assert any(w.get("error") == CANCELLATION for w in report.witnesses)
+    assert abs(report.min_eig - 0.3) < 1e-12
 
 
 def test_condition_holds_when_cancellation_meets_overlap():
     # the rescaled state decides what the blocked rescaling cannot: the
     # state is diag(rho_e_1 / 4 + rho_e_2 / 2, rho_e_1 / 4)
-    report = check_condition(cancelling_overlapping_ensemble())
-    assert report.holds
-    assert report.routes == (ROUTE_BLOCK,)
-    assert report.rescaled_blocked == CANCELLATION
-    assert report.block_projector is True
+    e = cancelling_overlapping_ensemble()
+    with pytest.raises(CancellationError):
+        rescaled_matrices(e)
+    assert check_condition(e).holds
 
 
 def test_condition_fails_on_traceless_blocks():
     report = check_condition(traceless_block_ensemble())
-    assert not report.holds
-    assert report.sl_class == NON_SL
-    assert report.rescaled_blocked == NON_SL
-    assert report.block_projector is False
-    routes_with_errors = {w["route"] for w in report.witnesses if "error" in w}
-    assert routes_with_errors == {ROUTE_RESCALED, ROUTE_BLOCK}
-    # neither route is evaluated: one NON_SL witness each, rescaled first
-    assert (report.route, report.routes, report.rescaled_psd) == (ROUTE_NONE, (), None)
-    assert report.witnesses == (
-        {"route": ROUTE_RESCALED, "error": NON_SL},
-        {"route": ROUTE_BLOCK, "error": NON_SL},
-    )
+    assert report == states.ConditionReport(holds=False, sl_class=NON_SL, min_eig=None)
 
 
 def test_component_images_of_all_ones_reproduce_input():
