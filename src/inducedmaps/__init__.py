@@ -68,8 +68,6 @@ from .search import (
     CLASS_CANDIDATE,
     CLASS_CP,
     CLASS_NON_POSITIVE,
-    GENERATOR,
-    HAAR,
     CandidateReport,
     SearchConfig,
     classification_label,

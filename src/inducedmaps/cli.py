@@ -41,15 +41,7 @@ from .linalg import (
 )
 from .maps import DEFAULT_BUDGET, MAX_BUDGET, choi_matrix, induce, probe_stack
 from .presets import bell_density, check_weight, cnot, four_block_ensemble
-from .search import (
-    GENERATOR,
-    HAAR,
-    MAX_TRIALS,
-    SearchConfig,
-    check_param,
-    classification_label,
-    hunt,
-)
+from .search import MAX_TRIALS, SearchConfig, classification_label, hunt
 from .states import (
     check_condition,
     classify_sl,
@@ -221,14 +213,8 @@ def _cmd_discord(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    # Only the family/params pairing is left to refuse: argparse checks
-    # each flag alone.
-    try:
-        cfg = SearchConfig(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)}
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    # argparse has checked every field.
+    cfg = SearchConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SearchConfig)})
     e = load_ensemble(args.ensemble)
     try:
         candidates = hunt(e, cfg)
@@ -342,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("hunt", help="search unitaries for positive-not-CP candidates")
     ph.add_argument("ensemble", help="ensemble JSON file")
-    ph.add_argument("--family", choices=[HAAR, GENERATOR])
-    ph.add_argument("--params", type=_flag(float, check_param), nargs="+",
-                    help="generator parameters (length dim**2) for the GENERATOR family")
     ph.add_argument("--trials", type=trials)
     ph.add_argument("--budget", dest="positivity_budget", metavar="BUDGET", type=budget)
     ph.add_argument("--seed", type=seed)

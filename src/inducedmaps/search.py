@@ -2,11 +2,15 @@
 
 The search space is the joint unitary; the source ensemble is fixed and
 must satisfy the block-support condition while carrying nonzero discord
-(both preconditions are enforced, in that order).  Each trial induces the
-map, takes the Choi spectrum and shift norm, and probes positivity
-(spectrally, or on random pure inputs where that leaves the bracket
-open); reports classify as CP, NON_POSITIVE (certified witness), AFFINE
-(nonzero shift), or POSITIVE_NOT_CP_CANDIDATE.
+(both preconditions are enforced, in that order).  :func:`scan` and
+:func:`hunt` draw one seeded Haar unitary per trial; :func:`classify`
+takes any one unitary, such as a :func:`generator_unitary` of chosen
+parameters, which is how a search steered over parameters runs.  Each
+trial induces the map, takes the Choi spectrum and shift norm, and
+probes positivity (spectrally, or on random pure inputs where that
+leaves the bracket open); reports classify as CP, NON_POSITIVE
+(certified witness), AFFINE (nonzero shift), or
+POSITIVE_NOT_CP_CANDIDATE.
 
 For exact inputs the two preconditions exclude each other.  The
 condition holds when the rescaled state ``R`` (each coherence block over
@@ -53,9 +57,6 @@ from .maps import (
 )
 from .states import SeparableEnsemble, SLDecomposition, check_condition
 
-HAAR = "HAAR"
-GENERATOR = "GENERATOR"
-
 CLASS_CP = "CP"
 CLASS_CANDIDATE = "POSITIVE_NOT_CP_CANDIDATE"
 CLASS_NON_POSITIVE = "NON_POSITIVE"
@@ -64,10 +65,6 @@ CLASS_AFFINE = "AFFINE"
 # Ceiling on ``SearchConfig.trials``: a scan keeps one report, with its
 # unitary, per trial, so the count bounds the memory of its result.
 MAX_TRIALS = 10_000
-
-# Largest magnitude of a GENERATOR parameter: above it float64 spacing
-# exceeds one radian, so ``exp(iH)`` keeps no meaningful phase.
-MAX_GENERATOR_PARAM = 2.0**52
 
 # Default magnitude a negative Choi eigenvalue must exceed for a report to
 # survive :func:`filter_candidates`.
@@ -78,36 +75,21 @@ CANDIDATE_THRESHOLD = 1e-6
 TRIAL_GROUP = 4
 
 
-def check_param(value) -> float:
-    """Return ``value`` as a ``float`` if it is a finite number of magnitude
-    at most ``MAX_GENERATOR_PARAM``, as a GENERATOR parameter must be, else
-    raise ValueError."""
-    x = float(value)
-    if not abs(x) <= MAX_GENERATOR_PARAM:
-        raise ValueError(f"params must be finite numbers of magnitude at most 2**52, got {x}")
-    return x
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings for unitary searches.
 
-    ``family`` picks the unitary source: HAAR draws a fresh seeded random
-    unitary per trial, GENERATOR evaluates the fixed unitary generated by
-    ``params`` (steered searches vary ``params`` externally and call
-    :func:`classify` directly); HAAR takes no ``params``, and each
-    GENERATOR parameter must pass :func:`check_param`.  ``trials`` must
-    be an integer from 1 to ``MAX_TRIALS`` and ``positivity_budget`` one
-    from 1 to ``MAX_BUDGET`` (:func:`~inducedmaps.linalg.check_count`),
-    and ``seed`` an integer >= 0 (:func:`~inducedmaps.linalg.check_seed`),
-    else ValueError.
+    :func:`scan` and :func:`hunt` draw ``trials`` seeded Haar unitaries;
+    :func:`classify` reads the tolerances, budget and seed for a unitary
+    of the caller's choosing.  ``trials`` must be an integer from 1 to
+    ``MAX_TRIALS`` and ``positivity_budget`` one from 1 to ``MAX_BUDGET``
+    (:func:`~inducedmaps.linalg.check_count`), and ``seed`` an integer
+    >= 0 (:func:`~inducedmaps.linalg.check_seed`), else ValueError.
     ``candidate_threshold`` is the magnitude a negative Choi eigenvalue
     must exceed for a report to survive the candidate filter in
     :func:`hunt`.
     """
 
-    family: str = HAAR
-    params: tuple[float, ...] | None = None
     trials: int = 100
     positivity_budget: int = DEFAULT_BUDGET
     seed: int = 0
@@ -118,12 +100,6 @@ class SearchConfig:
     candidate_threshold: float = CANDIDATE_THRESHOLD
 
     def __post_init__(self):
-        if self.family not in (HAAR, GENERATOR):
-            raise ValueError(f"unknown unitary family {self.family!r}")
-        if (self.family == GENERATOR) != (self.params is not None):
-            raise ValueError("the GENERATOR family needs params, and no other family takes them")
-        if self.params is not None:
-            object.__setattr__(self, "params", tuple(check_param(x) for x in self.params))
         object.__setattr__(self, "trials", check_count(self.trials, "trials", MAX_TRIALS))
         object.__setattr__(self, "seed", check_seed(self.seed))
         budget = check_count(self.positivity_budget, "positivity_budget", MAX_BUDGET)
@@ -179,6 +155,8 @@ def generator_unitary(params, dim: int) -> np.ndarray:
     Layout: the first ``dim`` entries are the diagonal of the Hermitian
     generator ``H``; the remaining pairs fill the strict upper triangle in
     row-major order as (real, imaginary) parts, mirrored by conjugation.
+    A search steered over ``params`` passes each unitary to
+    :func:`classify`.
     """
     params = np.asarray(params, dtype=float)
     if params.shape != (dim * dim,):
@@ -263,10 +241,13 @@ def _reports(images, shift, unitaries, cfg: SearchConfig, seeds, trials) -> list
 def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
     """Induce the map of one unitary and classify its positivity.
 
-    The label follows :func:`classification_label`.  This is the
-    one-trial case of the stacked path :func:`scan` takes: with
-    ``probe_seed`` set to a trial's probe seed it returns that trial's
-    report bit for bit (apart from ``trial``).
+    ``u`` is any joint unitary, for instance a Haar draw or a
+    :func:`generator_unitary`; the probe reads ``cfg.seed`` unless
+    ``probe_seed`` is given.  The label follows
+    :func:`classification_label`.  This is the one-trial case of the
+    stacked path :func:`scan` takes: with ``probe_seed`` set to a trial's
+    probe seed it returns that trial's report bit for bit (apart from
+    ``trial``).
     """
     m = induce(_as_decomposition(source), u)
     seed = cfg.seed if probe_seed is None else probe_seed
@@ -274,7 +255,7 @@ def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
 
 
 def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
-    """Classify ``cfg.trials`` unitaries from the configured family.
+    """Classify ``cfg.trials`` seeded Haar unitaries.
 
     Trial ``i`` draws its unitary from ``SeedSequence(cfg.seed,
     spawn_key=(i, 0))`` and its probe inputs from ``SeedSequence(cfg.seed,
@@ -284,25 +265,18 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     samples, so a map closed by its floor or by the spectral stage builds
     neither seed nor generator.  The report list is deterministic and
     order-stable for a fixed configuration.  The trials run in stacks of
-    ``TRIAL_GROUP``: one unitarity check and one ``induce`` contraction
-    per stack (plus one QR for HAAR draws), then one
-    :func:`~inducedmaps.maps.probe_stack` call, whose one Choi pass
-    serves both the CP verdicts and the probes.  A GENERATOR scan
-    computes its one unitary once and stacks it like a HAAR draw.  Every
-    trial keeps its own random streams, so each report equals
+    ``TRIAL_GROUP``: one QR, one unitarity check and one ``induce``
+    contraction per stack, then one :func:`~inducedmaps.maps.probe_stack`
+    call, whose one Choi pass serves both the CP verdicts and the probes.
+    Every trial keeps its own random streams, so each report equals
     :func:`classify` of its unitary with its probe seed.
     """
     d = _as_decomposition(source)
     n = d.dim_a * d.dim_e
-    if cfg.family == GENERATOR:
-        fixed = generator_unitary(cfg.params, n)[None]
     reports = []
     for start in range(0, cfg.trials, TRIAL_GROUP):
         trials = range(start, min(start + TRIAL_GROUP, cfg.trials))
-        if cfg.family == HAAR:
-            us = haar_unitaries(n, _TrialSeeds(cfg.seed, trials, 0))
-        else:
-            us = fixed.repeat(len(trials), axis=0)
+        us = haar_unitaries(n, _TrialSeeds(cfg.seed, trials, 0))
         reports += _reports(
             *induce_stack(d, check_unitaries(us)),
             us,

@@ -617,7 +617,6 @@ def test_hunt_reports_candidates_when_search_runs(tmp_path, capsys, monkeypatch)
     # the hand-built probe's floor is -inf, which strict JSON spells null
     assert candidate["positivity"]["floor"] is None
     assert matrix_from_json(candidate["unitary"]).shape == (8, 8)
-    assert payload["config"]["family"] == "HAAR"
 
 
 def test_hunt_usage_error_on_bad_config(tmp_path, capsys):
@@ -628,23 +627,21 @@ def test_hunt_usage_error_on_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--params", "1", "2", "3"], "no other family takes them"),
-        (["--family", "GENERATOR", "--params", *["nan"] * 16], "params must be finite"),
-        (["--family", "GENERATOR", "--params", *["1e308"] * 16], "magnitude at most 2**52"),
-    ],
-    ids=["haar", "non-finite", "overflowing"],
+    "flags",
+    [["--family", "HAAR"], ["--family", "GENERATOR"], ["--params", "1"]],
+    ids=["family-haar", "family-generator", "params"],
 )
-def test_hunt_rejects_params_it_cannot_use(tmp_path, capsys, flags, message):
-    # the overlapping ensemble passes the condition at --condition-tol 1 and
-    # carries discord, so only the config stands between it and the search
-    path = write_ensemble(tmp_path, "e.json", overlapping_ensemble())
-    argv = ["hunt", path, "--condition-tol", "1", "--trials", "1", "--budget", "5", *flags]
-    code, payload, err = run(capsys, argv)
+def test_hunt_takes_no_family_flags(tmp_path, capsys, monkeypatch, flags):
+    # hunt draws Haar unitaries only; a chosen unitary goes through induce.
+    def unread(path):
+        raise AssertionError("the ensemble was read")
+
+    monkeypatch.setattr(cli, "load_ensemble", unread)
+    path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
+    code, payload, err = run(capsys, ["hunt", path, *flags])
     assert code == EXIT_USAGE
     assert payload is None
-    assert message in err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
@@ -694,12 +691,6 @@ def test_seed_flags_reject_negative_values(tmp_path, capsys, command):
         ("hunt", "--trials", "0", "trials must be >= 1, got 0"),
         ("discord", "--dim-a", "-2", "dim_a must be >= 1, got -2"),
         ("induce", "--dim-a", "0", "dim_a must be >= 1, got 0"),
-        (
-            "hunt --family GENERATOR",
-            "--params",
-            "nan",
-            "params must be finite numbers of magnitude at most 2**52, got nan",
-        ),
         ("repro example-4xf", "--p1", "1.0", "p1 must lie strictly between 0 and 1, got 1.0"),
     ],
 )
@@ -718,8 +709,6 @@ def test_flag_errors_name_the_flag(tmp_path, capsys, command, flag, value, messa
 MATRIX = {"rows": None, "cols": None, "data": None}
 SEARCH_CONFIG = dict.fromkeys(
     [
-        "family",
-        "params",
         "trials",
         "positivity_budget",
         "seed",
@@ -929,8 +918,8 @@ def test_readme_python_blocks_run_in_order(capsys):
     for block in blocks:
         exec(compile(block.split("```", 1)[0], str(README), "exec"), namespace)
     # what the README's comments say each print shows
-    status, lam, condition = capsys.readouterr().out.splitlines()
-    assert (status, condition) == ("NOT_CP_AFFINE", "True 0.5")
+    status, lam, condition, chosen = capsys.readouterr().out.splitlines()
+    assert (status, condition, chosen) == ("NOT_CP_AFFINE", "True 0.5", "CP NON_POSITIVE")
     assert abs(float(lam) - (1 - np.sqrt(5)) / 4) < 1e-12
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from inducedmaps import (
     CP,
-    GENERATOR,
     NO_VIOLATION_FOUND,
     VIOLATED,
     ConditionReport,
@@ -26,7 +25,6 @@ from inducedmaps import (
     classify,
     dagger,
     decompose_blocks,
-    generator_unitary,
     InducedMap,
     haar_unitary,
     has_vqd,
@@ -843,7 +841,6 @@ STACK_SOURCES = {
     # qubit probes refine to the same point from any sample; these do not,
     # so they show each trial drawing from its own stream
     "mixture-8x4": discordant_8x4,
-    "generator-bell": lambda: decompose_blocks(bell_density(), 2, 2),
 }
 
 
@@ -857,20 +854,12 @@ def trial_seeds(cfg):
 def test_scan_stack_equals_one_trial_classify(source, budget):
     d = STACK_SOURCES[source]()
     n = d.dim_a * d.dim_e
-    family = {}
-    if source.startswith("generator"):
-        params = np.random.default_rng(2).normal(size=n * n)
-        family = {"family": GENERATOR, "params": params}
     # six trials span a full stack and a partial one
-    cfg = SearchConfig(trials=TRIAL_GROUP + 2, positivity_budget=budget, seed=9, **family)
+    cfg = SearchConfig(trials=TRIAL_GROUP + 2, positivity_budget=budget, seed=9)
     reports = scan(d, cfg)
     assert [r.trial for r in reports] == list(range(cfg.trials))
     for r, (u_seed, probe_seed) in zip(reports, trial_seeds(cfg)):
-        if family:
-            u = generator_unitary(params, n)
-        else:
-            u = haar_unitary(n, u_seed)
-        alone = classify(d, u, cfg, probe_seed=probe_seed)
+        alone = classify(d, haar_unitary(n, u_seed), cfg, probe_seed=probe_seed)
         assert r.unitary.tobytes() == alone.unitary.tobytes()
         assert (r.choi_min_eig, r.shift_norm) == (alone.choi_min_eig, alone.shift_norm)
         assert r.classification == alone.classification
@@ -934,53 +923,9 @@ def test_classify_and_scan_build_one_choi_matrix_per_stack(source, monkeypatch):
     assert sorted(built) == sorted([TRIAL_GROUP, TRIAL_GROUP, 1] + shifted)
 
 
-def test_generator_scan_induces_and_diagonalises_per_stack(monkeypatch):
-    d = decompose_blocks(bell_density(), 2, 2)
-    cfg = SearchConfig(
-        family=GENERATOR,
-        params=np.random.default_rng(2).normal(size=16),
-        trials=2 * TRIAL_GROUP + 1,
-        positivity_budget=50,
-    )
-    induced, choi, spectral = [], [], []
-    real_induce_stack = search.induce_stack
-
-    def counted_induce_stack(d, us):
-        induced.append(len(us))
-        return real_induce_stack(d, us)
-
-    def counted_eigvalsh(a, _real=np.linalg.eigvalsh):
-        if np.shape(a)[-2:] == (4, 4):
-            choi.append(np.shape(a))
-        return _real(a)
-
-    def counted_eigh(a, _real=np.linalg.eigh):
-        if np.shape(a)[-2:] == (4, 4):
-            spectral.append(np.shape(a))
-        return _real(a)
-
-    monkeypatch.setattr(search, "induce_stack", counted_induce_stack)
-    monkeypatch.setattr(maps, "induce_stack", counted_induce_stack)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    reports = scan(d, cfg)
-    # like a HAAR scan: one induce and one Choi pass per stack, and one eigh
-    # of C_L per stack (the map's cheap floor is open); eigh also serves
-    # exp(iH) of the 4x4 generator, once
-    sizes = [TRIAL_GROUP, TRIAL_GROUP, 1]
-    assert induced == sizes
-    assert choi == [(size, 4, 4) for size in sizes]
-    assert spectral == [(4, 4)] + [(size, 4, 4) for size in sizes]
-    assert len({(r.unitary.tobytes(), r.choi_min_eig, r.positivity.floor) for r in reports}) == 1
-
-
-@pytest.mark.parametrize("source", ["bell-2x2", "coherent-4x2", "mixture-8x4", "generator-bell"])
+@pytest.mark.parametrize("source", ["bell-2x2", "coherent-4x2", "mixture-8x4"])
 def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypatch):
     d = STACK_SOURCES[source]()
-    n = d.dim_a * d.dim_e
-    family = {}
-    if source.startswith("generator"):
-        family = {"family": GENERATOR, "params": np.random.default_rng(2).normal(size=n * n)}
     keys, rngs, sampled = [], [], []
 
     def counted_seed_sequence(*args, _real=np.random.SeedSequence, **kwargs):
@@ -999,11 +944,10 @@ def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypa
     monkeypatch.setattr(np.random, "default_rng", counted_rng)
     monkeypatch.setattr(maps, "_sample", spied_sample)
     trials = 2 * TRIAL_GROUP + 1
-    reports = scan(d, SearchConfig(trials=trials, positivity_budget=50, seed=3, **family))
-    draws = 0 if family else trials
+    reports = scan(d, SearchConfig(trials=trials, positivity_budget=50, seed=3))
     # one seed and one generator per Haar draw and per map that samples
-    assert len(keys) == len(rngs) == draws + sum(sampled)
-    assert sorted(k for k in keys if k[1] == 0) == [(i, 0) for i in range(draws)]
+    assert len(keys) == len(rngs) == trials + sum(sampled)
+    assert sorted(k for k in keys if k[1] == 0) == [(i, 0) for i in range(trials)]
     # Bell maps close in the spectral stage and coherent-block maps on
     # their floor; the discordant mixture's brackets stay open
     probes = [r.positivity for r in reports]

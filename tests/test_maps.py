@@ -231,6 +231,64 @@ def test_map_covariant_under_local_unitaries():
     )
 
 
+def metamorphic_source(kind, dim_a, dim_e, rng):
+    """Joint state of one seeded source of ``kind`` at ``dim_a x dim_e``."""
+    if kind == "bell":
+        # maximally entangled on min(dim_a, dim_e) levels: NON_SL, traceless
+        # off-diagonal blocks
+        v = np.zeros(dim_a * dim_e, dtype=complex)
+        for i in range(min(dim_a, dim_e)):
+            v[i * dim_e + i] = 1.0
+        return np.outer(v, v) / min(dim_a, dim_e)
+    if kind == "aligned":
+        return assemble(random_vqd_ensemble(dim_a, dim_e, rng))
+    if kind == "coherent":
+        # coherent system factors on the computational blocks {0, 1} and
+        # {2, ...}, so the pairs across them are ZERO_BLOCK
+        blocks = [range(min(2, dim_a)), range(2, dim_a)]
+        terms = []
+        for block in filter(None, blocks):
+            rho_a = np.zeros((dim_a, dim_a), dtype=complex)
+            rho_a[np.ix_(block, block)] = random_density(len(block), rng)
+            terms.append(EnsembleTerm(len(block) / dim_a, rho_a, random_density(dim_e, rng)))
+        return assemble(SeparableEnsemble(dim_a, dim_e, tuple(terms)))
+    terms = [
+        EnsembleTerm(p, random_density(dim_a, rng), random_density(dim_e, rng))
+        for p in (0.3, 0.3, 0.4)
+    ]
+    return assemble(SeparableEnsemble(dim_a, dim_e, tuple(terms)))
+
+
+def test_maps_follow_environment_unitaries_and_system_permutations():
+    # Exact metamorphic relations of induce, for any source and unitary:
+    # rho -> (I ⊗ W) rho (I ⊗ W)† with U -> U (I ⊗ W†) leaves the map as it
+    # is, and rho -> (P ⊗ I) rho (P ⊗ I)ᵀ with U -> U (P ⊗ I)ᵀ gives
+    # L'(X) = L(Pᵀ X P), that is images'[π(k), π(l)] = images[k, l] and the
+    # same shift, where P|k> = |π(k)>.
+    rng = np.random.default_rng(50)
+    for kind in ("discordant", "bell", "coherent", "aligned"):
+        for dim_a, dim_e in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            for _ in range(3):
+                rho = metamorphic_source(kind, dim_a, dim_e, rng)
+                u = haar_unitary(dim_a * dim_e, rng)
+                m = induce(decompose_blocks(rho, dim_a, dim_e), u)
+
+                w = tensor(np.eye(dim_a), haar_unitary(dim_e, rng))
+                rho_w = w @ rho @ dagger(w)
+                rotated = induce(decompose_blocks(rho_w, dim_a, dim_e), u @ dagger(w))
+                assert np.abs(rotated.images - m.images).max() < 1e-12
+                assert np.abs(rotated.shift - m.shift).max() < 1e-12
+
+                perm = rng.permutation(dim_a)
+                pa = np.eye(dim_a)[:, perm]
+                p = tensor(pa, np.eye(dim_e))
+                permuted = induce(decompose_blocks(p @ rho @ p.T, dim_a, dim_e), u @ p.T)
+                assert np.abs(permuted.images[np.ix_(perm, perm)] - m.images).max() < 1e-12
+                assert np.abs(permuted.shift - m.shift).max() < 1e-12
+                x = random_density(dim_a, rng)
+                assert np.abs(permuted.apply(x) - m.apply(pa.T @ x @ pa)).max() < 1e-12
+
+
 def test_choi_blocks_are_basis_pair_responses():
     rng = np.random.default_rng(48)
     d = product_source(rng)

@@ -13,6 +13,10 @@ import inducedmaps
 # A new one is a new option to test; moving this pin puts it in review.
 DEFAULTED_PUBLIC_PARAMETERS = 21
 
+# Code lines of the package modules, as code_lines counts them.  A change
+# that grows the package shows here; moving this pin puts it in review.
+SRC_CODE_LINES = 1461
+
 
 def test_public_names_resolve_and_are_not_modules():
     assert inducedmaps.__all__
@@ -62,3 +66,26 @@ def test_package_modules_read_every_name_they_import():
         if path.name != "__init__.py":
             unread += unread_imports(path)
     assert unread == []
+
+
+def code_lines(path: pathlib.Path) -> int:
+    """Non-blank lines of a module that are neither comments nor inside a
+    module, class or function docstring."""
+    text = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(
+        1
+        for number, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#") and number not in docstrings
+    )
+
+
+def test_code_lines_are_pinned():
+    root = pathlib.Path(inducedmaps.__file__).parent
+    counts = {path.name: code_lines(path) for path in sorted(root.glob("*.py"))}
+    assert sum(counts.values()) == SRC_CODE_LINES, counts
