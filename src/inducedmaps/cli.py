@@ -103,15 +103,12 @@ def _plain(value):
         if value.ndim == 2:
             return matrix_to_json(value)
         return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return [_plain(z.real), _plain(z.imag)]
-    if isinstance(value, (float, np.floating)):
-        return float(value) if np.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return [_plain(value.real), _plain(value.imag)]
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
     return value
 
 

@@ -9,7 +9,6 @@ verifying that identity for a concrete basis, and NONZERO only when two
 blocks fail to commute by more than the tolerance.
 """
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -23,9 +22,8 @@ from .linalg import (
     check_tolerance,
     check_unitaries,
     dagger,
-    frozen,
     hermitian_part,
-    share_on_deepcopy,
+    record,
 )
 from .states import validate_density_matrix
 
@@ -37,7 +35,7 @@ INDETERMINATE = "INDETERMINATE"
 DEGENERACY_GAP = 1e-8
 
 
-@dataclass(frozen=True)
+@record()
 class DiscordVerdict:
     """Outcome of the vanishing-discord check.
 
@@ -49,12 +47,6 @@ class DiscordVerdict:
     status: str
     basis: np.ndarray | None
     residual: float
-
-    def __post_init__(self):
-        if self.basis is not None:
-            object.__setattr__(self, "basis", frozen(self.basis))
-
-    __deepcopy__ = share_on_deepcopy
 
 
 def pinching_defect(rho_ae, basis, dim_a: int, dim_e: int) -> float:

@@ -3,10 +3,12 @@
 Pure functions over complex128 numpy arrays: 2-D matrices, and for
 :func:`hermitian_part`, :func:`check_hermitian` and :func:`check_unitaries`
 also ``(T, d, d)`` stacks.  Matrices are small (dims well below 100), so
-dense LAPACK routines are used throughout.
+dense LAPACK routines are used throughout.  :func:`record` declares the
+package's immutable result records, whose arrays are :func:`frozen` copies.
 """
 
 import operator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -116,19 +118,60 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frozen(a, dtype=complex) -> np.ndarray:
-    """Read-only copy of ``a`` as an array of ``dtype``."""
+    """Read-only copy of ``a`` as an array of ``dtype``.
+
+    The copy is always new, so a caller that keeps and later writes to
+    ``a`` cannot change the result; writing to the result raises
+    ValueError.
+    """
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
 
-def share_on_deepcopy(record, memo):
-    """``__deepcopy__`` of a frozen record whose arrays are all read-only.
+# Field annotations that mark an array field of a record.
+_ARRAY_FIELDS = (np.ndarray, np.ndarray | None)
 
-    The record cannot change, so a deep copy is the record itself; a real
-    copy would only rebuild its arrays as writeable ones.
+
+def record(**dtypes):
+    """Class decorator for the package's immutable result records.
+
+    Applies ``dataclass(frozen=True)``.  Every field annotated
+    ``np.ndarray`` or ``np.ndarray | None`` is stored as a :func:`frozen`
+    copy, complex unless ``dtypes`` names another dtype for it (as in
+    ``@record(pair_class=np.int8)``); a None stays None.  The copies are
+    made before the class's own ``__post_init__``, which then sees the
+    stored arrays and keeps only checks of its own.  The record cannot
+    change, so ``copy.deepcopy`` returns it as it is, arrays included.
+    A dtype for a field that is not an array field raises TypeError.
     """
-    return record
+
+    def wrap(cls):
+        arrays = {
+            name: dtypes.get(name, complex)
+            for name, kind in cls.__annotations__.items()
+            if kind in _ARRAY_FIELDS
+        }
+        unknown = sorted(set(dtypes) - set(arrays))
+        if unknown:
+            raise TypeError(f"{cls.__name__} has no array fields {unknown}")
+        own = cls.__dict__.get("__post_init__")
+        if arrays:
+            # dataclass reads __post_init__ when it builds __init__, so the
+            # wrapper is in place first.
+            def __post_init__(self):
+                for name, dtype in arrays.items():
+                    value = getattr(self, name)
+                    if value is not None:
+                        object.__setattr__(self, name, frozen(value, dtype))
+                if own is not None:
+                    own(self)
+
+            cls.__post_init__ = __post_init__
+        cls.__deepcopy__ = lambda self, memo: self
+        return dataclass(frozen=True)(cls)
+
+    return wrap
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

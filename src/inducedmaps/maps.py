@@ -9,7 +9,6 @@ and a trace-preserving linear part.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +22,8 @@ from .linalg import (
     check_tolerance,
     check_unitaries,
     complex_normals,
-    frozen,
     hermitian_part,
-    share_on_deepcopy,
+    record,
 )
 from .states import SLDecomposition, check_densities
 
@@ -67,7 +65,7 @@ MAX_BUDGET = 10**6
 REFINE_ITERS = 200
 
 
-@dataclass(frozen=True)
+@record()
 class InducedMap:
     """Affine reduced dynamics: ``rho' -> sum_kl rho'[k,l] images[k,l] + shift``.
 
@@ -87,13 +85,9 @@ class InducedMap:
     shift: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "images", frozen(self.images))
-        object.__setattr__(self, "shift", frozen(self.shift))
         d, shapes = self.dim_a, (self.images.shape, self.shift.shape)
         if d < 1 or shapes != ((d,) * 4, (d, d)):
             raise ShapeError(f"images and shift of shapes {shapes} do not fit dim_a {d}")
-
-    __deepcopy__ = share_on_deepcopy
 
     def apply(self, rho_prime) -> np.ndarray:
         """Evaluate the map on an input matrix."""
@@ -105,7 +99,7 @@ class InducedMap:
         return _apply(self.images, self.shift, rho_prime)
 
 
-@dataclass(frozen=True)
+@record()
 class CpVerdict:
     """Complete-positivity verdict for an induced map.
 
@@ -120,7 +114,7 @@ class CpVerdict:
     shift_norm: float
 
 
-@dataclass(frozen=True)
+@record()
 class PositivityProbe:
     """Outcome of a positivity probe.
 
@@ -149,12 +143,6 @@ class PositivityProbe:
     witness: np.ndarray | None
     floor: float = -np.inf
 
-    def __post_init__(self):
-        if self.witness is not None:
-            object.__setattr__(self, "witness", frozen(self.witness))
-
-    __deepcopy__ = share_on_deepcopy
-
 
 def validate_unitary(u, dim: int | None = None):
     """Return ``u`` if ``U†U = I`` to ``DEFAULT_UNITARITY_TOL`` (max-entry norm)."""
@@ -175,8 +163,10 @@ def induce_stack(d: SLDecomposition, us: np.ndarray) -> tuple[np.ndarray, np.nda
     (``SLDecomposition.nonzero_pairs``), whose responses are scattered
     into zeroed images; a source with no zero pair broadcasts over all
     pairs instead of gathering them.  The shift sums the traceless pairs
-    in row-major order.  The caller checks unitarity
-    (:func:`check_unitaries`).
+    in row-major order.  Unitarity is the caller's to vouch for:
+    :func:`induce` checks it with :func:`validate_unitary`, and
+    :func:`~inducedmaps.search.scan` passes Haar draws, which are unitary
+    by construction.
     """
     da, de = d.dim_a, d.dim_e
     t, n = len(us), da * de

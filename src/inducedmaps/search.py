@@ -27,7 +27,6 @@ seeds the unitary draws and positivity probes of the search alone.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +37,10 @@ from .linalg import (
     check_count,
     check_seed,
     check_tolerance,
-    check_unitaries,
     complex_normals,
     dagger,
-    frozen,
     hermitian_eigen,
-    share_on_deepcopy,
+    record,
 )
 from .maps import (
     CP,
@@ -75,7 +72,7 @@ CANDIDATE_THRESHOLD = 1e-6
 TRIAL_GROUP = 4
 
 
-@dataclass(frozen=True)
+@record()
 class SearchConfig:
     """Settings for unitary searches.
 
@@ -108,7 +105,7 @@ class SearchConfig:
             check_tolerance(getattr(self, name), name)
 
 
-@dataclass(frozen=True)
+@record()
 class CandidateReport:
     """Classification of one joint unitary against a fixed source state."""
 
@@ -119,11 +116,6 @@ class CandidateReport:
     classification: str
     trial: int | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "unitary", frozen(self.unitary))
-
-    __deepcopy__ = share_on_deepcopy
-
 
 def haar_unitaries(dim: int, seeds) -> np.ndarray:
     """Stack of Haar-distributed random unitaries, one per seed.
@@ -131,7 +123,8 @@ def haar_unitaries(dim: int, seeds) -> np.ndarray:
     Each matrix is drawn from its own ``default_rng(seed)``; one stacked QR
     decomposition serves them all, and the phases of each triangular
     factor's diagonal are absorbed into its unitary factor, which makes
-    the distribution exactly Haar.
+    the distribution exactly Haar.  Each result is a QR unitary factor
+    times unit phases, so ``U†U = I`` holds to rounding.
     """
     if dim < 1:
         raise ShapeError(f"dim must be >= 1, got {dim}")
@@ -265,9 +258,11 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     samples, so a map closed by its floor or by the spectral stage builds
     neither seed nor generator.  The report list is deterministic and
     order-stable for a fixed configuration.  The trials run in stacks of
-    ``TRIAL_GROUP``: one QR, one unitarity check and one ``induce``
-    contraction per stack, then one :func:`~inducedmaps.maps.probe_stack`
-    call, whose one Choi pass serves both the CP verdicts and the probes.
+    ``TRIAL_GROUP``: one QR and one ``induce`` contraction per stack,
+    then one :func:`~inducedmaps.maps.probe_stack` call, whose one Choi
+    pass serves both the CP verdicts and the probes.  The draws are
+    unitary by construction (:func:`haar_unitaries`), so they are not
+    checked again.
     Every trial keeps its own random streams, so each report equals
     :func:`classify` of its unitary with its probe seed.
     """
@@ -278,7 +273,7 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
         trials = range(start, min(start + TRIAL_GROUP, cfg.trials))
         us = haar_unitaries(n, _TrialSeeds(cfg.seed, trials, 0))
         reports += _reports(
-            *induce_stack(d, check_unitaries(us)),
+            *induce_stack(d, us),
             us,
             cfg,
             _TrialSeeds(cfg.seed, trials, 1),

@@ -8,7 +8,6 @@ trace vanishes while the block itself does not are the obstruction to
 entrywise rescaling and are tracked as a class of their own.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from typing import NamedTuple
@@ -23,9 +22,8 @@ from .linalg import (
     check_factors,
     check_hermitian,
     check_tolerance,
-    frozen,
     hadamard,
-    share_on_deepcopy,
+    record,
     tensor,
 )
 
@@ -107,7 +105,7 @@ def check_term_count(count: int) -> None:
         raise SizeError(f"ensemble has {count} terms, above the ceiling {MAX_TERMS}")
 
 
-@dataclass(frozen=True)
+@record()
 class EnsembleTerm:
     """One weighted product term ``p * (rho_a ⊗ rho_e)``."""
 
@@ -118,17 +116,11 @@ class EnsembleTerm:
     def __post_init__(self):
         if not np.isfinite(self.p) or self.p < 0:
             raise ValidationError(f"term weight must be >= 0, got {self.p}")
-        object.__setattr__(
-            self, "rho_a", frozen(validate_density_matrix(self.rho_a, name="rho_a"))
-        )
-        object.__setattr__(
-            self, "rho_e", frozen(validate_density_matrix(self.rho_e, name="rho_e"))
-        )
-
-    __deepcopy__ = share_on_deepcopy
+        validate_density_matrix(self.rho_a, name="rho_a")
+        validate_density_matrix(self.rho_e, name="rho_e")
 
 
-@dataclass(frozen=True)
+@record()
 class SeparableEnsemble:
     """Finite mixture of product states on A ⊗ E.
 
@@ -158,8 +150,6 @@ class SeparableEnsemble:
         if abs(total - 1.0) > DEFAULT_DENSITY_TOL:
             raise ValidationError(f"term weights sum to {total:.12g}, expected 1")
 
-    __deepcopy__ = share_on_deepcopy
-
     @cached_property
     def state(self) -> np.ndarray:
         """Read-only total density matrix ``sum_i p_i (rho_a_i ⊗ rho_e_i)``."""
@@ -176,7 +166,7 @@ class SeparableEnsemble:
         return decompose_blocks(self.state, self.dim_a, self.dim_e)
 
 
-@dataclass(frozen=True)
+@record(pair_class=np.int8)
 class SLDecomposition:
     """Coherence-block decomposition of a bipartite density matrix.
 
@@ -196,13 +186,6 @@ class SLDecomposition:
     blocks: np.ndarray
     pair_class: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", frozen(self.coeffs))
-        object.__setattr__(self, "blocks", frozen(self.blocks))
-        object.__setattr__(self, "pair_class", frozen(self.pair_class, np.int8))
-
-    __deepcopy__ = share_on_deepcopy
-
     @cached_property
     def is_sl(self) -> bool:
         """True when no block is traceless yet nonzero (computed once)."""
@@ -219,7 +202,7 @@ class SLDecomposition:
         return pairs
 
 
-@dataclass(frozen=True)
+@record(defined_mask=bool)
 class RescaledSet:
     """Per-component entrywise ratios against the total block coefficients.
 
@@ -233,14 +216,8 @@ class RescaledSet:
     matrices: np.ndarray
     defined_mask: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", frozen(self.matrices))
-        object.__setattr__(self, "defined_mask", frozen(self.defined_mask, bool))
 
-    __deepcopy__ = share_on_deepcopy
-
-
-@dataclass(frozen=True)
+@record()
 class ConditionReport:
     """Outcome of the block-support condition: whether it holds, the SL
     class of the state, and ``λmin`` of its rescaled state (None for a

@@ -619,6 +619,14 @@ def test_hunt_reports_candidates_when_search_runs(tmp_path, capsys, monkeypatch)
     assert matrix_from_json(candidate["unitary"]).shape == (8, 8)
 
 
+def test_plain_reads_numpy_scalars_as_python_values():
+    values = [np.float64(0.25), np.float32("nan"), np.int64(-3), np.bool_(True), np.complex128(1 - 2j)]
+    plain = cli._plain(values)
+    assert plain == [0.25, None, -3, True, [1.0, -2.0]]
+    assert [type(v) for v in plain[:4]] == [float, type(None), int, bool]
+    assert json.dumps(cli._plain([np.float64("inf"), complex(np.inf, 1)])) == "[null, [null, 1.0]]"
+
+
 def test_hunt_usage_error_on_bad_config(tmp_path, capsys):
     path = write_ensemble(tmp_path, "e.json", four_block_ensemble())
     code, _, err = run(capsys, ["hunt", path, "--trials", "0"])

@@ -17,10 +17,19 @@ from inducedmaps import (
     is_cp,
     is_psd,
     partial_trace,
+    pinching_defect,
     tensor,
     validate_density_matrix,
 )
-from inducedmaps.linalg import check_count, check_hermitian, check_unitaries
+from inducedmaps.jsonio import matrix_to_json
+from inducedmaps.linalg import (
+    as_matrix,
+    as_square,
+    check_count,
+    check_hermitian,
+    check_unitaries,
+    record,
+)
 from inducedmaps.presets import bell_density, random_density
 
 
@@ -283,3 +292,83 @@ def test_check_unitaries_rejects_a_non_finite_matrix(bad):
     # inf * 0 in U†U is NaN: the deviation is NaN, which must fail
     with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="not unitary"):
         check_unitaries(us)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: pinching_defect(bell_density(), np.eye(3), 2, 2),
+            ShapeError,
+            "basis shape (3, 3), expected (2, 2)",
+        ),
+        (
+            lambda: matrix_to_json(np.zeros(3)),
+            ValidationError,
+            "matrix payloads are 2-D, got shape (3,)",
+        ),
+        (
+            lambda: as_matrix(np.zeros((0, 2))),
+            ShapeError,
+            "matrix must be a nonempty 2-D matrix, got shape (0, 2)",
+        ),
+        (
+            lambda: as_matrix([1.0, 2.0], "v"),
+            ShapeError,
+            "v must be a nonempty 2-D matrix, got shape (2,)",
+        ),
+        (
+            lambda: as_square(np.zeros((2, 3)), "m"),
+            ShapeError,
+            "m must be square, got shape (2, 3)",
+        ),
+        (
+            lambda: partial_trace(np.eye(4) / 4, 2, 2, side="X"),
+            ValueError,
+            "side must be 'A' or 'E', got 'X'",
+        ),
+    ],
+    ids=["pinching-basis", "payload-1d", "matrix-empty", "matrix-1d", "square", "trace-side"],
+)
+def test_boundary_errors_name_the_bad_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@record(mask=bool)
+class _Record:
+    name: str
+    values: np.ndarray
+    mask: np.ndarray
+    maybe: np.ndarray | None = None
+
+
+def test_record_freezes_array_fields_before_its_own_checks():
+    values = np.arange(3.0)
+    r = _Record("r", values, [1, 0, 1])
+    values[0] = 9.0  # the record holds a copy
+    assert r.values.dtype == complex and r.values[0] == 0
+    assert r.mask.dtype == bool and r.maybe is None
+    assert not r.values.flags.writeable and not r.mask.flags.writeable
+    assert _Record("r", values, [1], np.eye(2)).maybe.dtype == complex
+    seen = []
+
+    @record()
+    class Checked:
+        a: np.ndarray
+
+        def __post_init__(self):
+            seen.append(self.a.flags.writeable)
+
+    Checked(np.eye(2))
+    assert seen == [False]
+
+
+def test_record_rejects_a_dtype_for_a_field_that_holds_no_array():
+    with pytest.raises(TypeError, match=r"has no array fields \['name'\]"):
+
+        @record(name=bool)
+        class Bad:
+            name: str

@@ -15,7 +15,7 @@ DEFAULTED_PUBLIC_PARAMETERS = 21
 
 # Code lines of the package modules, as code_lines counts them.  A change
 # that grows the package shows here; moving this pin puts it in review.
-SRC_CODE_LINES = 1461
+SRC_CODE_LINES = 1443
 
 
 def test_public_names_resolve_and_are_not_modules():

@@ -1,5 +1,8 @@
 """Unitary families, classification, scanning, and the gated hunt."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -35,7 +38,8 @@ from inducedmaps import (
     rescaled_matrices,
     scan,
 )
-from inducedmaps import discord, search, states
+from inducedmaps import cli, discord, search, states
+from inducedmaps.jsonio import save_ensemble
 from inducedmaps.presets import (
     bell_density,
     cnot,
@@ -116,6 +120,14 @@ def test_haar_unitary_is_deterministic_and_unitary():
     assert np.array_equal(u1, u2)
     assert not np.array_equal(u1, u3)
     assert np.abs(dagger(u1) @ u1 - np.eye(4)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_haar_unitaries_are_unitary_to_rounding(dim):
+    # scan takes its draws without a unitarity check on the strength of this
+    us = search.haar_unitaries(dim, range(40))
+    assert us.shape == (40, dim, dim)
+    assert np.abs(us.conj().swapaxes(1, 2) @ us - np.eye(dim)).max() <= 1e-12
 
 
 def test_haar_unitary_dim_one_is_a_phase():
@@ -327,6 +339,61 @@ def test_hunt_checks_the_condition_before_discord():
     )
     with pytest.raises(PreconditionTheoremError):
         hunt(e, SearchConfig(trials=2, positivity_budget=20))
+
+
+def near_four_block_ensemble(eps=1e-5):
+    """:func:`four_block_ensemble` with weight ``eps`` of its {0,1} term
+    moved to a seeded random state on the same system block, with its own
+    random environment.  The rescaled state misses PSD by about ``eps``
+    and the discord is nonzero, so at a loose condition tolerance both of
+    hunt's gates pass and its search stage runs."""
+    rng = np.random.default_rng(1)
+    first, second = four_block_ensemble().terms
+    rho_a = np.zeros((4, 4), dtype=complex)
+    rho_a[:2, :2] = random_density(2, rng)
+    terms = (
+        EnsembleTerm(0.5 - eps, first.rho_a, first.rho_e),
+        second,
+        EnsembleTerm(eps, rho_a, random_density(2, rng)),
+    )
+    return SeparableEnsemble(4, 2, terms)
+
+
+def fields_of(record):
+    """A record's field values, nested records as lists and arrays as
+    bytes, so that two records compare with ``==``."""
+    values = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    return [
+        fields_of(v) if dataclasses.is_dataclass(v) else v.tobytes() if isinstance(v, np.ndarray) else v
+        for v in values
+    ]
+
+
+def test_hunt_search_stage_returns_the_filtered_scan():
+    e = near_four_block_ensemble()
+    cfg = SearchConfig(trials=40, condition_tol=1e-3)
+    report = check_condition(e, tol=cfg.condition_tol)
+    assert report.holds and -1e-3 < report.min_eig < -1e-6
+    assert not check_condition(e).holds
+    assert has_vqd(e.state, e.dim_a, e.dim_e, cfg.vqd_tol).status == "NONZERO"
+    reports = scan(e, cfg)
+    candidates = hunt(e, cfg)
+    filtered = filter_candidates(reports, cfg.candidate_threshold)
+    assert [fields_of(r) for r in candidates] == [fields_of(r) for r in filtered]
+    # the filter keeps some reports and drops others
+    assert 0 < len(candidates) < len(reports)
+
+
+def test_cli_hunt_reports_the_search_stage_candidates(tmp_path, capsys):
+    e = near_four_block_ensemble()
+    path = tmp_path / "e.json"
+    save_ensemble(path, e)
+    code = cli.main(["hunt", str(path), "--trials", "40", "--condition-tol", "1e-3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_OK
+    expected = hunt(e, SearchConfig(trials=40, condition_tol=1e-3))
+    assert payload["count"] == len(expected) > 0
+    assert [c["trial"] for c in payload["candidates"]] == [c.trial for c in expected]
 
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)

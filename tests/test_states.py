@@ -27,6 +27,7 @@ from inducedmaps import (
     has_vqd,
     haar_unitary,
     induce,
+    is_cp,
     is_psd,
     partial_trace,
     reassemble,
@@ -268,6 +269,9 @@ def test_deepcopy_keeps_frozen_records_and_their_read_only_arrays():
         "report": (report, ["unitary"]),
         "probe": (report.positivity, ["witness"]),
         "discord": (has_vqd(np.eye(4) / 4, 2, 2), ["basis"]),
+        "verdict": (is_cp(m), []),
+        "condition": (check_condition(e), []),
+        "config": (SearchConfig(), []),
     }
     for name, (record, fields) in records.items():
         clone = copy.deepcopy(record)
