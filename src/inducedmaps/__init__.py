@@ -19,10 +19,8 @@ from .discord import (
     pinching_defect,
 )
 from .errors import (
-    CancellationError,
     HermiticityError,
     InducedMapsError,
-    NonSLError,
     NotPsdError,
     PreconditionTheoremError,
     PreconditionVqdError,
@@ -33,9 +31,7 @@ from .errors import (
 from .linalg import (
     Spectrum,
     dagger,
-    hadamard,
     hermitian_eigen,
-    is_psd,
     partial_trace,
     tensor,
 )
@@ -84,16 +80,13 @@ from .states import (
     ConditionReport,
     EnsembleTerm,
     PairClass,
-    RescaledSet,
     SeparableEnsemble,
     SLDecomposition,
     assemble,
     check_condition,
     classify_sl,
-    component_images,
     decompose_blocks,
     reassemble,
-    rescaled_matrices,
     validate_density_matrix,
 )
 

@@ -43,10 +43,10 @@ from .maps import DEFAULT_BUDGET, MAX_BUDGET, choi_matrix, induce, probe_stack
 from .presets import bell_density, check_weight, cnot, four_block_ensemble
 from .search import MAX_TRIALS, SearchConfig, classification_label, hunt
 from .states import (
+    BLOCK_TRACE_TOL,
     check_condition,
     classify_sl,
     decompose_blocks,
-    rescaled_matrices,
     split_blocks,
     validate_density_matrix,
 )
@@ -102,7 +102,7 @@ def _plain(value):
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
             return matrix_to_json(value)
-        return [_plain(v) for v in value.tolist()]
+        return _plain(value.tolist())
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, complex):
@@ -228,7 +228,13 @@ def _cmd_hunt(args) -> int:
 
 
 def _repro_four_block(p1: float) -> tuple[dict, dict]:
-    rescaled = rescaled_matrices(four_block_ensemble(p1)).matrices
+    # Term i rescales to rho_a_i / gamma entrywise, gamma = sum_i p_i rho_a_i
+    # added in term order, and to 0 where gamma vanishes.
+    terms = four_block_ensemble(p1).terms
+    rho_as = np.stack([t.rho_a for t in terms])
+    gamma = (np.array([t.p for t in terms])[:, None, None] * rho_as).sum(axis=0)
+    rescaled = np.zeros_like(rho_as)
+    np.divide(rho_as, gamma, out=rescaled, where=np.abs(gamma) > BLOCK_TRACE_TOL)
     target = np.zeros((2, 4, 4), dtype=complex)
     target[0, :2, :2] = 1.0 / p1
     target[1, 2:, 2:] = 1.0 / (1.0 - p1)

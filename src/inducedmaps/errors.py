@@ -21,18 +21,6 @@ class SizeError(ShapeError):
     """Result would exceed the configured dense-size ceiling."""
 
 
-class NonSLError(InducedMapsError):
-    """State carries a traceless nonzero coherence block, so entrywise
-    rescaling against the block-trace coefficients is undefined."""
-
-
-class CancellationError(InducedMapsError):
-    """Ensemble components cancel on a coherence entry (zero total
-    coefficient with nonzero per-component weight), so the per-component
-    rescaled matrices are indeterminate.  The block-support condition
-    does not need them: it reads the rescaled state alone."""
-
-
 class NotPsdError(InducedMapsError):
     """Matrix expected to be positive semidefinite is not."""
 

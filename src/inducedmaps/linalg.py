@@ -143,7 +143,10 @@ def record(**dtypes):
     made before the class's own ``__post_init__``, which then sees the
     stored arrays and keeps only checks of its own.  The record cannot
     change, so ``copy.deepcopy`` returns it as it is, arrays included.
-    A dtype for a field that is not an array field raises TypeError.
+    A record with an array field compares and hashes by identity, since
+    field-wise ``==`` on arrays has no single truth value; one without
+    compares and hashes by value.  A dtype for a field that is not an
+    array field raises TypeError.
     """
 
     def wrap(cls):
@@ -169,7 +172,7 @@ def record(**dtypes):
 
             cls.__post_init__ = __post_init__
         cls.__deepcopy__ = lambda self, memo: self
-        return dataclass(frozen=True)(cls)
+        return dataclass(frozen=True, eq=not arrays)(cls)
 
     return wrap
 
@@ -293,31 +296,3 @@ def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
     reconstructible.
     """
     return Spectrum(*np.linalg.eigh(check_hermitian(as_square(m, "m"), tol, "m")))
-
-
-def is_psd(m, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Positive-semidefiniteness check for a Hermitian matrix.
-
-    Returns ``(ok, min_eig)`` where ``ok`` is true iff the smallest
-    eigenvalue is at least ``-tol``.  The eigenvalue is always returned so
-    callers can report how badly positivity fails.  ``m`` goes through
-    :func:`hermitian_eigen` at the same ``tol``: only that Hermiticity
-    check is floored at ``DEFAULT_HERM_TOL``, not the eigenvalue test.
-    """
-    w, _ = hermitian_eigen(m, tol)
-    lam = float(w[0])
-    return lam >= -tol, lam
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise (Schur) product of two same-shape matrices.
-
-    The Schur product of two positive semidefinite matrices is again
-    positive semidefinite: it is a principal submatrix of their tensor
-    product, taken on the paired index ``(k, k)``.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b

@@ -4,8 +4,9 @@ block-support positivity condition.
 A bipartite density matrix on A ⊗ E decomposes into dim_a x dim_a blocks
 indexed by the A basis pair ``(k, l)``.  Each block is stored as a trace
 coefficient together with a normalized environment factor; blocks whose
-trace vanishes while the block itself does not are the obstruction to
-entrywise rescaling and are tracked as a class of their own.
+trace vanishes while the block itself does not cannot be divided by their
+trace, so a state with one has no rescaled state, and they are tracked as
+a class of their own.
 """
 
 from enum import IntEnum
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CancellationError, NonSLError, ShapeError, SizeError, ValidationError
+from .errors import ShapeError, SizeError, ValidationError
 from .linalg import (
     DEFAULT_HERM_TOL,
     DEFAULT_TOL,
@@ -22,7 +23,6 @@ from .linalg import (
     check_factors,
     check_hermitian,
     check_tolerance,
-    hadamard,
     record,
     tensor,
 )
@@ -36,9 +36,9 @@ BLOCK_TRACE_TOL = 1e-10
 # A block with every entry below this magnitude counts as the zero block.
 BLOCK_ZERO_TOL = 1e-10
 
-# Ceiling on the terms of an ensemble.  Assembling the state and
-# rescaling the components touch every term, so the term count bounds
-# their time and memory.
+# Ceiling on the terms of an ensemble.  Validating the terms and
+# assembling the state touch every term, so the term count bounds their
+# time and memory.
 MAX_TERMS = 256
 
 SL = "SL"
@@ -202,21 +202,6 @@ class SLDecomposition:
         return pairs
 
 
-@record(defined_mask=bool)
-class RescaledSet:
-    """Per-component entrywise ratios against the total block coefficients.
-
-    ``matrices`` is a read-only ``(K, d, d)`` stack, one matrix per term:
-    ``matrices[i, k, l]`` is ``rho_a_i[k, l] / gamma[k, l]`` where ``gamma``
-    is the weighted sum of all component matrices.  ``defined_mask`` is True
-    where the ratio is a genuine quotient and False where the 0/0
-    convention (entry set to 0) applied.
-    """
-
-    matrices: np.ndarray
-    defined_mask: np.ndarray
-
-
 @record()
 class ConditionReport:
     """Outcome of the block-support condition: whether it holds, the SL
@@ -282,41 +267,6 @@ def classify_sl(d: SLDecomposition) -> str:
     return SL if d.is_sl else NON_SL
 
 
-def rescaled_matrices(e: SeparableEnsemble) -> RescaledSet:
-    """Entrywise component-to-total ratios for an SL-class ensemble.
-
-    With ``gamma = sum_i p_i rho_a_i``, component ``i`` rescales to
-    ``rho_a_i[k, l] / gamma[k, l]`` wherever ``|gamma[k, l]|`` exceeds
-    ``BLOCK_TRACE_TOL``.  Entries where both numerator and denominator
-    vanish are set to 0 and flagged in ``defined_mask``; a vanishing
-    denominator with a numerator above ``BLOCK_ZERO_TOL`` means the
-    components cancel and raises :class:`CancellationError`.  The
-    ensemble's cached ``decomposition`` must be SL class, else
-    :class:`NonSLError` is raised.
-    """
-    d = e.decomposition
-    if not d.is_sl:
-        pairs = np.argwhere(d.pair_class == PairClass.TRACELESS_NONZERO)
-        raise NonSLError(
-            f"assembled state has traceless nonzero blocks at {pairs.tolist()}"
-        )
-    rho_as = np.stack([t.rho_a for t in e.terms])
-    weights = np.array([t.p for t in e.terms])
-    # The sum over the leading axis adds the terms in order.
-    gamma = (weights[:, None, None] * rho_as).sum(axis=0)
-    defined = np.abs(gamma) > BLOCK_TRACE_TOL
-    stray = ~defined & (np.abs(rho_as) > BLOCK_ZERO_TOL)
-    if stray.any():
-        i = int(np.argmax(stray.any(axis=(1, 2))))
-        raise CancellationError(
-            f"component {i} is nonzero at {np.argwhere(stray[i]).tolist()} where the "
-            "total coefficient vanishes; rescaling is indeterminate"
-        )
-    ratios = np.zeros_like(rho_as)
-    np.divide(rho_as, gamma, out=ratios, where=defined)
-    return RescaledSet(ratios, defined)
-
-
 def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the block-support positivity condition on the rescaled state.
 
@@ -337,11 +287,13 @@ def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> Condition
     classical–quantum in the computational basis, up to a rotation inside
     each block ``b``.  The map of ``U`` is ``Tr_E[U ((X ⊗ 1) ∘ R) U†]``,
     and a Schur multiplier by a PSD matrix is CP, so ``R ⪰ 0`` makes
-    every induced map CP.  For an ensemble ``R = Σ p_i ϱ^(i) ⊗ rho_e_i``
-    with ``ϱ^(i)`` the :func:`rescaled_matrices`, so the paper's per-term
-    condition (every ``ϱ^(i)`` PSD within ``tol``) gives
-    ``λmin(R) >= -tol``: it implies this test, which reads the state
-    alone and not how the ensemble writes it.
+    every induced map CP.  For an ensemble ``Σ_i p_i rho_a_i ⊗ rho_e_i``
+    with ``Γ = Σ_i p_i rho_a_i``, term ``i`` rescales entrywise to
+    ``ϱ^(i)[k, l] = rho_a_i[k, l] / Γ[k, l]`` (0 where both vanish), and
+    ``R = Σ_i p_i ϱ^(i) ⊗ rho_e_i``.  So the paper's per-term condition
+    (every ``ϱ^(i)`` PSD within ``tol``) gives ``λmin(R) >= -tol``: it
+    implies this test, which reads the state alone and not how the
+    ensemble writes it.
     """
     check_tolerance(tol)
     d = e.decomposition
@@ -351,15 +303,3 @@ def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> Condition
     # R is reassemble(d) without the coefficients.
     lam = float(np.linalg.eigvalsh(d.blocks.swapaxes(1, 2).reshape(n, n))[0])
     return ConditionReport(holds=lam >= -max(tol, DEFAULT_HERM_TOL), sl_class=SL, min_eig=lam)
-
-
-def component_images(rho_prime, rescaled: RescaledSet) -> tuple[np.ndarray, ...]:
-    """Entrywise products of an input state with each rescaled component.
-
-    These are the effective per-component inputs in the decomposition of
-    an induced map over an ensemble: when every rescaled matrix is
-    positive semidefinite, each product is too (Schur product of positive
-    semidefinite factors).
-    """
-    rho_prime = validate_density_matrix(rho_prime, name="rho_prime")
-    return tuple(hadamard(rho_prime, m) for m in rescaled.matrices)

@@ -30,7 +30,6 @@ from inducedmaps import (
     has_vqd,
     is_cp,
     probe_positivity,
-    rescaled_matrices,
 )
 from inducedmaps.cli import (
     EXIT_CONDITION_FAILS,
@@ -550,8 +549,8 @@ def test_gates_decide_a_one_ulp_hermitian_ensemble(tmp_path, capsys):
     # the condition is a verdict on the rescaled state, never a Hermiticity
     # error of the rescaled matrices (exit 64)
     e = one_ulp_ensemble()
-    matrices = rescaled_matrices(e).matrices
-    assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max() > 1.0
+    first = e.terms[0].rho_a / sum(t.p * t.rho_a for t in e.terms)
+    assert np.abs(first - first.conj().T).max() > 1.0
     report = check_condition(e)
     assert report.holds is False
     assert np.isfinite(report.min_eig) and report.min_eig < -1e7
@@ -621,8 +620,9 @@ def test_hunt_reports_candidates_when_search_runs(tmp_path, capsys, monkeypatch)
 
 def test_plain_reads_numpy_scalars_as_python_values():
     values = [np.float64(0.25), np.float32("nan"), np.int64(-3), np.bool_(True), np.complex128(1 - 2j)]
+    values += [np.array(1.0), np.array(1 - 2j)]
     plain = cli._plain(values)
-    assert plain == [0.25, None, -3, True, [1.0, -2.0]]
+    assert plain == [0.25, None, -3, True, [1.0, -2.0], 1.0, [1.0, -2.0]]
     assert [type(v) for v in plain[:4]] == [float, type(None), int, bool]
     assert json.dumps(cli._plain([np.float64("inf"), complex(np.inf, 1)])) == "[null, [null, 1.0]]"
 
@@ -875,6 +875,15 @@ def test_repro_flat_blocks_rejects_boundary_weights(capsys):
     code, _, err = run(capsys, ["repro", "example-4xf", "--p1", "1.0"])
     assert code == EXIT_USAGE
     assert "--p1" in err
+
+
+@pytest.mark.parametrize("p1", ["1e-12", "0.999999999999"])
+def test_repro_flat_blocks_fails_where_a_block_total_counts_as_zero(capsys, p1):
+    # a block total below BLOCK_TRACE_TOL rescales to 0, not to 1 / p1
+    code, payload, err = run(capsys, ["repro", "example-4xf", "--p1", p1])
+    assert (code, err) == (EXIT_CONDITION_FAILS, "")
+    assert payload["status"] == "FAIL"
+    assert payload["checks"] == {"block_entries_match": False, "all_psd": True}
 
 
 def test_repro_bell_output_passes(capsys):

@@ -34,7 +34,6 @@ from inducedmaps import (
     kraus_from_choi,
     partial_trace,
     probe_positivity,
-    rescaled_matrices,
     scan,
     tensor,
     validate_density_matrix,
@@ -1128,20 +1127,6 @@ def reference_split_blocks(rho, dim_a, dim_e):
     return coeffs, blocks, pair_class
 
 
-def reference_rescaled(e):
-    """Ratios term by term, with a running total (before vectorising)."""
-    gamma = np.zeros((e.dim_a, e.dim_a), dtype=complex)
-    for t in e.terms:
-        gamma += t.p * t.rho_a
-    defined = np.abs(gamma) > states.BLOCK_TRACE_TOL
-    ratios = []
-    for t in e.terms:
-        ratio = np.zeros_like(gamma)
-        np.divide(t.rho_a, gamma, out=ratio, where=defined)
-        ratios.append(ratio)
-    return ratios, defined
-
-
 def reference_rescaled_state(e):
     """The rescaled state filled block by block: each block of the state
     over its trace, 0 where the trace vanishes."""
@@ -1278,11 +1263,6 @@ def test_gates_match_the_per_term_references_bit_for_bit(kind):
             report = check_condition(e, tol)
             assert report == reference_condition(e, tol)
             assert repr(report) == repr(reference_condition(e, tol))
-        if kind not in ("non-sl", "cancellation"):
-            rs = rescaled_matrices(e)
-            ratios, defined = reference_rescaled(e)
-            assert [m.tobytes() for m in rs.matrices] == [m.tobytes() for m in ratios]
-            assert np.array_equal(rs.defined_mask, defined)
         for _ in range(2):
             m = induce(d, haar_unitary(e.dim_a * e.dim_e, rng))
             if is_cp(m).status == CP:

@@ -12,10 +12,8 @@ from inducedmaps import (
     SizeError,
     ValidationError,
     dagger,
-    hadamard,
     hermitian_eigen,
     is_cp,
-    is_psd,
     partial_trace,
     pinching_defect,
     tensor,
@@ -189,8 +187,8 @@ def choi_map_of(c):
 
 @pytest.mark.parametrize(
     "call",
-    [validate_density_matrix, hermitian_eigen, is_psd, lambda c: is_cp(choi_map_of(c))],
-    ids=["validate_density_matrix", "hermitian_eigen", "is_psd", "is_cp"],
+    [validate_density_matrix, hermitian_eigen, lambda c: is_cp(choi_map_of(c))],
+    ids=["validate_density_matrix", "hermitian_eigen", "is_cp"],
 )
 def test_every_hermiticity_check_raises_hermiticity_error(call):
     with pytest.raises(HermiticityError):
@@ -241,48 +239,6 @@ def test_hermitian_eigen_at_zero_tol_accepts_rounding_level_asymmetry():
     assert np.abs(m - dagger(m)).max() > 0.0
     w, _ = hermitian_eigen(m, tol=0.0)
     np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
-
-
-def test_is_psd_floors_only_its_hermiticity_check():
-    # 5e-10 off Hermitian passes the floored check at tol = 1e-12, while
-    # positivity is still judged at -1e-12
-    ok, lam = is_psd(np.array([[1.0, 5e-10], [0.0, -1e-11]]), tol=1e-12)
-    assert not ok and lam == pytest.approx(-1e-11, abs=1e-15)
-    ok, lam = is_psd(np.array([[1.0, 5e-10], [0.0, -5e-13]]), tol=1e-12)
-    assert ok and lam == pytest.approx(-5e-13, abs=1e-15)
-
-
-def test_is_psd_on_reference_matrices():
-    ok, lam = is_psd(np.eye(2))
-    assert ok and abs(lam - 1.0) < 1e-12
-    ok, lam = is_psd(np.zeros((2, 2)))
-    assert ok and abs(lam) < 1e-12
-    ok, lam = is_psd(0.5 * np.array([[1.0, 1.0], [1.0, 0.0]]))
-    assert not ok
-    assert abs(lam - (1.0 - np.sqrt(5.0)) / 4.0) < 1e-12
-
-
-def test_hadamard_known_products():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(hadamard(a, b), [[5.0, 12.0], [21.0, 32.0]])
-    assert np.array_equal(hadamard(np.ones((2, 2)), a), a)
-    assert np.array_equal(hadamard(np.eye(2), a), np.diag([1.0, 4.0]))
-
-
-def test_hadamard_rejects_shape_mismatch():
-    with pytest.raises(ShapeError):
-        hadamard(np.eye(2), np.eye(3))
-
-
-def test_entrywise_product_of_psd_pairs_stays_psd():
-    rng = np.random.default_rng(17)
-    for _ in range(60):
-        dim = int(rng.integers(2, 7))
-        a = random_density(dim, rng)
-        b = random_density(dim, rng)
-        ok, lam = is_psd(hadamard(a, b), tol=1e-10)
-        assert ok, f"entrywise product lost positivity: min eig {lam}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

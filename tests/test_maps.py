@@ -22,14 +22,12 @@ from inducedmaps import (
     choi_matrix,
     dagger,
     decompose_blocks,
-    hadamard,
     haar_unitary,
     induce,
     is_cp,
     kraus_from_choi,
     partial_trace,
     probe_positivity,
-    rescaled_matrices,
     tensor,
     validate_density_matrix,
     validate_unitary,
@@ -207,11 +205,13 @@ def test_map_equals_weighted_component_conjugations():
         e = random_coherent_block_ensemble(rng)
         u = haar_unitary(e.dim_a * e.dim_e, rng)
         m = induce(decompose_blocks(assemble(e), e.dim_a, e.dim_e), u)
-        rs = rescaled_matrices(e)
+        gamma = sum(t.p * t.rho_a for t in e.terms)
         rho_prime = random_density(e.dim_a, rng)
         expected = np.zeros((e.dim_a, e.dim_a), dtype=complex)
-        for t, ratio in zip(e.terms, rs.matrices):
-            joint = u @ tensor(hadamard(rho_prime, ratio), t.rho_e) @ dagger(u)
+        for t in e.terms:
+            # the rescaled component rho_a / gamma, 0 off the blocks
+            ratio = np.divide(t.rho_a, gamma, out=np.zeros_like(gamma), where=gamma != 0)
+            joint = u @ tensor(rho_prime * ratio, t.rho_e) @ dagger(u)
             expected += t.p * partial_trace(joint, e.dim_a, e.dim_e, side="E")
         assert np.abs(m.apply(rho_prime) - expected).max() < 1e-10
 

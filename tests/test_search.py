@@ -13,11 +13,9 @@ from inducedmaps import (
     CLASS_NON_POSITIVE,
     NO_VIOLATION_FOUND,
     VIOLATED,
-    CancellationError,
     CandidateReport,
     CpVerdict,
     EnsembleTerm,
-    NonSLError,
     PositivityProbe,
     PreconditionTheoremError,
     PreconditionVqdError,
@@ -35,7 +33,6 @@ from inducedmaps import (
     has_vqd,
     hermitian_eigen,
     hunt,
-    rescaled_matrices,
     scan,
 )
 from inducedmaps import cli, discord, search, states
@@ -479,13 +476,18 @@ GATE_OUTCOMES = {
 
 
 def per_term_condition(e, tol):
-    """The per-term condition: every rescaled matrix PSD within ``tol``."""
-    try:
-        matrices = rescaled_matrices(e).matrices
-    except CancellationError:
-        return "CANCELLATION"
-    except NonSLError:
+    """The per-term condition: every rescaled matrix ``rho_a_i / Γ``,
+    entrywise with ``Γ = Σ_i p_i rho_a_i`` and 0 where ``Γ`` vanishes, PSD
+    within ``tol``.  The matrices are undefined for a NON_SL state and
+    when a component is nonzero where ``Γ`` vanishes (CANCELLATION)."""
+    if not e.decomposition.is_sl:
         return "NON_SL"
+    rho_as = np.stack([t.rho_a for t in e.terms])
+    gamma = (np.array([t.p for t in e.terms])[:, None, None] * rho_as).sum(axis=0)
+    defined = np.abs(gamma) > states.BLOCK_TRACE_TOL
+    if (np.abs(rho_as[:, ~defined]) > states.BLOCK_ZERO_TOL).any():
+        return "CANCELLATION"
+    matrices = np.divide(rho_as, gamma, out=np.zeros_like(rho_as), where=defined)
     return "PSD" if np.linalg.eigvalsh(matrices)[:, 0].min() >= -tol else "NOT_PSD"
 
 

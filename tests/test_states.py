@@ -1,6 +1,7 @@
-"""Block decompositions, rescaled matrices, and the block-support condition."""
+"""Block decompositions and the block-support condition."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from inducedmaps import states
 from inducedmaps import (
     NON_SL,
     SL,
-    CancellationError,
     EnsembleTerm,
-    NonSLError,
     PairClass,
     SearchConfig,
     SeparableEnsemble,
@@ -22,16 +21,13 @@ from inducedmaps import (
     check_condition,
     classify,
     classify_sl,
-    component_images,
     decompose_blocks,
     has_vqd,
     haar_unitary,
     induce,
     is_cp,
-    is_psd,
     partial_trace,
     reassemble,
-    rescaled_matrices,
     scan,
     tensor,
     validate_density_matrix,
@@ -264,7 +260,6 @@ def test_deepcopy_keeps_frozen_records_and_their_read_only_arrays():
     records = {
         "term": (e.terms[0], ["rho_a", "rho_e"]),
         "decomposition": (e.decomposition, ["coeffs", "blocks", "pair_class"]),
-        "rescaled": (rescaled_matrices(e), ["defined_mask"]),
         "map": (m, ["images", "shift"]),
         "report": (report, ["unitary"]),
         "probe": (report.positivity, ["witness"]),
@@ -278,6 +273,28 @@ def test_deepcopy_keeps_frozen_records_and_their_read_only_arrays():
         assert clone is record, name
         for field in fields:
             assert not getattr(clone, field).flags.writeable, (name, field)
+
+
+def test_records_with_arrays_compare_and_hash_by_identity():
+    # field-wise == on arrays has no single truth value, so these records
+    # compare and hash as objects; a record without arrays compares by value
+    e = random_coherent_block_ensemble(np.random.default_rng(0))
+    bell = decompose_blocks(bell_density(), 2, 2)
+    report = classify(bell, cnot(), SearchConfig(positivity_budget=20))
+    records = [
+        e.terms[0],
+        e.decomposition,
+        induce(bell, cnot()),
+        report,
+        report.positivity,
+        has_vqd(np.eye(4) / 4, 2, 2),
+    ]
+    for r in records:
+        twin = dataclasses.replace(r)
+        assert (r == r, r == twin, r != twin) == (True, False, True), type(r).__name__
+        assert len({r, twin, r}) == 2
+    assert check_condition(e) == check_condition(e)
+    assert len({check_condition(e), check_condition(e)}) == 1
 
 
 def test_block_coefficients_match_weighted_components():
@@ -309,54 +326,21 @@ def test_unit_trace_blocks_are_coefficient_weighted_environment_mixtures():
             assert np.abs(d.blocks[k, l] - expected).max() < 1e-10
 
 
-def test_rescaled_four_block_values_and_mask():
-    rs = rescaled_matrices(four_block_ensemble())
-    first = np.zeros((4, 4))
-    first[:2, :2] = 2.0
-    second = np.zeros((4, 4))
-    second[2:, 2:] = 2.0
-    assert np.abs(rs.matrices[0] - first).max() < 1e-12
-    assert np.abs(rs.matrices[1] - second).max() < 1e-12
-    expected_mask = (first + second) > 0
-    assert np.array_equal(rs.defined_mask, expected_mask)
-    for m in rs.matrices:
-        ok, _ = is_psd(m, tol=1e-12)
-        assert ok
-
-
-def test_rescaled_single_term_is_all_ones_on_support():
-    rng = np.random.default_rng(26)
-    rho_a = random_density(3, rng)
-    e = SeparableEnsemble(3, 2, (EnsembleTerm(1.0, rho_a, RHO_E_1),))
-    rs = rescaled_matrices(e)
-    assert np.array_equal(rs.defined_mask, np.full((3, 3), True))
-    assert np.abs(rs.matrices[0] - np.ones((3, 3))).max() < 1e-12
-
-
-def test_rescaled_orthogonal_projectors_are_scaled_indicators():
-    one = np.diag([0.0, 1.0]).astype(complex)
-    e = SeparableEnsemble(
-        2, 2, (EnsembleTerm(0.5, ZERO, RHO_E_1), EnsembleTerm(0.5, one, RHO_E_2))
-    )
-    rs = rescaled_matrices(e)
-    assert np.abs(rs.matrices[0] - np.diag([2.0, 0.0])).max() < 1e-15
-    assert np.abs(rs.matrices[1] - np.diag([0.0, 2.0])).max() < 1e-15
-    assert np.array_equal(rs.defined_mask, np.eye(2, dtype=bool))
-
-
-def test_rescaled_rejects_traceless_blocks():
-    with pytest.raises(NonSLError):
-        rescaled_matrices(traceless_block_ensemble())
-
-
-def test_rescaled_rejects_cancelling_components():
-    with pytest.raises(CancellationError):
-        rescaled_matrices(cancelling_orthogonal_ensemble())
+def rescaled_terms(e):
+    """The rescaled components ``rho_a_i / Γ`` entrywise, ``Γ = Σ_i p_i
+    rho_a_i``, 0 where ``Γ`` vanishes, as a ``(K, d, d)`` stack; or
+    "CANCELLATION" when a component is nonzero where ``Γ`` vanishes."""
+    rho_as = np.stack([t.rho_a for t in e.terms])
+    gamma = (np.array([t.p for t in e.terms])[:, None, None] * rho_as).sum(axis=0)
+    defined = np.abs(gamma) > states.BLOCK_TRACE_TOL
+    if (np.abs(rho_as[:, ~defined]) > states.BLOCK_ZERO_TOL).any():
+        return "CANCELLATION"
+    return np.divide(rho_as, gamma, out=np.zeros_like(rho_as), where=defined)
 
 
 def assert_per_term_condition(e, tol=1e-12):
     """Every rescaled component matrix of ``e`` is PSD within ``tol``."""
-    lam = np.linalg.eigvalsh(rescaled_matrices(e).matrices)[:, 0]
+    lam = np.linalg.eigvalsh(rescaled_terms(e))[:, 0]
     assert (lam >= -tol).all(), lam
 
 
@@ -392,7 +376,7 @@ def test_condition_at_zero_tol_accepts_rounding_in_the_rescaled_matrices():
     # The test takes the Hermiticity floor, so at tol = 0 it does not fail
     # on rounding.
     e = random_coherent_block_ensemble(np.random.default_rng(0))
-    matrices = np.stack(rescaled_matrices(e).matrices)
+    matrices = rescaled_terms(e)
     assert np.abs(matrices - matrices.conj().swapaxes(1, 2)).max(axis=(1, 2)).min() > 0.0
     report = check_condition(e, tol=0.0)
     assert report.holds
@@ -402,7 +386,7 @@ def test_condition_at_zero_tol_accepts_rounding_in_the_rescaled_matrices():
 def test_condition_fails_on_overlapping_supports_with_witnesses():
     e = overlapping_support_ensemble()
     # the per-term condition fails on term 1 ...
-    lam = np.linalg.eigvalsh(rescaled_matrices(e).matrices)[:, 0]
+    lam = np.linalg.eigvalsh(rescaled_terms(e))[:, 0]
     assert lam[0] > -1e-12 and lam[1] < -0.5
     # ... and so does the rescaled state
     # [[(2 rho_e_1 + rho_e_2) / 3, rho_e_2], [rho_e_2, rho_e_2]], whose Schur
@@ -417,8 +401,7 @@ def test_condition_fails_on_overlapping_supports_with_witnesses():
 
 def test_condition_survives_cancellation_when_supports_are_orthogonal():
     e = cancelling_orthogonal_ensemble()
-    with pytest.raises(CancellationError):
-        rescaled_matrices(e)
+    assert rescaled_terms(e) == "CANCELLATION"
     # the rescaled state is I ⊗ rho_e_1, with smallest eigenvalue 0.3
     report = check_condition(e)
     assert report.holds
@@ -429,40 +412,10 @@ def test_condition_holds_when_cancellation_meets_overlap():
     # the rescaled state decides what the blocked rescaling cannot: the
     # state is diag(rho_e_1 / 4 + rho_e_2 / 2, rho_e_1 / 4)
     e = cancelling_overlapping_ensemble()
-    with pytest.raises(CancellationError):
-        rescaled_matrices(e)
+    assert rescaled_terms(e) == "CANCELLATION"
     assert check_condition(e).holds
 
 
 def test_condition_fails_on_traceless_blocks():
     report = check_condition(traceless_block_ensemble())
     assert report == states.ConditionReport(holds=False, sl_class=NON_SL, min_eig=None)
-
-
-def test_component_images_of_all_ones_reproduce_input():
-    rng = np.random.default_rng(29)
-    e = SeparableEnsemble(2, 2, (EnsembleTerm(1.0, random_density(2, rng), RHO_E_1),))
-    rs = rescaled_matrices(e)
-    rho_prime = random_density(2, rng)
-    (image,) = component_images(rho_prime, rs)
-    assert np.abs(image - rho_prime).max() < 1e-12
-
-
-def test_component_images_of_flat_blocks_select_scaled_corners():
-    rs = rescaled_matrices(four_block_ensemble())
-    rho_prime = np.eye(4, dtype=complex) / 4.0
-    images = component_images(rho_prime, rs)
-    assert np.abs(images[0] - np.diag([0.5, 0.5, 0.0, 0.0])).max() < 1e-12
-    assert np.abs(images[1] - np.diag([0.0, 0.0, 0.5, 0.5])).max() < 1e-12
-
-
-def test_component_images_stay_psd_when_condition_holds():
-    rng = np.random.default_rng(30)
-    for _ in range(5):
-        e = random_coherent_block_ensemble(rng)
-        assert check_condition(e).holds
-        rs = rescaled_matrices(e)
-        rho_prime = random_density(4, rng)
-        for image in component_images(rho_prime, rs):
-            ok, lam = is_psd(image, tol=1e-10)
-            assert ok, f"component image lost positivity: min eig {lam}"
