@@ -49,7 +49,6 @@ from .maps import (
     is_cp,
     kraus_from_choi,
     probe_positivity,
-    validate_unitary,
 )
 from .presets import (
     bell_density,
@@ -84,9 +83,7 @@ from .states import (
     SLDecomposition,
     assemble,
     check_condition,
-    classify_sl,
     decompose_blocks,
-    reassemble,
     validate_density_matrix,
 )
 

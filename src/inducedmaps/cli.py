@@ -44,8 +44,9 @@ from .presets import bell_density, check_weight, cnot, four_block_ensemble
 from .search import MAX_TRIALS, SearchConfig, classification_label, hunt
 from .states import (
     BLOCK_TRACE_TOL,
+    NON_SL,
+    SL,
     check_condition,
-    classify_sl,
     decompose_blocks,
     split_blocks,
     validate_density_matrix,
@@ -129,7 +130,7 @@ def _state_with_dims(path, dim_a_flag):
             raise ShapeError(
                 f"--dim-a {dim_a_flag} does not match the ensemble's dimA {state.dim_a}"
             )
-        return validate_density_matrix(state.state, name="rho_ae"), state.dim_a, state.dim_e
+        return state.state, state.dim_a, state.dim_e
     rho = validate_density_matrix(state, name="state")
     n = rho.shape[0]
     if dim_a_flag is None:
@@ -142,7 +143,6 @@ def _state_with_dims(path, dim_a_flag):
 def _cmd_check(args) -> int:
     e = load_ensemble(args.ensemble)
     report = check_condition(e, tol=args.tol)
-    # check_condition validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, args.vqd_tol)
     condition = _plain(report)
     _print_report(
@@ -166,7 +166,8 @@ def _cmd_induce(args) -> int:
     m = induce(d, load_matrix(args.unitary))
     out = m.apply(validate_density_matrix(load_matrix(args.input), name="input"))
     (verdict,), (probe,) = probe_stack(
-        m.images[None], m.shift[None], args.cp_tol, [args.seed], args.budget, args.witness_tol
+        m.images[None], m.shift[None], args.cp_tol, lambda _: args.seed, args.budget,
+        args.witness_tol,
     )
     out_eigs = hermitian_eigen(out).eigenvalues
     if args.out:
@@ -175,7 +176,7 @@ def _cmd_induce(args) -> int:
         save_matrix(args.choi, choi_matrix(m))
     _print_report(
         {
-            "sl_class": classify_sl(d),
+            "sl_class": SL if d.is_sl else NON_SL,
             "output": out,
             "output_min_eig": float(out_eigs[0]),
             "output_trace": float(np.trace(out).real),

@@ -3,8 +3,11 @@
 Pure functions over complex128 numpy arrays: 2-D matrices, and for
 :func:`hermitian_part`, :func:`check_hermitian` and :func:`check_unitaries`
 also ``(T, d, d)`` stacks.  Matrices are small (dims well below 100), so
-dense LAPACK routines are used throughout.  :func:`record` declares the
-package's immutable result records, whose arrays are :func:`frozen` copies.
+dense LAPACK routines are used throughout.  :func:`partial_trace` traces
+out the environment factor, and :func:`hermitian_eigen` checks
+Hermiticity at the fixed floor ``DEFAULT_HERM_TOL``.  :func:`record`
+declares the package's immutable result records, whose arrays are
+read-only copies.
 """
 
 import operator
@@ -49,9 +52,10 @@ def check_tolerance(value, name: str = "tol") -> float:
 
     A negative or NaN tolerance turns every ``x < -tol`` test upside down
     and an infinite one makes it vacuous, so verdicts built on them are
-    meaningless.
+    meaningless.  ``bool`` and ``numpy.bool_`` are not numbers here, as
+    in :func:`check_integer`.
     """
-    if not (np.isfinite(value) and value >= 0):
+    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value}")
     return value
 
@@ -117,18 +121,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def frozen(a, dtype=complex) -> np.ndarray:
-    """Read-only copy of ``a`` as an array of ``dtype``.
-
-    The copy is always new, so a caller that keeps and later writes to
-    ``a`` cannot change the result; writing to the result raises
-    ValueError.
-    """
-    out = np.array(a, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 # Field annotations that mark an array field of a record.
 _ARRAY_FIELDS = (np.ndarray, np.ndarray | None)
 
@@ -137,9 +129,12 @@ def record(**dtypes):
     """Class decorator for the package's immutable result records.
 
     Applies ``dataclass(frozen=True)``.  Every field annotated
-    ``np.ndarray`` or ``np.ndarray | None`` is stored as a :func:`frozen`
+    ``np.ndarray`` or ``np.ndarray | None`` is stored as a new read-only
     copy, complex unless ``dtypes`` names another dtype for it (as in
-    ``@record(pair_class=np.int8)``); a None stays None.  The copies are
+    ``@record(pair_class=np.int8)``); a None stays None.  The copy is
+    always new, so a caller that keeps and later writes to the array it
+    passed cannot change the record, and writing to the stored array
+    raises ValueError.  The copies are
     made before the class's own ``__post_init__``, which then sees the
     stored arrays and keeps only checks of its own.  The record cannot
     change, so ``copy.deepcopy`` returns it as it is, arrays included.
@@ -166,7 +161,9 @@ def record(**dtypes):
                 for name, dtype in arrays.items():
                     value = getattr(self, name)
                     if value is not None:
-                        object.__setattr__(self, name, frozen(value, dtype))
+                        value = np.array(value, dtype=dtype, copy=True)
+                        value.flags.writeable = False
+                        object.__setattr__(self, name, value)
                 if own is not None:
                     own(self)
 
@@ -239,20 +236,15 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(m, dim_a: int, dim_e: int, side: str = "E") -> np.ndarray:
-    """Trace out one tensor factor of an operator on a ``dim_a * dim_e`` space.
+def partial_trace(m, dim_a: int, dim_e: int) -> np.ndarray:
+    """Trace out the environment factor of an operator on a ``dim_a * dim_e``
+    space, returning a ``dim_a x dim_a`` matrix.
 
-    ``side="E"`` traces over the second (environment) factor and returns a
-    ``dim_a x dim_a`` matrix; ``side="A"`` traces over the first factor and
-    returns ``dim_e x dim_e``.
+    ``m`` must be a finite nonempty square matrix (else ValidationError or
+    ShapeError) whose side factors as ``dim_a * dim_e`` (else ShapeError).
     """
     m = check_factors(as_square(m, "m"), dim_a, dim_e)
-    t = m.reshape(dim_a, dim_e, dim_a, dim_e)
-    if side == "E":
-        return np.einsum("iaja->ij", t)
-    if side == "A":
-        return np.einsum("iaib->ab", t)
-    raise ValueError(f"side must be 'A' or 'E', got {side!r}")
+    return np.einsum("iaja->ij", m.reshape(dim_a, dim_e, dim_a, dim_e))
 
 
 def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
@@ -287,12 +279,12 @@ def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
     return ct
 
 
-def hermitian_eigen(m, tol: float = DEFAULT_HERM_TOL) -> Spectrum:
+def hermitian_eigen(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
     ``m`` is a nonempty square matrix (else ShapeError) that passes
-    :func:`check_hermitian` at ``tol`` (floored at ``DEFAULT_HERM_TOL``);
-    the decomposition of its Hermitian part is deterministic and exactly
+    :func:`check_hermitian` at the floor ``DEFAULT_HERM_TOL``; the
+    decomposition of its Hermitian part is deterministic and exactly
     reconstructible.
     """
-    return Spectrum(*np.linalg.eigh(check_hermitian(as_square(m, "m"), tol, "m")))
+    return Spectrum(*np.linalg.eigh(check_hermitian(as_square(m, "m"), DEFAULT_HERM_TOL, "m")))

@@ -144,15 +144,6 @@ class PositivityProbe:
     floor: float = -np.inf
 
 
-def validate_unitary(u, dim: int | None = None):
-    """Return ``u`` if ``U†U = I`` to ``DEFAULT_UNITARITY_TOL`` (max-entry norm)."""
-    u = as_square(u, "unitary")
-    if dim is not None and u.shape[0] != dim:
-        raise ShapeError(f"unitary has dimension {u.shape[0]}, expected {dim}")
-    check_unitaries(u[None])
-    return u
-
-
 def induce_stack(d: SLDecomposition, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(images, shift)`` of the maps :func:`induce` builds, for a ``(T, n,
     n)`` stack of unitaries.
@@ -164,9 +155,9 @@ def induce_stack(d: SLDecomposition, us: np.ndarray) -> tuple[np.ndarray, np.nda
     into zeroed images; a source with no zero pair broadcasts over all
     pairs instead of gathering them.  The shift sums the traceless pairs
     in row-major order.  Unitarity is the caller's to vouch for:
-    :func:`induce` checks it with :func:`validate_unitary`, and
-    :func:`~inducedmaps.search.scan` passes Haar draws, which are unitary
-    by construction.
+    :func:`induce` checks it (:func:`~inducedmaps.linalg.check_unitaries`),
+    and :func:`~inducedmaps.search.scan` passes Haar draws, which are
+    unitary by construction.
     """
     da, de = d.dim_a, d.dim_e
     t, n = len(us), da * de
@@ -206,11 +197,17 @@ def induce(d: SLDecomposition, u) -> InducedMap:
     the block coefficients when the decomposition is not SL class, so the
     affine convention reproduces the reference non-SL outputs);
     TRACELESS_NONZERO pairs accumulate into the shift; ZERO_BLOCK pairs
-    contribute nothing.  ``u`` must be unitary to ``DEFAULT_UNITARITY_TOL``.
-    This is the one-element case of :func:`induce_stack`.
+    contribute nothing.  ``u`` must be a finite square matrix (else
+    ValidationError or ShapeError) of side ``dim_a * dim_e`` (else
+    ShapeError) with ``U†U = I`` to ``DEFAULT_UNITARITY_TOL`` in max-entry
+    norm (else ValidationError).  This is the one-element case of
+    :func:`induce_stack`.
     """
-    u = validate_unitary(u, dim=d.dim_a * d.dim_e)
-    images, shift = induce_stack(d, u[None])
+    u = as_square(u, "unitary")
+    n = d.dim_a * d.dim_e
+    if u.shape[0] != n:
+        raise ShapeError(f"unitary has dimension {u.shape[0]}, expected {n}")
+    images, shift = induce_stack(d, check_unitaries(u[None]))
     return InducedMap(d.dim_a, images[0], shift[0])
 
 
@@ -480,13 +477,13 @@ def _shifted(images: np.ndarray, shift: np.ndarray):
 
 
 def probe_stack(
-    images, shift, cp_tol, seeds, budget: int, tol: float
+    images, shift, cp_tol, seed_of, budget: int, tol: float
 ) -> tuple[list[CpVerdict], list[PositivityProbe]]:
     """CP verdicts and positivity probes of every map in a stack.
 
     ``images`` and ``shift`` are stacked as :func:`induce_stack` returns
     them.  The verdicts are :func:`cp_verdicts` at ``cp_tol``, and probe
-    ``t`` is :func:`probe_positivity` of map ``t`` with seed ``seeds[t]``
+    ``t`` is :func:`probe_positivity` of map ``t`` with seed ``seed_of(t)``
     at ``tol``.  Both answers come from one Choi pass
     (:func:`_choi_spectra`): it checks each Choi matrix ``C`` at
     ``cp_tol`` and diagonalises it once, and its least eigenvalue
@@ -500,10 +497,9 @@ def probe_stack(
     sampling batch of the maps whose bracket stays open, the refine steps
     (in lock-step over the maps still refining) and the witness checks.
     Map ``t`` draws from its own stream exactly as it would alone, so its
-    probe is the same bit for bit.  ``seeds`` is a sequence with one seed
-    per map, else ValueError; only the seeds of the maps that sample are
-    read, so a sequence that builds each seed on read builds none for a
-    map the floor or the spectral stage closes.  A shift further than
+    probe is the same bit for bit.  ``seed_of`` is called once for each
+    map that samples and for no other, so a seed built on call is built
+    for no map the floor or the spectral stage closes.  A shift further than
     ``tol`` from Hermitian raises HermiticityError
     (:func:`check_hermitian`): the floors bound the outputs' Hermitian
     parts only.  ``budget`` must be an integer from 1 to ``MAX_BUDGET``,
@@ -511,8 +507,6 @@ def probe_stack(
     """
     budget = check_count(budget, "budget", MAX_BUDGET)
     n, da = images.shape[:2]
-    if len(seeds) != n:
-        raise ValueError(f"need one seed per map: {len(seeds)} seeds for {n} maps")
     check_tolerance(tol)
     check_tolerance(cp_tol, "cp_tol")
     verdicts = cp_verdicts(images, shift, cp_tol)
@@ -537,7 +531,7 @@ def probe_stack(
     rest = np.flatnonzero(~closed & ~done)
     if len(rest):
         sub_images, sub_shift = images[rest], shift[rest]
-        best, best_x = _sample(sub_images, sub_shift, [seeds[j] for j in rest.tolist()], budget)
+        best, best_x = _sample(sub_images, sub_shift, [seed_of(j) for j in rest.tolist()], budget)
         _refine(sub_images, sub_shift, best, best_x, tol)
         lam[rest], x[rest] = best, best_x
     # A value below -tol counts only once its input passes as a density
@@ -600,11 +594,11 @@ def probe_positivity(
     MAX_BUDGET``, ``seed >= 0`` (:func:`~inducedmaps.linalg.check_seed`)
     and ``tol`` a finite number >= 0, else ValueError, whether or not the
     map samples.  This is the one-element case of :func:`probe_stack`,
-    which :func:`~inducedmaps.search.scan` runs on stacks of trials with
-    the same random streams.
+    with ``seed_of`` returning ``seed``; :func:`~inducedmaps.search.scan`
+    runs ``probe_stack`` on stacks of trials with the same random streams.
     """
     seed = check_seed(seed)
-    return probe_stack(m.images[None], m.shift[None], tol, [seed], budget, tol)[1][0]
+    return probe_stack(m.images[None], m.shift[None], tol, lambda _: seed, budget, tol)[1][0]
 
 
 def kraus_from_choi(choi, tol: float = DEFAULT_TOL) -> list[np.ndarray]:

@@ -26,8 +26,6 @@ The discord gate is deterministic and takes no seed; ``SearchConfig.seed``
 seeds the unitary draws and positivity probes of the search alone.
 """
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .errors import PreconditionTheoremError, PreconditionVqdError, ShapeError
@@ -183,28 +181,6 @@ def classification_label(verdict, probe) -> str:
     return CLASS_CANDIDATE
 
 
-class _TrialSeeds(Sequence):
-    """Seed ``stream`` of each trial in ``trials``, built only when read.
-
-    Item ``k`` is ``SeedSequence(entropy, spawn_key=(trials[k], stream))``:
-    the seed that ``SeedSequence(entropy).spawn(n)[trials[k]].spawn(2)[stream]``
-    returns for any ``n > trials[k]``, so it yields the same stream.
-    """
-
-    def __init__(self, entropy: int, trials: range, stream: int):
-        self.entropy, self.trials, self.stream = entropy, trials, stream
-
-    def __len__(self) -> int:
-        return len(self.trials)
-
-    def __getitem__(self, k: int):
-        return np.random.SeedSequence(self.entropy, spawn_key=(self.trials[k], self.stream))
-
-    def __iter__(self):
-        # Sequence's own iterator reads one index past the end.
-        return map(self.__getitem__, range(len(self)))
-
-
 def _as_decomposition(source) -> SLDecomposition:
     if isinstance(source, SLDecomposition):
         return source
@@ -213,10 +189,10 @@ def _as_decomposition(source) -> SLDecomposition:
     raise TypeError(f"source must be a decomposition or ensemble, got {type(source)}")
 
 
-def _reports(images, shift, unitaries, cfg: SearchConfig, seeds, trials) -> list:
-    """Classify the maps of a stack, probing map ``i`` with ``seeds[i]``."""
+def _reports(images, shift, unitaries, cfg: SearchConfig, seed_of, trials) -> list:
+    """Classify the maps of a stack, probing map ``j`` with ``seed_of(j)``."""
     verdicts, probes = probe_stack(
-        images, shift, cfg.cp_tol, seeds, cfg.positivity_budget, cfg.witness_tol
+        images, shift, cfg.cp_tol, seed_of, cfg.positivity_budget, cfg.witness_tol
     )
     return [
         CandidateReport(
@@ -244,7 +220,7 @@ def classify(source, u, cfg: SearchConfig, probe_seed=None) -> CandidateReport:
     """
     m = induce(_as_decomposition(source), u)
     seed = cfg.seed if probe_seed is None else probe_seed
-    return _reports(m.images[None], m.shift[None], [u], cfg, [seed], [None])[0]
+    return _reports(m.images[None], m.shift[None], [u], cfg, lambda _: seed, [None])[0]
 
 
 def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
@@ -253,30 +229,31 @@ def scan(source, cfg: SearchConfig) -> tuple[CandidateReport, ...]:
     Trial ``i`` draws its unitary from ``SeedSequence(cfg.seed,
     spawn_key=(i, 0))`` and its probe inputs from ``SeedSequence(cfg.seed,
     spawn_key=(i, 1))``: the streams of the spawn tree
-    ``SeedSequence(cfg.seed).spawn(cfg.trials)[i].spawn(2)``, built per
-    stack and only when read.  A probe stream exists only for a map that
-    samples, so a map closed by its floor or by the spectral stage builds
-    neither seed nor generator.  The report list is deterministic and
-    order-stable for a fixed configuration.  The trials run in stacks of
-    ``TRIAL_GROUP``: one QR and one ``induce`` contraction per stack,
-    then one :func:`~inducedmaps.maps.probe_stack` call, whose one Choi
-    pass serves both the CP verdicts and the probes.  The draws are
-    unitary by construction (:func:`haar_unitaries`), so they are not
-    checked again.
-    Every trial keeps its own random streams, so each report equals
-    :func:`classify` of its unitary with its probe seed.
+    ``SeedSequence(cfg.seed).spawn(cfg.trials)[i].spawn(2)``.  The trials
+    run in stacks of ``TRIAL_GROUP``: one QR and one ``induce``
+    contraction per stack, then one :func:`~inducedmaps.maps.probe_stack`
+    call, whose one Choi pass serves both the CP verdicts and the probes.
+    A stack's unitary seeds are built as a list; its probe seeds come from
+    the ``seed_of`` callback, which ``probe_stack`` calls only for a map
+    that samples, so a map closed by its floor or by the spectral stage
+    builds neither probe seed nor generator.  The draws are unitary by
+    construction (:func:`haar_unitaries`), so they are not checked again.
+    The report list is deterministic and order-stable for a fixed
+    configuration.  Every trial keeps its own random streams, so each
+    report equals :func:`classify` of its unitary with its probe seed.
     """
     d = _as_decomposition(source)
     n = d.dim_a * d.dim_e
     reports = []
     for start in range(0, cfg.trials, TRIAL_GROUP):
         trials = range(start, min(start + TRIAL_GROUP, cfg.trials))
-        us = haar_unitaries(n, _TrialSeeds(cfg.seed, trials, 0))
+        seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(i, 0)) for i in trials]
+        us = haar_unitaries(n, seeds)
         reports += _reports(
             *induce_stack(d, us),
             us,
             cfg,
-            _TrialSeeds(cfg.seed, trials, 1),
+            lambda j: np.random.SeedSequence(cfg.seed, spawn_key=(trials[j], 1)),
             trials,
         )
     return tuple(reports)
@@ -325,7 +302,6 @@ def hunt(e: SeparableEnsemble, cfg: SearchConfig) -> tuple[CandidateReport, ...]
             else f"rescaled state has min_eig {condition.min_eig:.3e}"
         )
         raise PreconditionTheoremError(f"block-support condition does not hold: {reason}")
-    # The condition gate validated e.state when it read e.decomposition.
     verdict = discord_verdict(e.state, e.dim_a, e.dim_e, cfg.vqd_tol)
     if verdict.status == VQD:
         raise PreconditionVqdError(

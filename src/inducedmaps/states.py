@@ -130,7 +130,9 @@ class SeparableEnsemble:
     matrix of the declared dimension.  The assembled ``state`` and its
     coherence-block ``decomposition`` are derived on first use and cached;
     both are read-only and the terms are immutable, so the cache cannot
-    go stale.
+    go stale.  The state is validated as ``rho_ae`` when it is assembled,
+    so valid terms whose sum rounds outside ``DEFAULT_DENSITY_TOL`` raise
+    on the first read of either.
     """
 
     dim_a: int
@@ -152,18 +154,21 @@ class SeparableEnsemble:
 
     @cached_property
     def state(self) -> np.ndarray:
-        """Read-only total density matrix ``sum_i p_i (rho_a_i ⊗ rho_e_i)``."""
+        """Read-only total density matrix ``sum_i p_i (rho_a_i ⊗ rho_e_i)``,
+        validated as ``rho_ae`` (:func:`validate_density_matrix`)."""
         n = self.dim_a * self.dim_e
         rho = np.zeros((n, n), dtype=complex)
         for t in self.terms:
             rho += t.p * tensor(t.rho_a, t.rho_e)
+        validate_density_matrix(rho, name="rho_ae")
         rho.flags.writeable = False
         return rho
 
     @cached_property
     def decomposition(self) -> "SLDecomposition":
-        """``decompose_blocks(state, dim_a, dim_e)``, computed once."""
-        return decompose_blocks(self.state, self.dim_a, self.dim_e)
+        """``decompose_blocks(state, dim_a, dim_e)``, computed once; the
+        state was validated when it was assembled."""
+        return split_blocks(self.state, self.dim_a, self.dim_e)
 
 
 @record(pair_class=np.int8)
@@ -256,17 +261,6 @@ def split_blocks(rho, dim_a: int, dim_e: int) -> SLDecomposition:
     return SLDecomposition(dim_a, dim_e, coeffs, blocks, pair_class)
 
 
-def reassemble(d: SLDecomposition) -> np.ndarray:
-    """Rebuild the bipartite matrix ``sum_kl coeffs[k,l] |k><l| ⊗ blocks[k,l]``."""
-    # The inverse of split_blocks' (k, l, e, f) view.
-    return (d.coeffs[:, :, None, None] * d.blocks).swapaxes(1, 2).reshape(d.dim_a * d.dim_e, -1)
-
-
-def classify_sl(d: SLDecomposition) -> str:
-    """``"SL"`` when every block is unit-trace or zero, else ``"NON_SL"``."""
-    return SL if d.is_sl else NON_SL
-
-
 def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> ConditionReport:
     """Evaluate the block-support positivity condition on the rescaled state.
 
@@ -300,6 +294,7 @@ def check_condition(e: SeparableEnsemble, tol: float = DEFAULT_TOL) -> Condition
     if not d.is_sl:
         return ConditionReport(holds=False, sl_class=NON_SL, min_eig=None)
     n = d.dim_a * d.dim_e
-    # R is reassemble(d) without the coefficients.
+    # R is sum_kl |k><l| ⊗ blocks[k,l]: the state rebuilt without the
+    # coefficients, through the inverse of split_blocks' (k, l, e, f) view.
     lam = float(np.linalg.eigvalsh(d.blocks.swapaxes(1, 2).reshape(n, n))[0])
     return ConditionReport(holds=lam >= -max(tol, DEFAULT_HERM_TOL), sl_class=SL, min_eig=lam)

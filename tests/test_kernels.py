@@ -69,7 +69,7 @@ def reference_induce(d, u):
                 continue
             embedded = np.zeros((n, n), dtype=complex)
             embedded[k * de : (k + 1) * de, l * de : (l + 1) * de] = d.blocks[k, l]
-            response = partial_trace(u @ embedded @ dagger(u), da, de, side="E")
+            response = partial_trace(u @ embedded @ dagger(u), da, de)
             if cls == PairClass.UNIT_TRACE:
                 images[k, l] = response if d.is_sl else d.coeffs[k, l] * response
             else:
@@ -536,7 +536,7 @@ def test_discordant_stacks_sample_and_refine_as_before(dims):
     images, shift = np.stack([m.images for m in group]), np.stack([m.shift for m in group])
     seeds = list(range(len(group)))
     searched = 0
-    _, probes = maps.probe_stack(images, shift, 1e-9, seeds, 200, 1e-9)
+    _, probes = maps.probe_stack(images, shift, 1e-9, lambda j: seeds[j], 200, 1e-9)
     for m, seed, probe in zip(group, seeds, probes):
         if probe.floor < -1e-9 and probe.min_eig - probe.floor > 1e-9:
             searched += 1
@@ -740,7 +740,7 @@ TOLERANCE_CALLS = {
     [
         pytest.param(call, tol, id=str(tol) if call == "probe_positivity" else f"{call}-{tol}")
         for call in TOLERANCE_CALLS
-        for tol in (-1e-9, float("nan"), float("inf"))
+        for tol in (-1e-9, float("nan"), float("inf"), True)
     ],
 )
 def test_probe_rejects_invalid_tolerance(call, tol):
@@ -784,7 +784,9 @@ def test_probe_budget_has_a_ceiling():
     with pytest.raises(ValueError, match=f"budget must be at most {maps.MAX_BUDGET}"):
         probe_positivity(m, budget=maps.MAX_BUDGET + 1)
     with pytest.raises(ValueError, match=f"budget must be at most {maps.MAX_BUDGET}"):
-        maps.probe_stack(m.images[None], m.shift[None], 1e-9, [0], maps.MAX_BUDGET + 1, 1e-9)
+        maps.probe_stack(
+            m.images[None], m.shift[None], 1e-9, lambda _: 0, maps.MAX_BUDGET + 1, 1e-9
+        )
 
 
 def test_induce_cli_rejects_a_budget_above_the_ceiling_before_reading_files(tmp_path, capsys):
@@ -955,20 +957,13 @@ def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypa
     assert sorted(k for k in keys if k[1] == 1) == [(i, 1) for i in opened]
 
 
-def test_probe_stack_takes_one_seed_per_map():
-    m = bell_cnot_map()
-    for seeds in ([0, 1], []):
-        with pytest.raises(ValueError, match="one seed per map"):
-            maps.probe_stack(m.images[None], m.shift[None], 1e-9, seeds, 50, 1e-9)
-
-
 def test_probe_stack_verdicts_are_the_cp_verdicts_of_its_choi_pass():
     rng = np.random.default_rng(41)
     group = [bell_cnot_map(), discordant_qubit_map()]
     group += [induce(discordant(2, 2, 3), haar_unitary(4, rng)) for _ in range(2)]
     images, shift = np.stack([m.images for m in group]), np.stack([m.shift for m in group])
     for cp_tol in (0.0, 1e-9, 1e-3):
-        verdicts, probes = maps.probe_stack(images, shift, cp_tol, [0, 1, 2, 3], 50, 1e-9)
+        verdicts, probes = maps.probe_stack(images, shift, cp_tol, lambda j: j, 50, 1e-9)
         assert verdicts == maps.cp_verdicts(images, shift, cp_tol)
         assert len(probes) == len(group)
 
@@ -982,7 +977,7 @@ def test_probe_stack_checks_the_choi_pass_at_cp_tol_before_sampling(monkeypatch)
     drawn = []
     monkeypatch.setattr(maps, "_sample", lambda *args: drawn.append(args))
     with pytest.raises(HermiticityError, match="Choi matrix"):
-        maps.probe_stack(images[None], m.shift[None], 1e-9, [0], 50, 1e-3)
+        maps.probe_stack(images[None], m.shift[None], 1e-9, lambda _: 0, 50, 1e-3)
     assert drawn == []
 
 
@@ -1089,7 +1084,7 @@ def test_probe_stack_matches_the_one_map_reference(budget, refine_iters, monkeyp
             images = np.stack([m.images for m in stacked])
             shift = np.stack([m.shift for m in stacked])
             seeds = [int(rng.integers(1 << 30)) for _ in stacked]
-            _, probes = maps.probe_stack(images, shift, 1e-9, seeds, budget, 1e-9)
+            _, probes = maps.probe_stack(images, shift, 1e-9, lambda j: seeds[j], budget, 1e-9)
             for m, seed, probe in zip(stacked, seeds, probes):
                 status, min_eig, witness, floor = reference_probe(
                     m, budget, seed, 1e-9, refine_iters

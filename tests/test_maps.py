@@ -30,7 +30,6 @@ from inducedmaps import (
     probe_positivity,
     tensor,
     validate_density_matrix,
-    validate_unitary,
 )
 from inducedmaps import maps
 from inducedmaps.linalg import check_hermitian
@@ -74,17 +73,18 @@ def weakly_coherent_bell(delta):
     return rho
 
 
-def test_validate_unitary_accepts_and_rejects():
-    assert np.array_equal(validate_unitary(SWAP), SWAP)
-    with pytest.raises(ValidationError):
-        validate_unitary(np.ones((2, 2)))
-    with pytest.raises(ShapeError):
-        validate_unitary(np.eye(2), dim=4)
+def test_induce_accepts_a_unitary_and_rejects_a_non_unitary():
+    d = decompose_blocks(bell_density(), 2, 2)
+    assert induce(d, SWAP).images.shape == (2, 2, 2, 2)
+    with pytest.raises(ValidationError, match="matrix is not unitary: deviation"):
+        induce(d, np.ones((4, 4)))
+    with pytest.raises(ShapeError, match="unitary must be square"):
+        induce(d, np.ones((4, 2)))
 
 
 def test_induce_rejects_mismatched_unitary():
     d = decompose_blocks(bell_density(), 2, 2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="unitary has dimension 2, expected 4"):
         induce(d, np.eye(2))
 
 
@@ -212,7 +212,7 @@ def test_map_equals_weighted_component_conjugations():
             # the rescaled component rho_a / gamma, 0 off the blocks
             ratio = np.divide(t.rho_a, gamma, out=np.zeros_like(gamma), where=gamma != 0)
             joint = u @ tensor(rho_prime * ratio, t.rho_e) @ dagger(u)
-            expected += t.p * partial_trace(joint, e.dim_a, e.dim_e, side="E")
+            expected += t.p * partial_trace(joint, e.dim_a, e.dim_e)
         assert np.abs(m.apply(rho_prime) - expected).max() < 1e-10
 
 
