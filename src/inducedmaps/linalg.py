@@ -10,6 +10,7 @@ declares the package's immutable result records, whose arrays are
 read-only copies.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,16 +49,24 @@ class Spectrum(NamedTuple):
 
 
 def check_tolerance(value, name: str = "tol") -> float:
-    """Return ``value`` if it is a finite number >= 0, else raise ValueError.
+    """Return ``value`` if it is a finite real number >= 0, else raise ValueError.
 
     A negative or NaN tolerance turns every ``x < -tol`` test upside down
     and an infinite one makes it vacuous, so verdicts built on them are
     meaningless.  ``bool`` and ``numpy.bool_`` are not numbers here, as
-    in :func:`check_integer`.
+    in :func:`check_integer`, and neither are complex numbers, strings,
+    None, arrays of more than one entry or integers too large for a
+    float: each raises the same ValueError.
     """
-    if isinstance(value, (bool, np.bool_)) or not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
-    return value
+    try:
+        # numpy complex scalars are turned away before math.isfinite, which
+        # would read their real part.
+        if not isinstance(value, (bool, np.bool_, np.complexfloating)) and math.isfinite(value):
+            if value >= 0:
+                return value
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def check_integer(value, name: str) -> int:
@@ -107,13 +116,12 @@ def complex_normals(rngs, shape: tuple[int, ...]) -> np.ndarray:
     """``(len(rngs), *shape)`` complex standard normals, row ``t`` from ``rngs[t]``.
 
     Each generator fills its row's real parts, then its imaginary parts,
-    so a row is the same draw whatever the other rows hold.
+    in one call, so a row is the same draw whatever the other rows hold.
     """
-    draws = np.empty((2, len(rngs), *shape))
-    for rng, re, im in zip(rngs, draws[0], draws[1]):
-        rng.standard_normal(out=re)
-        rng.standard_normal(out=im)
-    return draws[0] + 1j * draws[1]
+    draws = np.empty((len(rngs), 2, *shape))
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    return draws[:, 0] + 1j * draws[:, 1]
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -196,9 +204,10 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Hermitian parts ``(a + a†)/2`` of the matrices in the last two axes of ``a``.
 
     Built in place in one new array, so a stack of matrices needs one copy
-    rather than three.
+    rather than three.  The conjugate transpose is written in C order, so
+    the in-place sum and scaling run over contiguous memory.
     """
-    h = np.conjugate(a).swapaxes(-1, -2)
+    h = np.conjugate(a.swapaxes(-1, -2), order="C")
     h += a
     h *= 0.5
     return h
@@ -257,9 +266,9 @@ def check_hermitian(ms: np.ndarray, tol: float, name: str) -> np.ndarray:
     ValidationError if it has a non-finite entry, else HermiticityError
     (also when a finite matrix's deviation overflows), naming that bound.
     """
-    # One conjugate transpose serves the deviation and then, in place, the
-    # Hermitian part, with the arithmetic of hermitian_part.
-    ct = np.conjugate(ms).swapaxes(-1, -2)
+    # One conjugate transpose, in C order as in hermitian_part, serves the
+    # deviation and then, in place, the Hermitian part.
+    ct = np.conjugate(ms.swapaxes(-1, -2), order="C")
     with np.errstate(over="ignore", invalid="ignore"):
         dev = np.abs(ms - ct)
     bound = max(DEFAULT_HERM_TOL, tol)

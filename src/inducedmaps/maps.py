@@ -128,7 +128,8 @@ class PositivityProbe:
     ``min_eig`` the exact minimum to ``tol``.
 
     VIOLATED comes with a certified witness: a valid input density matrix
-    whose output has smallest eigenvalue ``min_eig`` below tolerance.
+    whose output has smallest eigenvalue ``min_eig`` below tolerance,
+    ``min_eig`` being evaluated on that very matrix.
     NO_VIOLATION_FOUND with ``floor >= -tol`` is a proof that no input
     reaches ``-tol``; ``min_eig`` is then the output's smallest eigenvalue
     on the maximally mixed input, unless the spectral stage closed the
@@ -178,11 +179,12 @@ def induce_stack(d: SLDecomposition, us: np.ndarray) -> tuple[np.ndarray, np.nda
         left = (u_cols[:, pairs.k] @ pairs.blocks).reshape(t, -1, da, de * de)
         resp = left @ u_conj[:, pairs.l]
     if d.is_sl:
-        shift = np.zeros((t, da, da), dtype=complex)
+        # Every nonzero pair of an SL source is UNIT_TRACE.
+        images, shift = resp, np.zeros((t, da, da), dtype=complex)
     else:
         resp = pairs.coeffs[:, None, None] * resp
         shift = resp[:, ~pairs.unit].sum(axis=1)
-    images = np.where(pairs.unit[:, None, None], resp, 0)
+        images = np.where(pairs.unit[:, None, None], resp, 0)
     if not dense:
         images, kept = np.zeros((t, da * da, da, da), dtype=complex), images
         images[:, pairs.k * da + pairs.l] = kept
@@ -455,7 +457,7 @@ def _refine(images, shift, best, best_x, tol: float) -> None:
 
 
 def _shifted(images: np.ndarray, shift: np.ndarray):
-    """``λmin(C_L)``, a candidate input ``x`` and the output's ``λmin`` at ``x``.
+    """``λmin(C_L)``, a candidate input ``x`` and the output's ``λmin`` at ``x x†``.
 
     ``C_L = Herm C + I ⊗ Herm shift``: every output eigenvalue is some
     ``<x̄⊗y|C_L|x̄⊗y>`` with unit ``x`` and ``y``, so none lies below
@@ -463,7 +465,10 @@ def _shifted(images: np.ndarray, shift: np.ndarray):
     λmin(Herm shift)``.  ``x`` is the conjugated leading left singular
     vector of the bottom eigenvector reshaped to ``(da, da)``; when that
     eigenvector is a product ``x̄⊗y``, the output at ``x`` attains the
-    floor.  One ``eigh``, one ``svd`` and one ``eigvalsh`` serve the stack.
+    floor.  The output is evaluated on the density matrix ``x x†`` with
+    the arithmetic of the witness check (:func:`_apply`), so the value is
+    the one a witness at ``x`` reports.  One ``eigh``, one ``svd`` and one
+    ``eigvalsh`` serve the stack.
     """
     t, da = images.shape[:2]
     # I ⊗ shift adds the shift to every diagonal image before the reshape.
@@ -472,8 +477,14 @@ def _shifted(images: np.ndarray, shift: np.ndarray):
     w, v = np.linalg.eigh(c_l)
     x = np.linalg.svd(v[:, :, 0].reshape(t, da, da))[0][:, :, 0].conj()
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    value = np.linalg.eigvalsh(_outputs(images, shift, x[:, None]))[:, 0, 0]
-    return w[:, 0], x, value
+    outs = _apply(images, shift, x[:, :, None] * x.conj()[:, None, :])
+    return w[:, 0], x, np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
+
+
+def _stage(take: np.ndarray):
+    """Index of the maps a probe stage takes: the whole stack as a view
+    when it takes every map, else the boolean mask ``take``."""
+    return slice(None) if take.all() else take
 
 
 def probe_stack(
@@ -496,10 +507,18 @@ def probe_stack(
     the maximally mixed outputs of the floor-certified maps, each
     sampling batch of the maps whose bracket stays open, the refine steps
     (in lock-step over the maps still refining) and the witness checks.
-    Map ``t`` draws from its own stream exactly as it would alone, so its
-    probe is the same bit for bit.  ``seed_of`` is called once for each
-    map that samples and for no other, so a seed built on call is built
-    for no map the floor or the spectral stage closes.  A shift further than
+    A stage that takes every map of the stack reads the stack itself, not
+    a gathered copy.  Map ``t`` draws from its own stream exactly as it
+    would alone, so its probe is the same bit for bit.  ``seed_of`` is
+    called once for each map that samples and for no other, so a seed
+    built on call is built for no map the floor or the spectral stage
+    closes.  Every witness input passes
+    :func:`~inducedmaps.states.check_densities`.  The spectral stage
+    evaluates its candidate on the very density matrix it returns, so a
+    witness that stage closes is reported with that value; a sampled or
+    refined witness is evaluated once more on its density matrix.  A
+    stack whose shift is exactly zero, as every SL source's is, takes its
+    cheap floors from the Choi minima alone; any other shift further than
     ``tol`` from Hermitian raises HermiticityError
     (:func:`check_hermitian`): the floors bound the outputs' Hermitian
     parts only.  ``budget`` must be an integer from 1 to ``MAX_BUDGET``,
@@ -510,40 +529,52 @@ def probe_stack(
     check_tolerance(tol)
     check_tolerance(cp_tol, "cp_tol")
     verdicts = cp_verdicts(images, shift, cp_tol)
-    choi_min = np.array([verdict.choi_min_eig for verdict in verdicts])
 
     # Every output eigenvalue is some <x̄⊗y|C|x̄⊗y> + <y|shift|y> with unit
-    # x and y, so none lies below the cheap floor.
-    floors = choi_min + np.linalg.eigvalsh(check_hermitian(shift, tol, "shift"))[:, 0]
+    # x and y, so none lies below the cheap floor.  An all-zero shift (every
+    # SL source's) adds its lowest eigenvalue, +0.0, with no check and no
+    # eigvalsh; the + 0.0 keeps a -0.0 Choi minimum reading 0.0.
+    floors = np.array([verdict.choi_min_eig for verdict in verdicts]) + 0.0
+    if shift.any():
+        floors += np.linalg.eigvalsh(check_hermitian(shift, tol, "shift"))[:, 0]
     lam, x = np.zeros(n), np.zeros((n, da), dtype=complex)
     spectral = floors < -tol
     closed = np.zeros(n, dtype=bool)
     if spectral.any():
-        lowest, x[spectral], lam[spectral] = _shifted(images[spectral], shift[spectral])
-        floors[spectral] = np.maximum(floors[spectral], lowest)
-        closed[spectral] = lam[spectral] - floors[spectral] <= tol
+        s = _stage(spectral)
+        lowest, x[s], lam[s] = _shifted(images[s], shift[s])
+        floors[s] = np.maximum(floors[s], lowest)
+        closed[s] = lam[s] - floors[s] <= tol
 
     witness = [None] * n
     done = ~closed & (floors >= -tol)
     if done.any():
-        outs = _apply(images[done], shift[done], np.eye(da) / da)
-        lam[done] = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
-    rest = np.flatnonzero(~closed & ~done)
-    if len(rest):
-        sub_images, sub_shift = images[rest], shift[rest]
-        best, best_x = _sample(sub_images, sub_shift, [seed_of(j) for j in rest.tolist()], budget)
+        s = _stage(done)
+        outs = _apply(images[s], shift[s], np.eye(da) / da)
+        lam[s] = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
+    sampled = ~closed & ~done
+    if sampled.any():
+        s = _stage(sampled)
+        sub_images, sub_shift = images[s], shift[s]
+        seeds = [seed_of(j) for j in np.flatnonzero(sampled).tolist()]
+        best, best_x = _sample(sub_images, sub_shift, seeds, budget)
         _refine(sub_images, sub_shift, best, best_x, tol)
-        lam[rest], x[rest] = best, best_x
+        lam[s], x[s] = best, best_x
     # A value below -tol counts only once its input passes as a density
-    # matrix and its recomputed output eigenvalue is still below -tol.
-    hit = np.flatnonzero(~done & (lam < -tol))
-    if len(hit):
+    # matrix and its output eigenvalue on that matrix is still below -tol.
+    # The spectral stage evaluated its candidates on these very matrices;
+    # a sampled or refined value is evaluated once more.
+    hit = ~done & (lam < -tol)
+    if hit.any():
         inputs = check_densities(x[hit, :, None] * x[hit].conj()[:, None, :], name="witness")
-        outs = _apply(images[hit], shift[hit], inputs)
-        recheck = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
-        for j, rho, value in zip(hit.tolist(), inputs, recheck.tolist()):
-            if value < -tol:
-                lam[j], witness[j] = value, rho
+        value, again = lam[hit], sampled[hit]
+        if again.any():
+            r, a = _stage(hit & sampled), _stage(again)
+            outs = _apply(images[r], shift[r], inputs[a])
+            value[a] = np.linalg.eigvalsh(hermitian_part(outs))[:, 0]
+        for j, rho, v in zip(np.flatnonzero(hit).tolist(), inputs, value.tolist()):
+            if v < -tol:
+                lam[j], witness[j] = v, rho
     # min_eig is attained, so a floor above it is rounding on a closed bracket.
     np.minimum(floors, lam, out=floors)
     return verdicts, [
@@ -571,10 +602,12 @@ def probe_positivity(
       reaches ``-tol``: NO_VIOLATION_FOUND, with no samples drawn and
       ``min_eig`` the smallest output eigenvalue on ``I/dim_a``.
     - The spectral stage raises the floor to ``λmin(C_L)``, ``C_L = Herm
-      C + I ⊗ Herm shift``, and evaluates the output at the input read off
-      its bottom eigenvector.  Within ``tol`` of the floor, that input is
-      the result (a closed bracket); a raised floor of at least ``-tol``
-      ends as above.
+      C + I ⊗ Herm shift``, and evaluates the output on the density
+      matrix ``x x†`` of the input ``x`` read off its bottom eigenvector,
+      the matrix a witness at ``x`` reports.  Within ``tol`` of the floor,
+      that input is the result (a closed bracket); a raised floor of at
+      least ``-tol`` ends as above.  A map whose shift is exactly zero
+      has ``C_L = Herm C``.
     - ``budget`` Haar-random pure inputs in batches of ``PROBE_CHUNK``
       (one stacked eigenvalue call per batch, or :func:`min_eig_2x2` when
       ``dim_a == 2``), then alternating minimisation of ``<y|Φ(xx†)|y>``
@@ -586,16 +619,19 @@ def probe_positivity(
       the last gain could not reach ``-tol``.  NO_VIOLATION_FOUND here is
       an exhausted search, not a proof, with the best value as ``min_eig``.
 
-    VIOLATED comes only with a certified witness (a valid density matrix
-    whose recomputed output eigenvalue is below ``-tol``), and every probe
-    carries its floor: ``floor <= true minimum <= min_eig``
-    (:class:`PositivityProbe`).  ``budget`` and ``seed`` must be integers
-    (numpy integers pass, ``bool`` does not), ``1 <= budget <=
-    MAX_BUDGET``, ``seed >= 0`` (:func:`~inducedmaps.linalg.check_seed`)
-    and ``tol`` a finite number >= 0, else ValueError, whether or not the
-    map samples.  This is the one-element case of :func:`probe_stack`,
-    with ``seed_of`` returning ``seed``; :func:`~inducedmaps.search.scan`
-    runs ``probe_stack`` on stacks of trials with the same random streams.
+    VIOLATED comes only with a certified witness: a density matrix that
+    passes :func:`~inducedmaps.states.check_densities` and whose output
+    eigenvalue, evaluated on that matrix, is below ``-tol`` (the spectral
+    stage's own evaluation; a sampled or refined input is evaluated once
+    more on its density matrix).  Every probe carries its floor: ``floor
+    <= true minimum <= min_eig`` (:class:`PositivityProbe`).  ``budget``
+    and ``seed`` must be integers (numpy integers pass, ``bool`` does
+    not), ``1 <= budget <= MAX_BUDGET``, ``seed >= 0``
+    (:func:`~inducedmaps.linalg.check_seed`) and ``tol`` a finite number
+    >= 0, else ValueError, whether or not the map samples.  This is the
+    one-element case of :func:`probe_stack`, with ``seed_of`` returning
+    ``seed``; :func:`~inducedmaps.search.scan` runs ``probe_stack`` on
+    stacks of trials with the same random streams.
     """
     seed = check_seed(seed)
     return probe_stack(m.images[None], m.shift[None], tol, lambda _: seed, budget, tol)[1][0]

@@ -19,6 +19,7 @@ from inducedmaps import (
     PairClass,
     SeparableEnsemble,
     SearchConfig,
+    ValidationError,
     assemble,
     check_condition,
     choi_matrix,
@@ -955,6 +956,78 @@ def test_scan_builds_a_probe_stream_only_for_a_map_that_samples(source, monkeypa
     opened = [i for i, p in enumerate(probes) if p.floor < -1e-9 and p.min_eig - p.floor > 1e-9]
     assert sum(sampled) == (trials if source == "mixture-8x4" else 0) == len(opened)
     assert sorted(k for k in keys if k[1] == 1) == [(i, 1) for i in opened]
+
+
+def probe_stack_source(name):
+    """A stack of six Haar maps; in the mixed one, Bell maps that the
+    spectral stage closes alternate with discordant maps that sample."""
+    bell = decompose_blocks(bell_density(), 2, 2)
+    if name == "mixed-2x2":
+        closing = maps.induce_stack(bell, search.haar_unitaries(4, range(3)))
+        sampling = maps.induce_stack(discordant(2, 2, 1), search.haar_unitaries(4, range(2, 8, 2)))
+        return tuple(
+            np.stack([a, b], axis=1).reshape(-1, *a.shape[1:]) for a, b in zip(closing, sampling)
+        )
+    d = {"bell-2x2": bell, "weak-bell": weak_bell(0.3), "discordant-3x3": discordant(3, 3, 4)}[name]
+    return maps.induce_stack(d, search.haar_unitaries(d.dim_a * d.dim_e, range(6)))
+
+
+PROBE_STACKS = ("bell-2x2", "weak-bell", "discordant-3x3", "mixed-2x2")
+
+
+@pytest.mark.parametrize("source", PROBE_STACKS)
+def test_every_witness_reports_its_output_eigenvalue_bit_for_bit(source):
+    # The spectral stage evaluates its candidate on the density matrix it
+    # reports; sampled and refined witnesses are evaluated once more.
+    # Either way min_eig is the witness's own output eigenvalue.
+    images, shift = probe_stack_source(source)
+    sampled = []
+    _, probes = maps.probe_stack(images, shift, 1e-9, lambda j: sampled.append(j) or j, 50, 1e-9)
+    spectral = 0
+    for j, p in enumerate(probes):
+        if p.status == VIOLATED:
+            out = hermitian_part(maps._apply(images[j], shift[j], p.witness))
+            assert p.min_eig == np.linalg.eigvalsh(out)[0]
+            spectral += j not in sampled
+    assert sum(p.status == VIOLATED for p in probes) >= 3
+    # Bell maps close in the spectral stage; the discordant 3x3 maps sample
+    assert (spectral > 0) == (source != "discordant-3x3")
+    assert (len(sampled) > 0) == (source in ("discordant-3x3", "mixed-2x2"))
+
+
+def test_a_spectral_witness_still_passes_the_density_check(monkeypatch):
+    def unnormalised(images, shift, _real=maps._shifted):
+        lowest, x, value = _real(images, shift)
+        return lowest, 2.0 * x, value
+
+    monkeypatch.setattr(maps, "_shifted", unnormalised)
+    images, shift = probe_stack_source("bell-2x2")
+    with pytest.raises(ValidationError, match="witness has trace 4"):
+        maps.probe_stack(images, shift, 1e-9, lambda j: j, 50, 1e-9)
+
+
+def test_only_a_nonzero_shift_is_checked_for_hermiticity(monkeypatch):
+    names = []
+
+    def counted(ms, tol, name, _real=maps.check_hermitian):
+        names.append(name)
+        return _real(ms, tol, name)
+
+    monkeypatch.setattr(maps, "check_hermitian", counted)
+    cfg = SearchConfig(trials=2 * TRIAL_GROUP + 1, positivity_budget=50)
+    # an SL source's shift is exactly zero: its floors are the Choi minima
+    coherent = STACK_SOURCES["coherent-4x2"]()
+    assert coherent.is_sl
+    scan(coherent, cfg)
+    assert names.count("shift") == 0
+    # a Bell source is NON_SL: one check per stack of three
+    scan(STACK_SOURCES["bell-2x2"](), cfg)
+    assert names.count("shift") == 3
+    images, shift = probe_stack_source("bell-2x2")
+    shift = shift.copy()
+    shift[1] = [[0.0, 0.3], [-0.3, 0.0]]
+    with pytest.raises(HermiticityError, match="shift deviates from Hermitian by 6.000e-01"):
+        maps.probe_stack(images, shift, 1e-9, lambda j: j, 50, 1e-9)
 
 
 def test_probe_stack_verdicts_are_the_cp_verdicts_of_its_choi_pass():

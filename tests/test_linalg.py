@@ -25,7 +25,9 @@ from inducedmaps.linalg import (
     as_square,
     check_count,
     check_hermitian,
+    check_tolerance,
     check_unitaries,
+    complex_normals,
     record,
 )
 from inducedmaps.presets import bell_density, random_density
@@ -44,6 +46,48 @@ def test_random_density_draws_real_then_imaginary_normals(dim):
     assert random_density(dim, ours).tobytes() == (m / np.trace(m).real).tobytes()
     # the generator is left where the reference leaves it
     assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_complex_normals_fill_each_row_real_then_imaginary_from_its_own_generator():
+    rngs = [np.random.default_rng(seed) for seed in (3, 4)]
+    draws = complex_normals(rngs, (2, 3))
+    assert draws.shape == (2, 2, 3)
+    for seed, row in zip((3, 4), draws):
+        reference = np.random.default_rng(seed).standard_normal((2, 2, 3))
+        assert row.tobytes() == (reference[0] + 1j * reference[1]).tobytes()
+
+
+BAD_TOLERANCES = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "nan": np.nan,
+    "inf": np.inf,
+    "minus-inf": -np.inf,
+    "negative": -1e-9,
+    "complex": 1j,
+    "numpy-complex": np.complex128(1e-9),
+    "string": "x",
+    "none": None,
+    "int-beyond-float": 10**400,
+    "array": np.array([1e-9, 1e-9]),
+}
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES.values(), ids=BAD_TOLERANCES.keys())
+def test_check_tolerance_raises_its_own_value_error(value):
+    with pytest.raises(ValueError) as info:
+        check_tolerance(value, "cp_tol")
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"cp_tol must be a finite number >= 0, got {value}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, 0.0, 1e-9, 3, np.float64(1e-9), np.int64(2), np.float32(0.5)],
+    ids=["int-zero", "zero", "float", "int", "numpy-float", "numpy-int", "float32"],
+)
+def test_check_tolerance_returns_a_finite_real_number(value):
+    assert check_tolerance(value) is value
 
 
 def test_dagger_is_conjugate_transpose():

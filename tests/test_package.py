@@ -15,7 +15,7 @@ DEFAULTED_PUBLIC_PARAMETERS = 16
 
 # Code lines of the package modules, as code_lines counts them.  A change
 # that grows the package shows here; moving this pin puts it in review.
-SRC_CODE_LINES = 1374
+SRC_CODE_LINES = 1388
 
 # Names in the package's __all__.  A change that grows the public API
 # shows here; moving this pin puts it in review.
